@@ -173,11 +173,10 @@ def cmd_score_difficulty(args: argparse.Namespace) -> int:
     corpus, vocab, model_config = _prepare(cfg)
     out_dir = Path(cfg.out)
     ensemble = _load_or_train_voters(cfg, corpus, vocab, model_config, out_dir)
-    conf = confidence_table(ensemble, corpus)
     diff = difficulty_scores(ensemble, corpus)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "difficulty.tsv", "w", encoding="utf-8") as f:
-        dump_scores_tsv(corpus, conf, diff, f)
+        dump_scores_tsv(corpus, diff.confidence, diff, f)
     print(f"wrote {out_dir / 'difficulty.tsv'}")
     return 0
 
@@ -203,9 +202,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     ensemble = _load_or_train_voters(cfg, corpus, vocab, model_config, out_dir)
-    conf = confidence_table(ensemble, corpus)
 
     plan_path = out_dir / "plan.json"
+    diff = None
     if cfg.mode == "no-curriculum":
         plan = single_curriculum_plan(corpus, cfg.curriculum.tau)
     elif plan_path.exists():
@@ -214,6 +213,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         diff = difficulty_scores(ensemble, corpus)
         plan = build_plan(diff, corpus, cfg.curriculum.tau, cfg.curriculum.eta)
         plan_path.write_text(plan.to_json(corpus) + "\n", encoding="utf-8")
+    conf = diff.confidence if diff is not None else confidence_table(ensemble, corpus)
 
     schedule = cfg.schedule()
     seed = derive_seed(cfg.seed, "train")

@@ -110,6 +110,16 @@ _TOP_LEVEL_KEYS = {
 } | set(_SECTION_TYPES)
 
 
+def _typed(raw: dict, key: str, kind: type, default: Any) -> Any:
+    """``raw[key]`` if it is a JSON value of ``kind`` (a JSON boolean is not
+    an integer), else FormatError; nothing is coerced."""
+    value = raw.get(key, default)
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        what = "boolean" if kind is bool else "integer"
+        raise FormatError(f"config key {key!r} must be a JSON {what}, got {value!r}")
+    return value
+
+
 def config_from_dict(raw: dict) -> PipelineConfig:
     if not isinstance(raw, dict):
         raise FormatError("config must be a JSON object")
@@ -141,10 +151,10 @@ def config_from_dict(raw: dict) -> PipelineConfig:
             valid=raw.get("valid"),
             out=raw.get("out", "out"),
             mode=raw.get("mode", "full"),
-            seed=int(raw.get("seed", 42)),
-            threads=int(raw.get("threads", 1)),
-            allow_same_split=bool(raw.get("allow_same_split", False)),
-            require_type_match=bool(raw.get("require_type_match", True)),
+            seed=_typed(raw, "seed", int, 42),
+            threads=_typed(raw, "threads", int, 1),
+            allow_same_split=_typed(raw, "allow_same_split", bool, False),
+            require_type_match=_typed(raw, "require_type_match", bool, True),
             model=sections["model"],
             voters=sections["voters"],
             curriculum=sections["curriculum"],

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -189,13 +189,14 @@ class Corpus:
         s = int(np.searchsorted(self.offsets, flat_idx, side="right")) - 1
         return TokenRef(s, flat_idx - int(self.offsets[s]))
 
-    def token_at(self, ref: TokenRef) -> Token:
-        return self.sentences[ref.sentence_idx].tokens[ref.token_idx]
-
-    def iter_refs(self) -> Iterator[TokenRef]:
-        for s_idx, sent in enumerate(self.sentences):
-            for t_idx in range(len(sent)):
-                yield TokenRef(s_idx, t_idx)
+    def token_positions(self, sentence_indices: np.ndarray) -> np.ndarray:
+        """Flat indices of the tokens of the given sentences, sentence by
+        sentence in the given order."""
+        idx = np.asarray(sentence_indices)
+        starts = self.offsets[idx]
+        lengths = self.offsets[idx + 1] - starts
+        first_slot = np.cumsum(lengths) - lengths
+        return np.repeat(starts - first_slot, lengths) + np.arange(lengths.sum())
 
     def distant_array(self) -> np.ndarray:
         return np.array(
@@ -381,3 +382,20 @@ def build_vocab(corpus: Corpus, min_count: int = 1) -> Vocab:
         key=lambda w: (-counts[w], w),
     )
     return Vocab(kept)
+
+
+def encode_windows(corpus: Corpus, vocab: Vocab, window: int) -> np.ndarray:
+    """[n_tokens, 2 * window + 1] vocabulary ids of every token's context
+    window, in flat token order; positions beyond a sentence's edges hold
+    ``Vocab.PAD``. Each sentence goes through ``encode_sentence`` once."""
+    ids = np.concatenate([vocab.encode_sentence(s) for s in corpus.sentences])
+    lengths = np.diff(corpus.offsets)
+    # Lay the sentences out with `window` padding slots before, between and
+    # after them, so that no window reaches into a neighbouring sentence.
+    start = np.arange(len(ids)) + np.repeat(np.arange(len(lengths)) * window, lengths)
+    padded = np.full(len(ids) + (len(lengths) + 1) * window, Vocab.PAD, dtype=np.int64)
+    padded[start + window] = ids
+    out = np.empty((len(ids), 2 * window + 1), dtype=np.int64)
+    for j in range(2 * window + 1):
+        out[:, j] = padded[start + j]
+    return out

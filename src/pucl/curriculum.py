@@ -6,6 +6,10 @@ dealt out with a power-law selector: curriculum j < eta takes the next
 floor(tau^j * T_p) easiest positives and the final curriculum absorbs the
 remainder. Stage i of training runs a fixed number of epochs over the
 tokens of curricula 1..i, so the easiest material is revisited most often.
+
+Every trainer takes an optional ``rows``: the corpus's window rows
+(``encode_windows`` under the model's vocabulary and window), so that a
+pipeline encodes each corpus once.
 """
 
 from __future__ import annotations
@@ -158,7 +162,6 @@ class StageSchedule:
     batch_size: int = 32
     loss: LossKind = "mae"
     conf_mpu: ConfMpuConfig = ConfMpuConfig()
-    reset_optimizer_per_stage: bool = False
 
     def __post_init__(self) -> None:
         if self.stage_epochs < 1 or self.batch_size < 1:
@@ -214,13 +217,13 @@ def _run_stages(
     batch_risk: BatchRisk,
     log: list[dict] | None,
     stage_callback: Callable[[int, TokenClassifier], None] | None,
+    rows: np.ndarray | None = None,
 ) -> TokenClassifier:
     """Shared stage loop: stage i trains on curricula 1..i.
 
     Unlabeled tokens live in C_1 and are active from the first stage. The
-    optimizer persists across stages unless the schedule says otherwise.
-    A token entering at curriculum j therefore participates in exactly
-    (eta - j + 1) * stage_epochs epochs.
+    optimizer persists across stages. A token entering at curriculum j
+    therefore participates in exactly (eta - j + 1) * stage_epochs epochs.
     """
     model = _fresh_classifier(corpus, vocab, model_config, seed)
     adam = AdamState.for_model(model, schedule.learning_rate)
@@ -228,14 +231,11 @@ def _run_stages(
 
     labels = corpus.distant_array()
     cur_of = plan.curriculum_of_tokens(len(labels))
-    sentence_rows = [model.window_rows(ids) for ids in model.encode_corpus(corpus)]
-    offsets = corpus.offsets
+    rows = model.corpus_rows(corpus, rows)
     n_sentences = len(corpus.sentences)
 
     epoch_counter = 0
     for stage in range(1, plan.eta + 1):
-        if schedule.reset_optimizer_per_stage and stage > 1:
-            adam = AdamState.for_model(model, schedule.learning_rate)
         active_mask = (labels == 0) | (cur_of <= stage)
         active_positive_count = int(np.sum(active_mask & (labels > 0)))
         for _ in range(schedule.stage_epochs):
@@ -244,16 +244,11 @@ def _run_stages(
             batch_values: list[float] = []
             clamped_total = 0
             for start in range(0, n_sentences, schedule.batch_size):
-                batch = order[start : start + schedule.batch_size]
-                positions = np.concatenate(
-                    [np.arange(offsets[i], offsets[i + 1]) for i in batch]
-                )
-                keep = active_mask[positions]
-                positions = positions[keep]
+                positions = corpus.token_positions(order[start : start + schedule.batch_size])
+                positions = positions[active_mask[positions]]
                 if len(positions) == 0:
                     continue
-                rows = np.concatenate([sentence_rows[i] for i in batch], axis=0)[keep]
-                probs, cache = model.forward_rows(rows)
+                probs, cache = model.forward_rows(rows[positions])
                 value, dprobs, clamped = batch_risk(probs, positions, stage)
                 if not np.isfinite(value):
                     raise NumericError(
@@ -289,6 +284,7 @@ def train_baby_step(
     model_config: ModelConfig | None = None,
     log: list[dict] | None = None,
     stage_callback: Callable[[int, TokenClassifier], None] | None = None,
+    rows: np.ndarray | None = None,
 ) -> TokenClassifier:
     """Train a fresh classifier through the curriculum with the
     confidence-based PU risk; returns the final-stage model."""
@@ -305,7 +301,7 @@ def train_baby_step(
         return breakdown.total, dprobs, breakdown.clamped_count
 
     return _run_stages(
-        corpus, plan, schedule, seed, vocab, model_config, batch_risk, log, stage_callback
+        corpus, plan, schedule, seed, vocab, model_config, batch_risk, log, stage_callback, rows
     )
 
 
@@ -321,6 +317,7 @@ def train_no_curriculum(
     model_config: ModelConfig | None = None,
     log: list[dict] | None = None,
     stage_callback: Callable[[int, TokenClassifier], None] | None = None,
+    rows: np.ndarray | None = None,
 ) -> TokenClassifier:
     """PU training on everything at once (the curriculum ablation).
 
@@ -341,6 +338,7 @@ def train_no_curriculum(
         model_config=model_config,
         log=log,
         stage_callback=stage_callback,
+        rows=rows,
     )
 
 
@@ -354,6 +352,7 @@ def train_no_confmpu(
     model_config: ModelConfig | None = None,
     log: list[dict] | None = None,
     stage_callback: Callable[[int, TokenClassifier], None] | None = None,
+    rows: np.ndarray | None = None,
 ) -> TokenClassifier:
     """Baby-step training with the plain mean loss (the PU ablation):
     unlabeled tokens are treated as class 0."""
@@ -366,7 +365,7 @@ def train_no_confmpu(
         return float(values.sum() / n), grads / n, 0
 
     return _run_stages(
-        corpus, plan, schedule, seed, vocab, model_config, batch_risk, log, stage_callback
+        corpus, plan, schedule, seed, vocab, model_config, batch_risk, log, stage_callback, rows
     )
 
 
@@ -381,6 +380,7 @@ def train_soft_label(
     model_config: ModelConfig | None = None,
     log: list[dict] | None = None,
     stage_callback: Callable[[int, TokenClassifier], None] | None = None,
+    rows: np.ndarray | None = None,
 ) -> TokenClassifier:
     """Baby-step training against per-token soft targets with KL loss
     (curriculum over ensembled labels instead of distant labels)."""
@@ -394,7 +394,7 @@ def train_soft_label(
         return float(values.sum() / n), grads / n, 0
 
     return _run_stages(
-        corpus, plan, schedule, seed, vocab, model_config, batch_risk, log, stage_callback
+        corpus, plan, schedule, seed, vocab, model_config, batch_risk, log, stage_callback, rows
     )
 
 
@@ -421,6 +421,7 @@ def self_train(
     seed: int,
     *,
     log: list[dict] | None = None,
+    rows: np.ndarray | None = None,
 ) -> TokenClassifier:
     """Teacher/student rounds over the model's own sharpened soft labels.
 
@@ -429,10 +430,8 @@ def self_train(
     teacher, fresh optimizer) with KL loss over all tokens.
     """
     student = model
-    offsets = corpus.offsets
     n_sentences = len(corpus.sentences)
-    sentence_rows = [model.window_rows(ids) for ids in model.encode_corpus(corpus)]
-    all_rows = np.concatenate(sentence_rows, axis=0)
+    all_rows = model.corpus_rows(corpus, rows)
     for round_idx in range(cfg.rounds):
         teacher = student
         teacher_probs, _ = teacher.forward_rows(all_rows)
@@ -446,12 +445,8 @@ def self_train(
             order = shuffle_rng.permutation(n_sentences)
             batch_values = []
             for start in range(0, n_sentences, cfg.batch_size):
-                batch = order[start : start + cfg.batch_size]
-                positions = np.concatenate(
-                    [np.arange(offsets[i], offsets[i + 1]) for i in batch]
-                )
-                rows = all_rows[positions]
-                probs, cache = student.forward_rows(rows)
+                positions = corpus.token_positions(order[start : start + cfg.batch_size])
+                probs, cache = student.forward_rows(all_rows[positions])
                 values, grads = kl_soft_rows(probs, targets[positions])
                 n = len(values)
                 value = float(values.sum() / n)

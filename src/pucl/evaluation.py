@@ -156,10 +156,14 @@ def evaluate_labels(
 
 
 def evaluate(
-    model: TokenClassifier, corpus: Corpus, require_type_match: bool = True
+    model: TokenClassifier,
+    corpus: Corpus,
+    require_type_match: bool = True,
+    rows: np.ndarray | None = None,
 ) -> EvalReport:
-    """Predict with the model and score against gold labels."""
-    return evaluate_labels(predict(model, corpus), corpus, require_type_match)
+    """Predict with the model (on the corpus's window ``rows``, if given)
+    and score against gold labels."""
+    return evaluate_labels(predict(model, corpus, rows), corpus, require_type_match)
 
 
 # --- curriculum noise analysis ---------------------------------------------

@@ -4,18 +4,28 @@ Architecture: per-token context window of embeddings (padding positions use
 a dedicated learned embedding), concatenated and passed through one tanh
 hidden layer and a softmax output. All parameters are float64 so analytic
 gradients can be checked against finite differences at tight tolerances.
+
+Exactness contract: a training step does the textbook float operations in
+the textbook order, so a fixed seed gives the same bytes however the step
+is implemented. The embedding gradient sums each row's contributions in
+token order starting from 0.0, and ``adam_step`` does Adam's operations
+(Kingma & Ba, arXiv:1412.6980) in their usual order, in place. Passes that
+score a corpus run one sentence at a time and are not batched across
+sentences: one larger matmul may sum in another order and change bytes.
+(Self-training's teacher pass has always run over the whole corpus at once,
+and still does.)
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import BinaryIO, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Vocab
+from .corpus import Corpus, Vocab, encode_windows
 from .errors import CompatibilityError, FormatError, NumericError
 
 _CHECKPOINT_MAGIC = b"PUCLCKPT1\n"
@@ -159,26 +169,40 @@ class TokenClassifier:
         dw1 = flat.T @ dz1
         db1 = dz1.sum(axis=0)
         dflat = dz1 @ self.w1.T
-        dembed = np.zeros_like(self.embedding)
-        d = self.config.embed_dim
-        np.add.at(dembed, rows.ravel(), dflat.reshape(-1, d))
-        return Gradients(dembed, dw1, db1, dw2, db2)
+        # One flat bincount sums every (row, column) bin in token order,
+        # starting from 0.0: bitwise what np.add.at gives, without its
+        # per-element overhead.
+        vocab_size, d = self.embedding.shape
+        bins = (rows.reshape(-1, 1) * d + np.arange(d)).ravel()
+        dembed = np.bincount(bins, weights=dflat.ravel(), minlength=vocab_size * d)
+        return Gradients(dembed.reshape(vocab_size, d), dw1, db1, dw2, db2)
 
     # -- corpus helpers ------------------------------------------------------
 
     def encode_corpus(self, corpus: Corpus) -> list[np.ndarray]:
         return [self.vocab.encode_sentence(s) for s in corpus.sentences]
 
-    def all_window_rows(self, corpus: Corpus) -> np.ndarray:
-        """Window rows for every token of the corpus, in flat token order."""
-        return np.concatenate(
-            [self.window_rows(ids) for ids in self.encode_corpus(corpus)], axis=0
-        )
+    def corpus_rows(self, corpus: Corpus, rows: np.ndarray | None = None) -> np.ndarray:
+        """Window rows of every token of the corpus, in flat token order.
+
+        ``rows`` is the caller's ``encode_windows`` of the corpus, passed
+        down so that a corpus is encoded once per run; it is checked
+        against this model's window. Without it the corpus is encoded here.
+        """
+        if rows is None:
+            return encode_windows(corpus, self.vocab, self.config.window)
+        if rows.shape != (corpus.n_tokens, 2 * self.config.window + 1):
+            raise ValueError(
+                f"window rows of shape {rows.shape} do not fit a corpus of "
+                f"{corpus.n_tokens} tokens and window {self.config.window}"
+            )
+        return rows
 
 
 @dataclass
 class AdamState:
-    """Adam moment accumulators, one pair per parameter array."""
+    """Adam moment accumulators, one pair per parameter array, plus two
+    scratch arrays per parameter that ``adam_step`` computes in."""
 
     learning_rate: float
     m: dict[str, np.ndarray]
@@ -187,6 +211,7 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    scratch: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict, repr=False)
 
     @staticmethod
     def for_model(model: TokenClassifier, learning_rate: float) -> "AdamState":
@@ -201,7 +226,15 @@ class AdamState:
 
 def adam_step(model: TokenClassifier, grads: Gradients, state: AdamState) -> None:
     """Standard Adam update with bias correction; fails fast on non-finite
-    gradients."""
+    gradients.
+
+    Per parameter this computes, in this order and in place::
+
+        m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
+        p -= (lr * (m/c1)) / (sqrt(v/c2) + eps)
+
+    with c1 = 1 - b1**step and c2 = 1 - b2**step.
+    """
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     corr1 = 1.0 - b1**state.step
@@ -213,28 +246,46 @@ def adam_step(model: TokenClassifier, grads: Gradients, state: AdamState) -> Non
             raise NumericError(f"non-finite gradient in {name} at step {state.step}")
         m = state.m[name]
         v = state.v[name]
+        if name not in state.scratch:
+            state.scratch[name] = (np.empty_like(param), np.empty_like(param))
+        update, denom = state.scratch[name]
+        np.multiply(grad, 1.0 - b1, out=update)
         m *= b1
-        m += (1.0 - b1) * grad
+        m += update
+        np.multiply(grad, 1.0 - b2, out=update)
+        update *= grad
         v *= b2
-        v += (1.0 - b2) * grad * grad
-        m_hat = m / corr1
-        v_hat = v / corr2
-        param -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+        v += update
+        np.divide(m, corr1, out=update)
+        update *= state.learning_rate
+        np.divide(v, corr2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        update /= denom
+        param -= update
 
 
-def predict(model: TokenClassifier, corpus: Corpus) -> list[np.ndarray]:
+def predict(
+    model: TokenClassifier, corpus: Corpus, rows: np.ndarray | None = None
+) -> list[np.ndarray]:
     """Argmax label per token, per sentence; ties go to the smallest class
-    id (np.argmax picks the first maximum)."""
+    id (np.argmax picks the first maximum). ``rows`` are the corpus's window
+    rows if the caller has them (see ``TokenClassifier.corpus_rows``)."""
     if corpus.label_set.names != model.label_names:
         raise CompatibilityError(
             f"label sets differ: model {list(model.label_names)} "
             f"vs corpus {list(corpus.label_set.names)}"
         )
-    out = []
-    for ids in model.encode_corpus(corpus):
-        probs, _ = model.forward_rows(model.window_rows(ids))
-        out.append(np.argmax(probs, axis=1).astype(np.int64))
-    return out
+    if rows is None:
+        # One pass needs no whole-corpus rows: encode sentence by sentence.
+        sentence_rows = (model.window_rows(ids) for ids in model.encode_corpus(corpus))
+    else:
+        rows = model.corpus_rows(corpus, rows)
+        offsets = corpus.offsets
+        sentence_rows = (rows[offsets[i] : offsets[i + 1]] for i in range(len(corpus)))
+    return [
+        np.argmax(model.forward_rows(r)[0], axis=1).astype(np.int64) for r in sentence_rows
+    ]
 
 
 # --- checkpoint format ----------------------------------------------------
@@ -271,19 +322,54 @@ def save_checkpoint(model: TokenClassifier, stream: BinaryIO) -> None:
 
 
 def load_checkpoint(stream: BinaryIO) -> TokenClassifier:
+    """Read a checkpoint written by ``save_checkpoint``; anything else, a
+    truncated file included, raises FormatError."""
     magic = stream.read(len(_CHECKPOINT_MAGIC))
     if magic != _CHECKPOINT_MAGIC:
         raise FormatError("not a model checkpoint (bad magic)")
-    (header_len,) = struct.unpack("<Q", stream.read(8))
-    header = json.loads(stream.read(header_len).decode("utf-8"))
-    config = ModelConfig(**header["config"])
-    vocab = Vocab(header["vocab"])
-    model = TokenClassifier(config, vocab, header["labels"])
-    for name, shape in header["arrays"]:
-        count = int(np.prod(shape)) if shape else 1
+    length = stream.read(8)
+    if len(length) != 8:
+        raise FormatError("checkpoint truncated in the header length")
+    (header_len,) = struct.unpack("<Q", length)
+    # Read in bounded chunks: a corrupt length must not size one allocation.
+    chunks: list[bytes] = []
+    remaining = header_len
+    while remaining:
+        chunk = stream.read(min(remaining, 1 << 20))
+        if not chunk:
+            raise FormatError("checkpoint truncated in the header")
+        chunks.append(chunk)
+        remaining -= len(chunk)
+    raw_header = b"".join(chunks)
+    try:
+        header = json.loads(raw_header.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"checkpoint header is not UTF-8 JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise FormatError("checkpoint header is not a JSON object")
+    missing = [key for key in ("config", "labels", "vocab", "arrays") if key not in header]
+    if missing:
+        raise FormatError(f"checkpoint header lacks {', '.join(missing)}")
+    words, labels, arrays = header["vocab"], header["labels"], header["arrays"]
+    if not (
+        isinstance(header["config"], dict)
+        and isinstance(words, list)
+        and isinstance(labels, list)
+        and all(isinstance(x, str) for x in words + labels)
+    ):
+        raise FormatError("checkpoint header has a malformed config, vocab or label list")
+    try:
+        config = ModelConfig(**header["config"])
+        model = TokenClassifier(config, Vocab(words), labels)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"checkpoint header does not describe a model: {exc}") from exc
+    expected = [[name, list(arr.shape)] for name, arr in model.parameters()]
+    if arrays != expected:
+        raise FormatError(f"checkpoint arrays do not match its config; expected {expected}")
+    for name, shape in expected:
+        count = int(np.prod(shape))
         raw = stream.read(count * 8)
         if len(raw) != count * 8:
             raise FormatError(f"checkpoint truncated in array {name}")
-        arr = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-        setattr(model, name, arr)
+        setattr(model, name, np.frombuffer(raw, dtype="<f8").reshape(shape).copy())
     return model

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .config import PipelineConfig
-from .corpus import Corpus, build_vocab, read_conll
+from .corpus import Corpus, build_vocab, encode_windows, read_conll
 from .curriculum import (
     CurriculumPlan,
     build_plan,
@@ -44,10 +44,10 @@ from .risk import estimate_priors
 from .seeding import derive_seed
 from .voters import (
     VoterEnsemble,
-    confidence_table,
     difficulty_scores,
     dump_scores_tsv,
     train_voters,
+    voter_distributions,
 )
 
 
@@ -164,6 +164,12 @@ def _run_pipeline_inner(
         hidden_dim=cfg.model.hidden_dim,
         init_scale=cfg.model.init_scale,
     )
+    # Every model shares the vocabulary and window, so each corpus is
+    # encoded once and its rows are passed down.
+    train_rows = encode_windows(train_corpus, vocab, model_config.window)
+    valid_rows = None
+    if valid_corpus is not None and valid_corpus.has_gold():
+        valid_rows = encode_windows(valid_corpus, vocab, model_config.window)
 
     ensemble = train_voters(
         train_corpus,
@@ -172,13 +178,14 @@ def _run_pipeline_inner(
         derive_seed(cfg.seed, "voters"),
         vocab=vocab,
         threads=cfg.threads,
+        rows=train_rows,
     )
     for i, voter in enumerate(ensemble.voters):
         with open(record(f"voter_{i}", out_dir / f"voter_{i}.bin"), "wb") as f:
             save_checkpoint(voter, f)
 
-    confidence = confidence_table(ensemble, train_corpus)
-    difficulty = difficulty_scores(ensemble, train_corpus)
+    difficulty = difficulty_scores(ensemble, train_corpus, train_rows)
+    confidence = difficulty.confidence
     with open(record("difficulty_tsv", out_dir / "difficulty.tsv"), "w", encoding="utf-8") as f:
         dump_scores_tsv(train_corpus, confidence, difficulty, f)
 
@@ -196,8 +203,8 @@ def _run_pipeline_inner(
     stage_metrics: list[dict] = []
 
     def stage_callback(stage: int, m: TokenClassifier) -> None:
-        if valid_corpus is not None and valid_corpus.has_gold():
-            report = evaluate(m, valid_corpus, cfg.require_type_match)
+        if valid_rows is not None:
+            report = evaluate(m, valid_corpus, cfg.require_type_match, valid_rows)
             stage_metrics.append(
                 {
                     "stage": stage,
@@ -212,6 +219,7 @@ def _run_pipeline_inner(
         model = train_baby_step(
             train_corpus, plan, confidence, priors, schedule, train_seed,
             vocab=vocab, model_config=model_config, log=log, stage_callback=stage_callback,
+            rows=train_rows,
         )
     elif cfg.mode == "no-curriculum":
         priors = estimate_priors(train_corpus)
@@ -219,16 +227,19 @@ def _run_pipeline_inner(
             train_corpus, confidence, priors, schedule, train_seed,
             total_epochs=cfg.curriculum.eta * cfg.curriculum.stage_epochs,
             vocab=vocab, model_config=model_config, log=log, stage_callback=stage_callback,
+            rows=train_rows,
         )
     elif cfg.mode == "no-confmpu":
         model = train_no_confmpu(
             train_corpus, plan, schedule, train_seed,
             vocab=vocab, model_config=model_config, log=log, stage_callback=stage_callback,
+            rows=train_rows,
         )
     elif cfg.mode == "soft-label-curriculum":
         model = train_soft_label(
             train_corpus, plan, confidence.distributions, schedule, train_seed,
             vocab=vocab, model_config=model_config, log=log, stage_callback=stage_callback,
+            rows=train_rows,
         )
     elif cfg.mode == "voter-ensemble":
         model = None
@@ -238,7 +249,8 @@ def _run_pipeline_inner(
     if cfg.mode == "full-st" and model is not None:
         st_log: list[dict] = []
         model = self_train(
-            model, train_corpus, cfg.self_train, derive_seed(cfg.seed, "selftrain"), log=st_log
+            model, train_corpus, cfg.self_train, derive_seed(cfg.seed, "selftrain"),
+            log=st_log, rows=train_rows,
         )
         with open(record("selftrain_log", out_dir / "selftrain_log.jsonl"), "w", encoding="utf-8") as f:
             for rec in st_log:
@@ -294,10 +306,6 @@ def _ensemble_predictions(ensemble: VoterEnsemble, corpus: Corpus) -> list[np.nd
     """Argmax of the mean voter distribution, per sentence."""
     if corpus.label_set.names != ensemble.voters[0].label_names:
         raise CompatibilityError("ensemble and corpus label sets differ")
-    out = []
-    for sent_ids in [ensemble.vocab.encode_sentence(s) for s in corpus.sentences]:
-        stacked = np.mean(
-            [v.forward_rows(v.window_rows(sent_ids))[0] for v in ensemble.voters], axis=0
-        )
-        out.append(np.argmax(stacked, axis=1).astype(np.int64))
-    return out
+    labels = np.argmax(voter_distributions(ensemble, corpus).mean(axis=0), axis=1)
+    offsets = corpus.offsets
+    return [labels[offsets[i] : offsets[i + 1]] for i in range(len(corpus))]

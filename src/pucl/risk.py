@@ -136,6 +136,11 @@ def estimate_priors(corpus: Corpus) -> Priors:
 # --- positive-negative risk with negative sampling ---------------------------
 
 
+class NoContributingTokens(ValueError):
+    """A batch has no positive token and negative sampling dropped every
+    negative one, so its risk is undefined."""
+
+
 def pn_risk(
     probs: np.ndarray,
     labels: np.ndarray,
@@ -147,7 +152,8 @@ def pn_risk(
     probability ``keep_negative_ratio``; positive tokens always contribute.
 
     Returns the mean over contributing tokens and per-token gradients
-    (zero rows for dropped tokens).
+    (zero rows for dropped tokens). Raises NoContributingTokens, after the
+    sample is drawn, when no token contributes.
     """
     if not 0.0 < keep_negative_ratio <= 1.0:
         raise ValueError(f"keep_negative_ratio must be in (0, 1], got {keep_negative_ratio}")
@@ -160,7 +166,7 @@ def pn_risk(
         keep = keep | (negatives & (rng.random(len(labels)) < keep_negative_ratio))
     count = int(keep.sum())
     if count == 0:
-        raise ValueError("no contributing tokens after negative sampling")
+        raise NoContributingTokens("no contributing tokens after negative sampling")
     values, grads_kept = loss_rows(probs[keep], labels[keep], loss)
     grads = np.zeros_like(probs)
     grads[keep] = grads_kept / count

@@ -18,10 +18,10 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, TokenRef, Vocab, build_vocab
+from .corpus import Corpus, Vocab, build_vocab, encode_windows
 from .errors import NumericError
 from .model import AdamState, ModelConfig, TokenClassifier, adam_step
-from .risk import PROB_FLOOR, LossKind, pn_risk
+from .risk import PROB_FLOOR, LossKind, NoContributingTokens, pn_risk
 from .seeding import derive_seed, make_rng
 
 
@@ -78,6 +78,7 @@ def _train_one_voter(
     vocab: Vocab,
     seed: int,
     voter_idx: int,
+    rows: np.ndarray,
 ) -> TokenClassifier:
     init_seed = derive_seed(seed, "voter-init", voter_idx)
     model = TokenClassifier(
@@ -97,19 +98,23 @@ def _train_one_voter(
     sample_rng = make_rng(seed, "voter-sample", voter_idx)
     # Shared stream: every voter sees the same batch order per epoch.
     shuffle_rng = make_rng(seed, "voter-shuffle")
-    sentence_rows = [model.window_rows(ids) for ids in model.encode_corpus(corpus)]
-    sentence_labels = [
-        np.array(s.distant_labels(), dtype=np.int64) for s in corpus.sentences
-    ]
+    rows = model.corpus_rows(corpus, rows)
+    labels = corpus.distant_array()
     n_sentences = len(corpus.sentences)
     for _ in range(cfg.epochs):
         order = shuffle_rng.permutation(n_sentences)
         for start in range(0, n_sentences, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            rows = np.concatenate([sentence_rows[i] for i in batch], axis=0)
-            labels = np.concatenate([sentence_labels[i] for i in batch])
-            probs, cache = model.forward_rows(rows)
-            value, dprobs = pn_risk(probs, labels, cfg.keep_negative_ratio, sample_rng, cfg.loss)
+            positions = corpus.token_positions(order[start : start + cfg.batch_size])
+            probs, cache = model.forward_rows(rows[positions])
+            try:
+                value, dprobs = pn_risk(
+                    probs, labels[positions], cfg.keep_negative_ratio, sample_rng, cfg.loss
+                )
+            except NoContributingTokens:
+                # No positives and every negative dropped: nothing to learn
+                # from. The sample was drawn, so later batches see the same
+                # random stream as before.
+                continue
             if not np.isfinite(value):
                 raise NumericError(f"non-finite voter risk (voter {voter_idx})")
             adam_step(model, model.backward_rows(cache, dprobs), adam)
@@ -123,20 +128,24 @@ def train_voters(
     seed: int,
     vocab: Vocab | None = None,
     threads: int = 1,
+    rows: np.ndarray | None = None,
 ) -> VoterEnsemble:
     """Train V independent voters on the distant labels.
 
     Voter v derives its initialization and sampling seeds from (seed, v), so
     adding voters never perturbs existing ones. Voters share no state and
-    train identically whether sequential or threaded.
+    train identically whether sequential or threaded. ``rows`` are the
+    corpus's ``encode_windows`` under ``vocab``, if the caller has them.
     """
     if not np.any(corpus.distant_array() > 0):
         raise ValueError("corpus has no positive distant labels; voters cannot train")
     if vocab is None:
         vocab = build_vocab(corpus)
+    if rows is None:
+        rows = encode_windows(corpus, vocab, model_config.window)
 
     def work(v: int) -> TokenClassifier:
-        return _train_one_voter(corpus, model_config, voter_config, vocab, seed, v)
+        return _train_one_voter(corpus, model_config, voter_config, vocab, seed, v, rows)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -170,16 +179,20 @@ def pairwise_disagreement(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * float((p * logratio).sum() + (q * -logratio).sum())
 
 
-def _all_voter_distributions(ensemble: VoterEnsemble, corpus: Corpus) -> np.ndarray:
-    """[V, n_tokens, n_classes] stack of per-voter distributions."""
-    out = []
-    for voter in ensemble.voters:
-        probs = [
-            voter.forward_rows(voter.window_rows(ids))[0]
-            for ids in voter.encode_corpus(corpus)
-        ]
-        out.append(np.concatenate(probs, axis=0))
-    return np.stack(out, axis=0)
+def voter_distributions(
+    ensemble: VoterEnsemble, corpus: Corpus, rows: np.ndarray | None = None
+) -> np.ndarray:
+    """[V, n_tokens, n_classes] stack of per-voter distributions. Each voter
+    runs one sentence at a time, so every row has the bytes of a
+    per-sentence forward pass."""
+    rows = ensemble.voters[0].corpus_rows(corpus, rows)
+    offsets = corpus.offsets
+    out = np.empty((ensemble.size, corpus.n_tokens, corpus.label_set.n_classes))
+    for v, voter in enumerate(ensemble.voters):
+        for i in range(len(corpus)):
+            lo, hi = offsets[i], offsets[i + 1]
+            out[v, lo:hi] = voter.forward_rows(rows[lo:hi])[0]
+    return out
 
 
 class ConfidenceTable:
@@ -192,41 +205,47 @@ class ConfidenceTable:
         self.distributions = distributions
         self.lam = distributions[:, 1:].sum(axis=1)
 
-    def distribution_of(self, ref: TokenRef) -> np.ndarray:
-        return self.distributions[self.corpus.flat_index(ref)]
-
-    def lambda_of(self, ref: TokenRef) -> float:
-        return float(self.lam[self.corpus.flat_index(ref)])
-
 
 class DifficultyTable:
-    """Per-token difficulty score H >= 0."""
+    """Per-token difficulty score H >= 0, and the confidence table of the
+    same voter pass when ``difficulty_scores`` built it."""
 
-    def __init__(self, corpus: Corpus, scores: np.ndarray):
+    def __init__(
+        self, corpus: Corpus, scores: np.ndarray, confidence: ConfidenceTable | None = None
+    ):
         if scores.shape[0] != corpus.n_tokens:
             raise ValueError("score count does not match corpus tokens")
         if np.any(~np.isfinite(scores)) or np.any(scores < 0):
             raise ValueError("difficulty scores must be finite and non-negative")
         self.corpus = corpus
         self.scores = scores
-
-    def score_of(self, ref: TokenRef) -> float:
-        return float(self.scores[self.corpus.flat_index(ref)])
+        self.confidence = confidence
 
 
-def confidence_table(ensemble: VoterEnsemble, corpus: Corpus) -> ConfidenceTable:
-    dists = _all_voter_distributions(ensemble, corpus).mean(axis=0)
+def confidence_table(
+    ensemble: VoterEnsemble, corpus: Corpus, rows: np.ndarray | None = None
+) -> ConfidenceTable:
+    dists = voter_distributions(ensemble, corpus, rows).mean(axis=0)
     return ConfidenceTable(corpus, dists)
 
 
-def difficulty_scores(ensemble: VoterEnsemble, corpus: Corpus) -> DifficultyTable:
+def difficulty_scores(
+    ensemble: VoterEnsemble, corpus: Corpus, rows: np.ndarray | None = None
+) -> DifficultyTable:
     """Mean symmetric KL disagreement over all unordered voter pairs, per
-    token."""
+    token.
+
+    The voters run over the corpus once. The same pass gives the ensemble
+    mean, returned as the table's ``confidence`` (equal to
+    ``confidence_table``), so a caller that needs both scores the corpus
+    once.
+    """
     if ensemble.size < 2:
         raise ValueError("difficulty scores need at least two voters")
-    dists = _all_voter_distributions(ensemble, corpus)
-    logs = np.log(np.maximum(dists, PROB_FLOOR))
-    floored = np.maximum(dists, PROB_FLOOR)
+    dists = voter_distributions(ensemble, corpus, rows)
+    confidence = ConfidenceTable(corpus, dists.mean(axis=0))
+    floored = np.maximum(dists, PROB_FLOOR, out=dists)
+    logs = np.log(floored)
     v = ensemble.size
     total = np.zeros(dists.shape[1])
     for i in range(v):
@@ -237,7 +256,7 @@ def difficulty_scores(ensemble: VoterEnsemble, corpus: Corpus) -> DifficultyTabl
             total += 0.5 * (kl_ij + kl_ji)
     scores = total / (v * (v - 1) / 2)
     # floors can leave tiny negatives behind; difficulty is non-negative
-    return DifficultyTable(corpus, np.maximum(scores, 0.0))
+    return DifficultyTable(corpus, np.maximum(scores, 0.0), confidence)
 
 
 def dump_scores_tsv(

@@ -169,6 +169,36 @@ def max_gradient_error(analytic, numeric, rtol=1e-5):
     return worst
 
 
+# --- training step: textbook Adam and the np.add.at scatter ----------------------
+
+
+def oracle_adam_step(params, grads, m, v, step, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Adam as written in Kingma & Ba (arXiv:1412.6980), Algorithm 1, on
+    dicts of arrays. Returns new (params, m, v); nothing is updated in place."""
+    new_p, new_m, new_v = {}, {}, {}
+    for name, g in grads.items():
+        new_m[name] = b1 * m[name] + (1.0 - b1) * g
+        new_v[name] = b2 * v[name] + (1.0 - b2) * g * g
+        m_hat = new_m[name] / (1.0 - b1**step)
+        v_hat = new_v[name] / (1.0 - b2**step)
+        new_p[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return new_p, new_m, new_v
+
+
+def oracle_embedding_gradient(model, cache, dprobs):
+    """Embedding gradient of sum_t <dprobs_t, probs_t>: the chain rule down
+    to the window inputs, then np.add.at of each window position's slice
+    into its vocabulary row."""
+    rows, _, hidden, probs = cache
+    inner = (dprobs * probs).sum(axis=1, keepdims=True)
+    dlogits = probs * (dprobs - inner)
+    dz1 = (dlogits @ model.w2.T) * (1.0 - hidden**2)
+    dflat = dz1 @ model.w1.T
+    out = np.zeros_like(model.embedding)
+    np.add.at(out, rows.ravel(), dflat.reshape(-1, model.embedding.shape[1]))
+    return out
+
+
 # --- rank correlation -------------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import json
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -8,9 +9,10 @@ import pytest
 
 from pucl.cli import main
 from pucl.config import config_from_dict, load_config
-from pucl.corpus import read_conll
+from pucl.corpus import Vocab, read_conll
 from pucl.errors import FormatError
 from pucl.model import load_checkpoint
+from pucl.pipeline import run_pipeline
 from pucl.seeding import derive_seed
 
 
@@ -202,6 +204,22 @@ class TestPipeline:
         report = json.loads((tmp_path / "k1run" / "report.json").read_text())
         assert set(report["strict_per_type"]) == {"T1"}
 
+    def test_each_sentence_encoded_once(self, synth_dir, tmp_path, monkeypatch):
+        calls: dict[int, list] = {}  # id -> [sentence (kept alive), count]
+        encode = Vocab.encode_sentence
+
+        def counting(vocab, sentence):
+            calls.setdefault(id(sentence), [sentence, 0])[1] += 1
+            return encode(vocab, sentence)
+
+        monkeypatch.setattr(Vocab, "encode_sentence", counting)
+        cfg = small_config(synth_dir, tmp_path / "run", mode="full-st")
+        cfg["valid"] = str(synth_dir / "valid.tsv")
+        run_pipeline(config_from_dict(cfg))
+        sentences = sum(len(read(synth_dir / f"{n}.tsv")) for n in ("train", "valid", "test"))
+        assert len(calls) == sentences
+        assert {count for _, count in calls.values()} == {1}
+
     def test_manifest_written_on_failure(self, synth_dir, tmp_path):
         out_dir = tmp_path / "fail"
         cfg = small_config(synth_dir, out_dir)
@@ -257,6 +275,56 @@ class TestEvaluateCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["strict"]["f1"] == 0.0
         assert report["strict"]["gold_spans"] == 0
+
+
+def _split_checkpoint(raw: bytes) -> tuple[dict, bytes]:
+    """(header, array bytes) of a checkpoint: 10-byte magic, 8-byte length."""
+    (length,) = struct.unpack("<Q", raw[10:18])
+    return json.loads(raw[18 : 18 + length]), raw[18 + length :]
+
+
+def _with_header(raw: bytes, header: bytes) -> bytes:
+    _, arrays = _split_checkpoint(raw)
+    return raw[:10] + struct.pack("<Q", len(header)) + header + arrays
+
+
+def _edited_header(raw: bytes, edit) -> bytes:
+    header, _ = _split_checkpoint(raw)
+    edit(header)
+    return _with_header(raw, json.dumps(header).encode("utf-8"))
+
+
+def _rename_array(header: dict) -> None:
+    header["arrays"][1][0] = "__class__"
+
+
+def _transpose_embedding(header: dict) -> None:
+    header["arrays"][0][1].reverse()  # same byte count, wrong shape
+
+
+MALFORMED_CHECKPOINTS = {
+    "length-field-short": lambda raw: raw[:14],
+    "header-truncated": lambda raw: raw[:40],
+    "header-not-utf8": lambda raw: _with_header(raw, b'{"config": "\xff\xfe"}'),
+    "header-not-json": lambda raw: _with_header(raw, b'{"config": '),
+    "header-not-object": lambda raw: _with_header(raw, b"[1, 2]"),
+    "header-missing-vocab": lambda raw: _edited_header(raw, lambda h: h.pop("vocab")),
+    "config-unknown-field": lambda raw: _edited_header(raw, lambda h: h["config"].update(depth=3)),
+    "array-name-unknown": lambda raw: _edited_header(raw, _rename_array),
+    "array-shape-mismatch": lambda raw: _edited_header(raw, _transpose_embedding),
+    "arrays-truncated": lambda raw: raw[:-8],
+}
+
+
+class TestMalformedCheckpoint:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+    def test_evaluate_exits_2(self, synth_dir, tmp_path, trained, capsys, case):
+        raw = (trained / "model.bin").read_bytes()
+        bad = tmp_path / "model.bin"
+        bad.write_bytes(MALFORMED_CHECKPOINTS[case](raw))
+        code = main(["evaluate", "--model", str(bad), "--test", str(synth_dir / "test.tsv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestSweep:
@@ -355,6 +423,33 @@ class TestConfig:
     def test_missing_train(self):
         with pytest.raises(FormatError, match="train"):
             config_from_dict({})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("allow_same_split", "false"),
+            ("allow_same_split", 0),
+            ("require_type_match", "true"),
+            ("require_type_match", None),
+            ("seed", 3.9),
+            ("seed", "7"),
+            ("seed", True),
+            ("threads", 2.0),
+            ("threads", "2"),
+        ],
+    )
+    def test_top_level_values_are_not_coerced(self, key, value):
+        with pytest.raises(FormatError, match=key):
+            config_from_dict({"train": "x", key: value})
+
+    def test_top_level_values_of_the_right_type(self):
+        cfg = config_from_dict(
+            {"train": "x", "seed": 3, "threads": 2, "allow_same_split": True,
+             "require_type_match": False}
+        )
+        assert (cfg.seed, cfg.threads, cfg.allow_same_split, cfg.require_type_match) == (
+            3, 2, True, False
+        )
 
 
 class TestModuleEntryPoint:

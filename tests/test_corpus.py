@@ -13,6 +13,7 @@ from pucl.corpus import (
     Token,
     Vocab,
     build_vocab,
+    encode_windows,
     extract_spans,
     read_conll,
     write_conll,
@@ -242,3 +243,47 @@ class TestCorpusStructure:
     def test_label_out_of_range(self):
         with pytest.raises(FormatError):
             Corpus([Sentence((Token("a", 2),))], LabelSet(["X"]))
+
+
+def loop_window_rows(ids, window):
+    """The per-sentence window matrix, one token at a time."""
+    return np.array(
+        [
+            [ids[t + j] if 0 <= t + j < len(ids) else Vocab.PAD for j in range(-window, window + 1)]
+            for t in range(len(ids))
+        ],
+        dtype=np.int64,
+    ).reshape(len(ids), 2 * window + 1)
+
+
+class TestEncodedCorpus:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(1, 7), min_size=1, max_size=6),
+        window=st.integers(0, 3),
+    )
+    def test_encode_windows_matches_per_sentence_loop(self, lengths, window):
+        words = ["a", "b", "c", "zz"]  # "zz" is out of vocabulary
+        sentences = [
+            Sentence(tuple(Token(words[(s + t) % 4], 0) for t in range(n)))
+            for s, n in enumerate(lengths)
+        ]
+        corpus = Corpus(sentences, LabelSet(["X"]))
+        vocab = Vocab(["a", "b", "c"])
+        expected = np.concatenate(
+            [loop_window_rows(vocab.encode_sentence(s), window) for s in sentences]
+        )
+        assert np.array_equal(encode_windows(corpus, vocab, window), expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 5), min_size=1, max_size=8), data=st.data())
+    def test_token_positions_match_per_sentence_ranges(self, lengths, data):
+        corpus = Corpus(
+            [Sentence(tuple(Token("a", 0) for _ in range(n))) for n in lengths], LabelSet(["X"])
+        )
+        batch = np.array(
+            data.draw(st.lists(st.integers(0, len(lengths) - 1), min_size=1, unique=True))
+        )
+        offsets = corpus.offsets
+        expected = np.concatenate([np.arange(offsets[i], offsets[i + 1]) for i in batch])
+        assert np.array_equal(corpus.token_positions(batch), expected)

@@ -31,7 +31,12 @@ def small_model(seed=0, vocab_words=8, embed=4, window=1, hidden=5, classes=3):
     return TokenClassifier(cfg, vocab, [f"T{i}" for i in range(1, classes)])
 
 
-from oracles import fd_param_gradients, max_gradient_error
+from oracles import (
+    fd_param_gradients,
+    max_gradient_error,
+    oracle_adam_step,
+    oracle_embedding_gradient,
+)
 
 
 def assert_close_grads(analytic, numeric, rtol=1e-5, atol=1e-8):
@@ -163,6 +168,48 @@ class TestBackward:
         _, dprobs = kl_soft_rows(probs, targets)
         analytic = model.backward_rows(cache, dprobs)
         assert_close_grads(analytic, fd_param_gradients(model, risk))
+
+
+class TestExactStep:
+    """The training step must give the bytes of the textbook computation."""
+
+    def test_embedding_scatter_matches_add_at(self):
+        model = small_model(seed=6, vocab_words=6, window=2)
+        # ids repeat within a row and across rows; 0 is PAD, 1 is UNK
+        rows = np.concatenate(
+            [
+                model.window_rows(np.array([2, 2, 3, 2])),
+                model.window_rows(np.array([5])),
+                np.array([[0, 2, 2, 0, 7], [2, 2, 2, 2, 2], [1, 0, 1, 0, 1]]),
+            ]
+        )
+        probs, cache = model.forward_rows(rows)
+        dprobs = np.random.default_rng(1).normal(size=probs.shape)
+        grads = model.backward_rows(cache, dprobs)
+        assert np.array_equal(grads.embedding, oracle_embedding_gradient(model, cache, dprobs))
+        unseen = np.setdiff1d(np.arange(model.config.vocab_size), rows)
+        assert len(unseen) > 0 and np.all(grads.embedding[unseen] == 0.0)
+
+    def test_in_place_adam_matches_textbook(self):
+        model = small_model(seed=8, vocab_words=10, window=1)
+        state = AdamState.for_model(model, 3e-3)
+        params = {n: p.copy() for n, p in model.parameters()}
+        m = {n: np.zeros_like(p) for n, p in params.items()}
+        v = {n: np.zeros_like(p) for n, p in params.items()}
+        rng = np.random.default_rng(2)
+        for step in range(1, 8):
+            # a few sentences per step, so most embedding rows get an
+            # all-zero gradient (and some rows are zero for several steps)
+            ids = rng.integers(0, 6, size=3)
+            probs, cache = model.forward_rows(model.window_rows(ids))
+            grads = model.backward_rows(cache, rng.normal(size=probs.shape))
+            assert np.any(np.all(grads.embedding == 0.0, axis=1))
+            adam_step(model, grads, state)
+            params, m, v = oracle_adam_step(params, dict(grads.arrays()), m, v, step, 3e-3)
+            for name, p in model.parameters():
+                assert np.array_equal(p, params[name]), (step, name)
+                assert np.array_equal(state.m[name], m[name]), (step, name)
+                assert np.array_equal(state.v[name], v[name]), (step, name)
 
 
 class TestAdam:

@@ -3,9 +3,11 @@ import io
 import numpy as np
 import pytest
 
-from pucl.corpus import Corpus, LabelSet, Sentence, Token, build_vocab
+from pucl.corpus import Corpus, LabelSet, Sentence, Token, build_vocab, encode_windows
 from pucl.distant import SyntheticSpec, generate_synthetic, inject_noise
 from pucl.model import ModelConfig
+from pucl.risk import PROB_FLOOR
+from pucl.seeding import make_rng
 from pucl.voters import (
     VoterConfig,
     VoterEnsemble,
@@ -139,6 +141,109 @@ class TestDifficultyScores:
         vocab = build_vocab(corpus)
         ens = train_voters(corpus, tiny_model_config(vocab), VoterConfig(count=4, epochs=1), 6, vocab=vocab)
         assert np.all(difficulty_scores(ens, corpus).scores >= 0.0)
+
+
+def two_pass_tables(ensemble, corpus):
+    """Confidence and difficulty as computed before the single voter pass:
+    each table ran every voter over the corpus, sentence by sentence."""
+
+    def stack():
+        return np.stack(
+            [
+                np.concatenate(
+                    [v.forward_rows(v.window_rows(ids))[0] for ids in v.encode_corpus(corpus)]
+                )
+                for v in ensemble.voters
+            ]
+        )
+
+    mean = stack().mean(axis=0)
+    dists = stack()
+    logs = np.log(np.maximum(dists, PROB_FLOOR))
+    floored = np.maximum(dists, PROB_FLOOR)
+    n = ensemble.size
+    total = np.zeros(dists.shape[1])
+    for i in range(n):
+        for j in range(i + 1, n):
+            logratio = logs[i] - logs[j]
+            total += 0.5 * ((floored[i] * logratio).sum(axis=1) + (floored[j] * -logratio).sum(axis=1))
+    return mean, np.maximum(total / (n * (n - 1) / 2), 0.0)
+
+
+class TestSingleVoterPass:
+    def test_matches_two_pass_values_exactly(self):
+        corpus = synthetic_corpus(seed=4, n=40)
+        vocab = build_vocab(corpus)
+        # Default widths: at these, one whole-corpus matmul already sums in
+        # another order than the per-sentence ones and changes bytes.
+        model_config = ModelConfig(vocab_size=vocab.size, n_classes=3)
+        ens = train_voters(corpus, model_config, VoterConfig(count=4, epochs=1), 8, vocab=vocab)
+        mean, scores = two_pass_tables(ens, corpus)
+        table = difficulty_scores(ens, corpus)
+        assert np.array_equal(table.scores, scores)
+        assert np.array_equal(table.confidence.distributions, mean)
+        assert np.array_equal(table.confidence.lam, confidence_table(ens, corpus).lam)
+        rows = encode_windows(corpus, vocab, ens.voters[0].config.window)
+        assert np.array_equal(difficulty_scores(ens, corpus, rows).scores, scores)
+
+    def test_rows_of_another_corpus_rejected(self):
+        corpus = synthetic_corpus(seed=4, n=12)
+        vocab = build_vocab(corpus)
+        ens = train_voters(corpus, tiny_model_config(vocab), VoterConfig(count=2, epochs=1), 8, vocab=vocab)
+        rows = encode_windows(corpus, vocab, ens.voters[0].config.window)
+        with pytest.raises(ValueError, match="window rows"):
+            difficulty_scores(ens, corpus, rows[:-1])
+
+
+def mostly_empty_batches_corpus():
+    """One sentence with a positive, eight all-O sentences of three tokens:
+    at batch size 1 and keep ratio 0.1 an all-O batch keeps no token with
+    probability 0.9**3."""
+    ls = LabelSet(["T"])
+    sentences = [Sentence((Token("acme", 1), Token("corp", 0)))]
+    sentences += [Sentence(tuple(Token(w, 0) for w in ("the", "a", f"w{i}"))) for i in range(8)]
+    return Corpus(sentences, ls)
+
+
+class TestEmptyVoterBatch:
+    CFG = VoterConfig(count=2, epochs=2, batch_size=1, keep_negative_ratio=0.1)
+
+    def train(self, seed):
+        corpus = mostly_empty_batches_corpus()
+        vocab = build_vocab(corpus)
+        model_config = ModelConfig(vocab_size=vocab.size, n_classes=2, embed_dim=4, hidden_dim=4)
+        return train_voters(corpus, model_config, self.CFG, seed, vocab=vocab)
+
+    def test_batch_without_contributing_tokens_is_skipped(self):
+        assert self.train(0).size == 2
+
+    def test_sampling_stream_is_drawn_as_for_a_full_batch(self, monkeypatch):
+        # Every batch draws one uniform per token from its voter's sampling
+        # stream, skipped or not, so the voters of existing seeds keep their
+        # bytes.
+        import pucl.voters as voters_mod
+
+        calls = []
+        real = voters_mod.pn_risk
+
+        def spy(probs, labels, ratio, rng, loss):
+            calls.append((rng, rng.bit_generator.state, np.array(labels)))
+            return real(probs, labels, ratio, rng, loss)
+
+        monkeypatch.setattr(voters_mod, "pn_risk", spy)
+        self.train(3)
+        batches = self.CFG.epochs * len(mostly_empty_batches_corpus())
+        assert len(calls) == self.CFG.count * batches
+        skipped = 0
+        for v in range(self.CFG.count):
+            replay = make_rng(3, "voter-sample", v)
+            mine = calls[v * batches : (v + 1) * batches]  # voters train in turn
+            assert all(rng is mine[0][0] for rng, _, _ in mine)
+            for _, state, labels in mine:
+                assert state == replay.bit_generator.state
+                kept = (labels > 0) | (replay.random(len(labels)) < self.CFG.keep_negative_ratio)
+                skipped += not kept.any()
+        assert skipped > 0
 
 
 class TestTrainVoters:
