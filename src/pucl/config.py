@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, Literal, get_origin, get_type_hints
 
 from .curriculum import SelfTrainConfig, StageSchedule
 from .errors import FormatError
@@ -110,13 +110,18 @@ _TOP_LEVEL_KEYS = {
 } | set(_SECTION_TYPES)
 
 
-def _typed(raw: dict, key: str, kind: type, default: Any) -> Any:
-    """``raw[key]`` if it is a JSON value of ``kind`` (a JSON boolean is not
-    an integer), else FormatError; nothing is coerced."""
+_JSON_NAMES = {bool: "boolean", int: "integer", float: "number", str: "string"}
+
+
+def _typed(raw: dict, key: str, kind: Any, default: Any, where: str = "config key") -> Any:
+    """``raw[key]`` if it is a JSON value of ``kind``, else FormatError.
+    Nothing is coerced: a JSON boolean is not an integer, and only a float
+    field also takes an integer. A ``Literal`` of strings is a string."""
     value = raw.get(key, default)
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
-        what = "boolean" if kind is bool else "integer"
-        raise FormatError(f"config key {key!r} must be a JSON {what}, got {value!r}")
+    kind = str if get_origin(kind) is Literal else kind
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise FormatError(f"{where} {key!r} must be a JSON {_JSON_NAMES[kind]}, got {value!r}")
     return value
 
 
@@ -138,8 +143,10 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         unknown = set(body) - valid_keys
         if unknown:
             raise FormatError(f"unknown keys in config section {name!r}: {', '.join(sorted(unknown))}")
+        types = get_type_hints(cls)
+        fields = {key: _typed(body, key, types[key], None, f"config section {name!r} key") for key in body}
         try:
-            sections[name] = cls(**body)
+            sections[name] = cls(**fields)
         except (TypeError, ValueError) as exc:
             raise FormatError(f"bad config section {name!r}: {exc}") from exc
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -158,6 +159,7 @@ class Corpus:
         self.sentences: tuple[Sentence, ...] = tuple(sentences)
         self.label_set = label_set
         self._offsets: np.ndarray | None = None
+        self._distant: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.sentences)
@@ -182,9 +184,6 @@ class Corpus:
             self._offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
         return self._offsets
 
-    def flat_index(self, ref: TokenRef) -> int:
-        return int(self.offsets[ref.sentence_idx]) + ref.token_idx
-
     def ref_of(self, flat_idx: int) -> TokenRef:
         s = int(np.searchsorted(self.offsets, flat_idx, side="right")) - 1
         return TokenRef(s, flat_idx - int(self.offsets[s]))
@@ -199,10 +198,15 @@ class Corpus:
         return np.repeat(starts - first_slot, lengths) + np.arange(lengths.sum())
 
     def distant_array(self) -> np.ndarray:
-        return np.array(
-            [t.distant_label for s in self.sentences for t in s.tokens],
-            dtype=np.int64,
-        )
+        """Flat distant labels, built once and shared by every caller, so
+        the array is read-only."""
+        if self._distant is None:
+            self._distant = np.array(
+                [t.distant_label for s in self.sentences for t in s.tokens],
+                dtype=np.int64,
+            )
+            self._distant.flags.writeable = False
+        return self._distant
 
     def gold_array(self) -> np.ndarray:
         """Flat gold labels; raises if any token lacks one."""
@@ -289,6 +293,16 @@ def read_conll(
             )
             sentences.append(Sentence(tokens))
     return Corpus(sentences, label_set)
+
+
+def read_corpus(
+    path: str | Path, label_set: LabelSet | None = None, max_sentence_len: int = DEFAULT_MAX_SENTENCE_LEN
+) -> Corpus:
+    """``read_conll`` on a file; a missing file is a FormatError."""
+    if not Path(path).exists():
+        raise FormatError(f"corpus file not found: {path}")
+    with open(path, encoding="utf-8") as f:
+        return read_conll(f, label_set, max_sentence_len)
 
 
 def write_conll(corpus: Corpus, stream: IO[str], include_gold: bool = True) -> None:

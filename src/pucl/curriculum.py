@@ -69,24 +69,6 @@ class CurriculumPlan:
         }
         return json.dumps(payload, sort_keys=True)
 
-    @staticmethod
-    def from_json(text: str, corpus: Corpus) -> "CurriculumPlan":
-        payload = json.loads(text)
-        curricula = tuple(
-            np.array(
-                [corpus.flat_index(TokenRef(s, t)) for s, t in pairs], dtype=np.int64
-            )
-            for pairs in payload["curricula"]
-        )
-        return CurriculumPlan(
-            tau=payload["tau"],
-            eta=payload["eta"],
-            t_u=payload["t_u"],
-            t_p=payload["t_p"],
-            curricula=curricula,
-            positive_counts=tuple(payload["positive_counts"]),
-        )
-
 
 def build_plan(
     difficulty: DifficultyTable, corpus: Corpus, tau: float, eta: int

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import BinaryIO, Sequence
 
 import numpy as np
@@ -373,3 +374,11 @@ def load_checkpoint(stream: BinaryIO) -> TokenClassifier:
             raise FormatError(f"checkpoint truncated in array {name}")
         setattr(model, name, np.frombuffer(raw, dtype="<f8").reshape(shape).copy())
     return model
+
+
+def load_model(path: str | Path) -> TokenClassifier:
+    """``load_checkpoint`` on a file; a missing file is a CompatibilityError."""
+    if not Path(path).exists():
+        raise CompatibilityError(f"model checkpoint not found: {path}")
+    with open(path, "rb") as f:
+        return load_checkpoint(f)

@@ -1,7 +1,12 @@
-"""End-to-end orchestration: voters -> difficulty -> plan -> staged training
--> optional self-training -> evaluation, with every intermediate artifact
-written under the output directory and a run manifest recorded on both
-success and failure.
+"""End-to-end orchestration: one ordered list of stages (``STAGES``), with
+every artifact written under the output directory and a run manifest
+recorded on both success and failure.
+
+``pucl pipeline`` runs every stage and reuses nothing. A stage subcommand
+runs its stage and the stages it needs, and reuses only the voters, when
+``voters.sha256`` matches (see ``_voters``); the plan is always rebuilt.
+Artifacts are written to a temporary file and moved into place with
+``os.replace``, so a killed run leaves the old file or the new one.
 
 With a fixed seed and --threads 1 two runs produce byte-identical artifacts
 (the manifest's wall-clock fields are the only exception).
@@ -11,16 +16,19 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import platform
 import time
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import IO, Callable, Iterator
 
 import numpy as np
 
 from . import __version__
 from .config import PipelineConfig
-from .corpus import Corpus, build_vocab, encode_windows, read_conll
+from .corpus import Corpus, Vocab, build_vocab, encode_windows, read_corpus
 from .curriculum import (
     CurriculumPlan,
     build_plan,
@@ -31,6 +39,7 @@ from .curriculum import (
     train_no_curriculum,
     train_soft_label,
 )
+from .distant import noise_report
 from .errors import CompatibilityError, FormatError, UnknownLabelError
 from .evaluation import (
     EvalReport,
@@ -39,10 +48,11 @@ from .evaluation import (
     evaluate,
     evaluate_labels,
 )
-from .model import ModelConfig, TokenClassifier, save_checkpoint
+from .model import ModelConfig, TokenClassifier, load_model, save_checkpoint
 from .risk import estimate_priors
 from .seeding import derive_seed
 from .voters import (
+    DifficultyTable,
     VoterEnsemble,
     difficulty_scores,
     dump_scores_tsv,
@@ -51,14 +61,25 @@ from .voters import (
 )
 
 
-@dataclass
-class PipelineResult:
-    model: TokenClassifier | None
-    ensemble: VoterEnsemble
-    plan: CurriculumPlan
-    report: EvalReport | None
-    out_dir: Path
-    artifacts: dict[str, str]
+@contextmanager
+def atomic_open(path: str | Path, mode: str = "w") -> Iterator[IO]:
+    """Open a temporary file beside ``path`` and move it onto ``path`` when
+    the block ends. If the block raises, the temporary file is removed and
+    ``path`` keeps its old bytes."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_text(path: str | Path, text: str) -> None:
+    with atomic_open(path) as f:
+        f.write(text)
 
 
 def _sha256(path: Path) -> str:
@@ -69,21 +90,239 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _read_corpus(path: str, max_len: int) -> Corpus:
-    p = Path(path)
-    if not p.exists():
-        raise FormatError(f"corpus file not found: {path}")
-    with open(p, encoding="utf-8") as f:
-        return read_conll(f, max_sentence_len=max_len)
+@dataclass
+class PipelineResult:
+    """What a run reads and what its stages produce, filled in in stage
+    order; a product stays None when its stage did not run."""
+
+    cfg: PipelineConfig
+    until: str | None
+    out_dir: Path
+    manifest: dict
+    train: Corpus
+    test: Corpus | None
+    valid: Corpus | None
+    vocab: Vocab
+    model_config: ModelConfig
+    train_rows: np.ndarray
+    valid_rows: np.ndarray | None
+    ensemble: VoterEnsemble | None = None
+    difficulty: DifficultyTable | None = None
+    plan: CurriculumPlan | None = None
+    model: TokenClassifier | None = None
+    report: EvalReport | None = None
+
+    def record(self, name: str, filename: str) -> Path:
+        """Record artifact ``name`` in the manifest; returns its path."""
+        path = self.out_dir / filename
+        self.manifest["artifacts"][name] = str(path)
+        return path
+
+    def write(self, name: str, filename: str, mode: str = "w"):
+        """Record artifact ``name`` and open it with ``atomic_open``."""
+        return atomic_open(self.record(name, filename), mode)
+
+    def write_jsonl(self, name: str, filename: str, records: list[dict]) -> None:
+        with self.write(name, filename) as f:
+            for rec in records:
+                f.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
-    """Execute the configured pipeline mode end to end."""
+# --- stages ---------------------------------------------------------------------
+
+
+def _voter_fingerprint(run: PipelineResult) -> str:
+    """SHA-256 of everything the voters' bytes depend on."""
+    cfg = run.cfg
+    payload = {
+        "seed": cfg.seed,
+        "model": asdict(cfg.model),
+        "voters": asdict(cfg.voters),
+        "train_sha256": run.manifest["inputs"]["train"]["sha256"],
+        "version": __version__,
+    }
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+def _voters(run: PipelineResult) -> None:
+    """Train the voters, or, for a stage subcommand, load the saved ones if
+    ``voters.sha256`` matches. The fingerprint is removed before any voter
+    is rewritten and recorded after the last one is in place, so a
+    recorded fingerprint always describes the voter files on disk."""
+    cfg = run.cfg
+    fingerprint = _voter_fingerprint(run)
+    stamp = run.record("voters_fingerprint", "voters.sha256")
+    paths = [run.record(f"voter_{i}", f"voter_{i}.bin") for i in range(cfg.voters.count)]
+    reuse = (
+        run.until is not None
+        and stamp.exists()
+        and stamp.read_text(encoding="utf-8").strip() == fingerprint
+        and all(p.exists() for p in paths)
+    )
+    run.manifest["voters_reused"] = reuse
+    if reuse:
+        run.ensemble = VoterEnsemble([load_model(p) for p in paths])
+        if run.ensemble.vocab != run.vocab or run.ensemble.voters[0].label_names != run.train.label_set.names:
+            raise CompatibilityError("saved voters do not fit the training corpus; delete voters.sha256 to retrain")
+        return
+    stamp.unlink(missing_ok=True)
+    run.ensemble = train_voters(
+        run.train, run.model_config, cfg.voters, derive_seed(cfg.seed, "voters"),
+        vocab=run.vocab, threads=cfg.threads, rows=run.train_rows,
+    )
+    for path, voter in zip(paths, run.ensemble.voters):
+        with atomic_open(path, "wb") as f:
+            save_checkpoint(voter, f)
+    write_text(stamp, fingerprint + "\n")
+
+
+def _difficulty(run: PipelineResult) -> None:
+    run.difficulty = difficulty_scores(run.ensemble, run.train, run.train_rows)
+    with run.write("difficulty_tsv", "difficulty.tsv") as f:
+        dump_scores_tsv(run.train, run.difficulty.confidence, run.difficulty, f)
+
+
+def _plan(run: PipelineResult) -> None:
+    tau = run.cfg.curriculum.tau
+    if run.cfg.mode == "no-curriculum":
+        run.plan = single_curriculum_plan(run.train, tau)
+    else:
+        run.plan = build_plan(run.difficulty, run.train, tau, run.cfg.curriculum.eta)
+    write_text(run.record("plan", "plan.json"), run.plan.to_json(run.train) + "\n")
+
+
+# Mode -> classifier trainer; mode voter-ensemble trains none. The lambdas
+# look the trainers up when called, so a rebound module-level name (a
+# tracer's wrapper, a test double) is the one that runs.
+_TRAINERS: dict[str, Callable[..., TokenClassifier]] = {
+    "full": lambda run, **kw: train_baby_step(
+        run.train, run.plan, run.difficulty.confidence, estimate_priors(run.train), **kw
+    ),
+    "no-curriculum": lambda run, **kw: train_no_curriculum(
+        run.train, run.difficulty.confidence, estimate_priors(run.train),
+        total_epochs=run.cfg.curriculum.eta * run.cfg.curriculum.stage_epochs, **kw,
+    ),
+    "no-confmpu": lambda run, **kw: train_no_confmpu(run.train, run.plan, **kw),
+    "soft-label-curriculum": lambda run, **kw: train_soft_label(
+        run.train, run.plan, run.difficulty.confidence.distributions, **kw
+    ),
+}
+_TRAINERS["full-st"] = _TRAINERS["full"]
+
+
+def _train(run: PipelineResult) -> None:
+    cfg = run.cfg
+    log: list[dict] = []
+    stage_metrics: list[dict] = []
+
+    def stage_callback(stage: int, m: TokenClassifier) -> None:
+        if run.valid_rows is not None:
+            report = evaluate(m, run.valid, cfg.require_type_match, run.valid_rows)
+            stage_metrics.append(
+                {"stage": stage, "strict_f1": report.strict.f1, "relaxed_f1": report.relaxed.f1}
+            )
+
+    if cfg.mode in _TRAINERS:
+        run.model = _TRAINERS[cfg.mode](
+            run, schedule=cfg.schedule(), seed=derive_seed(cfg.seed, "train"), vocab=run.vocab,
+            model_config=run.model_config, log=log, stage_callback=stage_callback,
+            rows=run.train_rows,
+        )
+    run.write_jsonl("risk_log", "risk_log.jsonl", log)
+    if stage_metrics:
+        run.write_jsonl("valid_metrics", "valid_metrics.jsonl", stage_metrics)
+    if run.model is not None:
+        with run.write("model", "model.bin", "wb") as f:
+            save_checkpoint(run.model, f)
+
+
+def _self_train(run: PipelineResult) -> None:
+    """Mode full-st only: the student replaces the staged model."""
+    if run.cfg.mode != "full-st":
+        return
+    log: list[dict] = []
+    run.model = self_train(
+        run.model, run.train, run.cfg.self_train, derive_seed(run.cfg.seed, "selftrain"),
+        log=log, rows=run.train_rows,
+    )
+    run.write_jsonl("selftrain_log", "selftrain_log.jsonl", log)
+    with run.write("model", "model.bin", "wb") as f:
+        save_checkpoint(run.model, f)
+
+
+def _report(run: PipelineResult) -> None:
+    test = run.test
+    if test is None:
+        return
+    if run.model is not None:
+        run.report = evaluate(run.model, test, run.cfg.require_type_match)
+    else:  # mode voter-ensemble: the argmax of the mean voter distribution
+        labels = np.argmax(voter_distributions(run.ensemble, test).mean(axis=0), axis=1)
+        preds = np.split(labels, test.offsets[1:-1])
+        run.report = evaluate_labels(preds, test, run.cfg.require_type_match)
+    write_text(run.record("report", "report.json"), run.report.to_json() + "\n")
+
+
+def _analysis(run: PipelineResult) -> None:
+    train, scores = run.train, run.difficulty.scores
+    if train.has_gold():
+        with run.write("curriculum_analysis", "curriculum_analysis.csv") as f:
+            curriculum_error_analysis(run.plan, train, run.difficulty).to_csv(f)
+        write_text(run.record("noise_report", "noise_report.json"), noise_report(train).to_json() + "\n")
+    positives = train.distant_array() > 0
+    with run.write("difficulty_hist_all", "difficulty_hist_all.csv") as f:
+        difficulty_histogram(scores, 30).to_csv(f)
+    if positives.any():
+        with run.write("difficulty_hist_positive", "difficulty_hist_positive.csv") as f:
+            difficulty_histogram(scores[positives], 30).to_csv(f)
+
+
+@dataclass(frozen=True)
+class Stage:
+    name: str
+    needs: tuple[str, ...]  # earlier stages whose products this one reads
+    writes: tuple[str, ...]  # artifact file names, as glob patterns
+    run: Callable[[PipelineResult], None]
+
+
+STAGES: tuple[Stage, ...] = (
+    Stage("voters", (), ("voter_*.bin", "voters.sha256"), _voters),
+    Stage("difficulty", ("voters",), ("difficulty.tsv",), _difficulty),
+    Stage("plan", ("difficulty",), ("plan.json",), _plan),
+    Stage("train", ("plan",), ("risk_log.jsonl", "valid_metrics.jsonl", "model.bin"), _train),
+    Stage("self-train", ("train",), ("selftrain_log.jsonl", "model.bin"), _self_train),
+    Stage("report", ("self-train",), ("report.json",), _report),
+    Stage(
+        "analysis", ("plan",),
+        ("curriculum_analysis.csv", "noise_report.json", "difficulty_hist_*.csv"), _analysis,
+    ),
+)
+
+
+def stages_up_to(until: str | None) -> list[Stage]:
+    """Stage ``until`` and every stage it needs, directly or not, in list
+    order; all stages when ``until`` is None."""
+    if until is None:
+        return list(STAGES)
+    if until not in {s.name for s in STAGES}:
+        raise ValueError(f"unknown stage {until!r}")
+    wanted = {until}
+    for stage in reversed(STAGES):
+        if stage.name in wanted:
+            wanted.update(stage.needs)
+    return [s for s in STAGES if s.name in wanted]
+
+
+def run_pipeline(cfg: PipelineConfig, until: str | None = None) -> PipelineResult:
+    """Run stage ``until`` and the stages it needs (every stage, reusing
+    nothing, when ``until`` is None)."""
+    stages = stages_up_to(until)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.time()
     manifest: dict = {
         "config": cfg.snapshot(),
+        "stages": [s.name for s in stages],
         "inputs": {},
         "artifacts": {},
         "versions": {
@@ -94,40 +333,28 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
         "status": "running",
     }
 
-    def finish(status: str, error: str | None = None) -> None:
-        manifest["status"] = status
-        if error is not None:
-            manifest["error"] = error
-        manifest["wall_clock_seconds"] = time.time() - started
-        (out_dir / "manifest.json").write_text(
-            json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
-
     try:
-        result = _run_pipeline_inner(cfg, out_dir, manifest)
+        run = _read_inputs(cfg, until, out_dir, manifest)
+        for stage in stages:
+            stage.run(run)
+        manifest["status"] = "ok"
+        return run
     except BaseException as exc:
-        finish("error", f"{type(exc).__name__}: {exc}")
+        manifest["status"] = "error"
+        manifest["error"] = f"{type(exc).__name__}: {exc}"
         raise
-    finish("ok")
-    return result
+    finally:
+        manifest["wall_clock_seconds"] = time.time() - started
+        write_text(out_dir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
-def _run_pipeline_inner(
-    cfg: PipelineConfig, out_dir: Path, manifest: dict
-) -> PipelineResult:
-    artifacts: dict[str, str] = {}
-
-    def record(name: str, path: Path) -> Path:
-        artifacts[name] = str(path)
-        manifest["artifacts"][name] = str(path)
-        return path
-
-    if cfg.test and cfg.valid and Path(cfg.test).resolve() == Path(cfg.valid).resolve():
-        if not cfg.allow_same_split:
-            raise CompatibilityError(
-                "test and valid point at the same file; pass allow_same_split "
-                "only if this is intentional"
-            )
+def _read_inputs(cfg: PipelineConfig, until: str | None, out_dir: Path, manifest: dict) -> PipelineResult:
+    """Check, hash, read and encode the configured inputs."""
+    same_split = cfg.test and cfg.valid and Path(cfg.test).resolve() == Path(cfg.valid).resolve()
+    if same_split and not cfg.allow_same_split:
+        raise CompatibilityError(
+            "test and valid point at the same file; pass allow_same_split only if this is intentional"
+        )
 
     for name, path in (("train", cfg.train), ("test", cfg.test), ("valid", cfg.valid), ("dict", cfg.dict_path)):
         if path:
@@ -136,29 +363,29 @@ def _run_pipeline_inner(
                 raise FormatError(f"{name} file not found: {path}")
             manifest["inputs"][name] = {"path": str(path), "sha256": _sha256(p)}
 
-    train_corpus = _read_corpus(cfg.train, cfg.model.max_sentence_len)
-    test_corpus = _read_corpus(cfg.test, cfg.model.max_sentence_len) if cfg.test else None
-    valid_corpus = _read_corpus(cfg.valid, cfg.model.max_sentence_len) if cfg.valid else None
+    max_len = cfg.model.max_sentence_len
+    train = read_corpus(cfg.train, max_sentence_len=max_len)
+    if until == "train" and cfg.mode == "voter-ensemble":
+        raise CompatibilityError("mode voter-ensemble trains no classifier; use pipeline")
+    if until == "analysis" and not train.has_gold():
+        raise CompatibilityError("analysis needs gold labels in the training corpus")
 
-    def align(corpus: Corpus | None, path: str | None, name: str) -> Corpus | None:
-        """Re-read an eval split against the training label space so label
-        ids line up; labels the training set never saw are a compatibility
+    def read_split(path: str | None, name: str) -> Corpus | None:
+        """Read an eval split in the training label space, so label ids
+        line up. Labels the training set never saw are a compatibility
         problem, not a parse error."""
-        if corpus is None or corpus.label_set == train_corpus.label_set:
-            return corpus
         try:
-            with open(path, encoding="utf-8") as f:
-                return read_conll(f, train_corpus.label_set, cfg.model.max_sentence_len)
+            return read_corpus(path, train.label_set, max_len) if path else None
         except UnknownLabelError as exc:
             raise CompatibilityError(f"{name} corpus does not fit the training labels: {exc}") from exc
 
-    test_corpus = align(test_corpus, cfg.test, "test")
-    valid_corpus = align(valid_corpus, cfg.valid, "valid")
+    test = read_split(cfg.test, "test")
+    valid = read_split(cfg.valid, "valid")
 
-    vocab = build_vocab(train_corpus, cfg.model.min_count)
+    vocab = build_vocab(train, cfg.model.min_count)
     model_config = ModelConfig(
         vocab_size=vocab.size,
-        n_classes=train_corpus.label_set.n_classes,
+        n_classes=train.label_set.n_classes,
         embed_dim=cfg.model.embed_dim,
         window=cfg.model.window,
         hidden_dim=cfg.model.hidden_dim,
@@ -166,146 +393,10 @@ def _run_pipeline_inner(
     )
     # Every model shares the vocabulary and window, so each corpus is
     # encoded once and its rows are passed down.
-    train_rows = encode_windows(train_corpus, vocab, model_config.window)
     valid_rows = None
-    if valid_corpus is not None and valid_corpus.has_gold():
-        valid_rows = encode_windows(valid_corpus, vocab, model_config.window)
-
-    ensemble = train_voters(
-        train_corpus,
-        model_config,
-        cfg.voters,
-        derive_seed(cfg.seed, "voters"),
-        vocab=vocab,
-        threads=cfg.threads,
-        rows=train_rows,
-    )
-    for i, voter in enumerate(ensemble.voters):
-        with open(record(f"voter_{i}", out_dir / f"voter_{i}.bin"), "wb") as f:
-            save_checkpoint(voter, f)
-
-    difficulty = difficulty_scores(ensemble, train_corpus, train_rows)
-    confidence = difficulty.confidence
-    with open(record("difficulty_tsv", out_dir / "difficulty.tsv"), "w", encoding="utf-8") as f:
-        dump_scores_tsv(train_corpus, confidence, difficulty, f)
-
-    if cfg.mode == "no-curriculum":
-        plan = single_curriculum_plan(train_corpus, cfg.curriculum.tau)
-    else:
-        plan = build_plan(difficulty, train_corpus, cfg.curriculum.tau, cfg.curriculum.eta)
-    record("plan", out_dir / "plan.json").write_text(
-        plan.to_json(train_corpus) + "\n", encoding="utf-8"
-    )
-
-    schedule = cfg.schedule()
-    train_seed = derive_seed(cfg.seed, "train")
-    log: list[dict] = []
-    stage_metrics: list[dict] = []
-
-    def stage_callback(stage: int, m: TokenClassifier) -> None:
-        if valid_rows is not None:
-            report = evaluate(m, valid_corpus, cfg.require_type_match, valid_rows)
-            stage_metrics.append(
-                {
-                    "stage": stage,
-                    "strict_f1": report.strict.f1,
-                    "relaxed_f1": report.relaxed.f1,
-                }
-            )
-
-    model: TokenClassifier | None
-    if cfg.mode in ("full", "full-st"):
-        priors = estimate_priors(train_corpus)
-        model = train_baby_step(
-            train_corpus, plan, confidence, priors, schedule, train_seed,
-            vocab=vocab, model_config=model_config, log=log, stage_callback=stage_callback,
-            rows=train_rows,
-        )
-    elif cfg.mode == "no-curriculum":
-        priors = estimate_priors(train_corpus)
-        model = train_no_curriculum(
-            train_corpus, confidence, priors, schedule, train_seed,
-            total_epochs=cfg.curriculum.eta * cfg.curriculum.stage_epochs,
-            vocab=vocab, model_config=model_config, log=log, stage_callback=stage_callback,
-            rows=train_rows,
-        )
-    elif cfg.mode == "no-confmpu":
-        model = train_no_confmpu(
-            train_corpus, plan, schedule, train_seed,
-            vocab=vocab, model_config=model_config, log=log, stage_callback=stage_callback,
-            rows=train_rows,
-        )
-    elif cfg.mode == "soft-label-curriculum":
-        model = train_soft_label(
-            train_corpus, plan, confidence.distributions, schedule, train_seed,
-            vocab=vocab, model_config=model_config, log=log, stage_callback=stage_callback,
-            rows=train_rows,
-        )
-    elif cfg.mode == "voter-ensemble":
-        model = None
-    else:  # pragma: no cover - modes validated in config
-        raise FormatError(f"unhandled mode {cfg.mode!r}")
-
-    if cfg.mode == "full-st" and model is not None:
-        st_log: list[dict] = []
-        model = self_train(
-            model, train_corpus, cfg.self_train, derive_seed(cfg.seed, "selftrain"),
-            log=st_log, rows=train_rows,
-        )
-        with open(record("selftrain_log", out_dir / "selftrain_log.jsonl"), "w", encoding="utf-8") as f:
-            for rec in st_log:
-                f.write(json.dumps(rec, sort_keys=True) + "\n")
-
-    with open(record("risk_log", out_dir / "risk_log.jsonl"), "w", encoding="utf-8") as f:
-        for rec in log:
-            f.write(json.dumps(rec, sort_keys=True) + "\n")
-    if stage_metrics:
-        with open(record("valid_metrics", out_dir / "valid_metrics.jsonl"), "w", encoding="utf-8") as f:
-            for rec in stage_metrics:
-                f.write(json.dumps(rec, sort_keys=True) + "\n")
-
-    if model is not None:
-        with open(record("model", out_dir / "model.bin"), "wb") as f:
-            save_checkpoint(model, f)
-
-    report: EvalReport | None = None
-    if test_corpus is not None:
-        if not test_corpus.has_gold():
-            raise CompatibilityError("test corpus has tokens without gold labels")
-        if model is not None:
-            report = evaluate(model, test_corpus, cfg.require_type_match)
-        else:
-            preds = _ensemble_predictions(ensemble, test_corpus)
-            report = evaluate_labels(preds, test_corpus, cfg.require_type_match)
-        record("report", out_dir / "report.json").write_text(
-            report.to_json() + "\n", encoding="utf-8"
-        )
-
-    if train_corpus.has_gold():
-        analysis = curriculum_error_analysis(plan, train_corpus, difficulty)
-        with open(record("curriculum_analysis", out_dir / "curriculum_analysis.csv"), "w", encoding="utf-8") as f:
-            analysis.to_csv(f)
-    positives = train_corpus.distant_array() > 0
-    with open(record("difficulty_hist_all", out_dir / "difficulty_hist_all.csv"), "w", encoding="utf-8") as f:
-        difficulty_histogram(difficulty.scores, 30).to_csv(f)
-    if positives.any():
-        with open(record("difficulty_hist_positive", out_dir / "difficulty_hist_positive.csv"), "w", encoding="utf-8") as f:
-            difficulty_histogram(difficulty.scores[positives], 30).to_csv(f)
-
+    if valid is not None and valid.has_gold():
+        valid_rows = encode_windows(valid, vocab, model_config.window)
+    train_rows = encode_windows(train, vocab, model_config.window)
     return PipelineResult(
-        model=model,
-        ensemble=ensemble,
-        plan=plan,
-        report=report,
-        out_dir=out_dir,
-        artifacts=artifacts,
+        cfg, until, out_dir, manifest, train, test, valid, vocab, model_config, train_rows, valid_rows
     )
-
-
-def _ensemble_predictions(ensemble: VoterEnsemble, corpus: Corpus) -> list[np.ndarray]:
-    """Argmax of the mean voter distribution, per sentence."""
-    if corpus.label_set.names != ensemble.voters[0].label_names:
-        raise CompatibilityError("ensemble and corpus label sets differ")
-    labels = np.argmax(voter_distributions(ensemble, corpus).mean(axis=0), axis=1)
-    offsets = corpus.offsets
-    return [labels[offsets[i] : offsets[i + 1]] for i in range(len(corpus))]

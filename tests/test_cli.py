@@ -1,18 +1,21 @@
+import argparse
 import json
 import struct
 import subprocess
 import sys
+from fnmatch import fnmatch
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pucl.cli import main
+import pucl.pipeline
+from pucl.cli import build_parser, main
 from pucl.config import config_from_dict, load_config
 from pucl.corpus import Vocab, read_conll
 from pucl.errors import FormatError
 from pucl.model import load_checkpoint
-from pucl.pipeline import run_pipeline
+from pucl.pipeline import STAGES, run_pipeline, stages_up_to
 from pucl.seeding import derive_seed
 
 
@@ -442,6 +445,40 @@ class TestConfig:
         with pytest.raises(FormatError, match=key):
             config_from_dict({"train": "x", key: value})
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("voters", "epochs", 1.5),
+            ("voters", "batch_size", 1.5),
+            ("voters", "count", "3"),
+            ("curriculum", "eta", True),
+            ("curriculum", "tau", "0.5"),
+            ("model", "embed_dim", "32"),
+            ("model", "init_scale", None),
+            ("risk", "gamma", True),
+            ("risk", "loss", 3),
+            ("risk", "aggregate_clamp", 1),
+            ("self_train", "rounds", 2.0),
+        ],
+    )
+    def test_section_values_are_not_coerced(self, section, key, value):
+        with pytest.raises(FormatError, match=key):
+            config_from_dict({"train": "x", section: {key: value}})
+
+    def test_section_float_fields_take_integers(self):
+        cfg = config_from_dict(
+            {"train": "x", "risk": {"gamma": 5, "loss": "mae", "aggregate_clamp": True},
+             "curriculum": {"learning_rate": 1, "eta": 3}}
+        )
+        assert (cfg.risk.gamma, cfg.risk.loss, cfg.risk.aggregate_clamp) == (5, "mae", True)
+        assert (cfg.curriculum.learning_rate, cfg.curriculum.eta) == (1, 3)
+
+    def test_float_epochs_exit_2(self, synth_dir, tmp_path, capsys):
+        cfg = small_config(synth_dir, tmp_path / "run")
+        cfg["voters"]["epochs"] = 1.5
+        assert main(["train-voters", "--config", write_config(cfg, tmp_path / "cfg.json")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_top_level_values_of_the_right_type(self):
         cfg = config_from_dict(
             {"train": "x", "seed": 3, "threads": 2, "allow_same_split": True,
@@ -450,6 +487,235 @@ class TestConfig:
         assert (cfg.seed, cfg.threads, cfg.allow_same_split, cfg.require_type_match) == (
             3, 2, True, False
         )
+
+
+def _risk_log_stages(out_dir: Path) -> list[int]:
+    lines = (out_dir / "risk_log.jsonl").read_text().splitlines()
+    return sorted({json.loads(line)["stage"] for line in lines})
+
+
+class TestStageReuse:
+    """A stage subcommand reuses saved voters only when their fingerprint
+    matches, and always rebuilds the plan."""
+
+    def test_matching_voters_are_reused(self, synth_dir, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        cfg_path = write_config(small_config(synth_dir, out), tmp_path / "cfg.json")
+        assert main(["train-voters", "--config", cfg_path]) == 0
+        voters = [(out / f"voter_{i}.bin").read_bytes() for i in range(2)]
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("voters retrained although their fingerprint matches")
+
+        monkeypatch.setattr(pucl.pipeline, "train_voters", no_training)
+        # threads change nothing in the voters' bytes, so they are no part
+        # of the fingerprint
+        assert main(["train", "--config", cfg_path, "--threads", "2"]) == 0
+        assert json.loads((out / "manifest.json").read_text())["voters_reused"] is True
+        assert [(out / f"voter_{i}.bin").read_bytes() for i in range(2)] == voters
+
+        monkeypatch.undo()
+        assert main(["pipeline", "--config", cfg_path]) == 0  # reuses nothing
+        assert json.loads((out / "manifest.json").read_text())["voters_reused"] is False
+
+    def test_stale_voters_are_retrained(self, synth_dir, tmp_path):
+        out = tmp_path / "staged"
+        cfg_a = small_config(synth_dir, out)
+        assert main(["train-voters", "--config", write_config(cfg_a, tmp_path / "a.json")]) == 0
+        voter_a = (out / "voter_0.bin").read_bytes()
+
+        cfg_b = small_config(synth_dir, out, seed=12)
+        cfg_b["voters"]["epochs"] = 2
+        assert main(["train", "--config", write_config(cfg_b, tmp_path / "b.json")]) == 0
+
+        pipe = tmp_path / "pipe"
+        cfg_pipe = small_config(synth_dir, pipe, seed=12)
+        cfg_pipe["voters"]["epochs"] = 2
+        assert main(["pipeline", "--config", write_config(cfg_pipe, tmp_path / "p.json")]) == 0
+        assert (out / "voter_0.bin").read_bytes() == (pipe / "voter_0.bin").read_bytes() != voter_a
+        assert (out / "model.bin").read_bytes() == (pipe / "model.bin").read_bytes()
+
+    def test_voters_swapped_under_a_matching_fingerprint_exit_3(self, synth_dir, tmp_path):
+        other = tmp_path / "other"
+        assert main([
+            "gen-synthetic", "--out", str(other), "--sentences", "40", "--test-sentences", "0",
+            "--valid-sentences", "0", "--dict-size", "10", "--seed", "8",
+        ]) == 0
+        foreign = small_config(synth_dir, tmp_path / "foreign")
+        foreign["train"] = str(other / "train.tsv")
+        assert main(["train-voters", "--config", write_config(foreign, tmp_path / "f.json")]) == 0
+        out = tmp_path / "run"
+        cfg_path = write_config(small_config(synth_dir, out), tmp_path / "cfg.json")
+        assert main(["train-voters", "--config", cfg_path]) == 0
+        for i in range(2):
+            (out / f"voter_{i}.bin").write_bytes((tmp_path / "foreign" / f"voter_{i}.bin").read_bytes())
+        assert main(["score-difficulty", "--config", cfg_path]) == 3
+
+    def test_stale_plan_is_rebuilt(self, synth_dir, tmp_path):
+        out = tmp_path / "run"
+        cfg = small_config(synth_dir, out)
+        assert main(["build-plan", "--config", write_config(cfg, tmp_path / "eta2.json")]) == 0
+        assert json.loads((out / "plan.json").read_text())["eta"] == 2
+        cfg["curriculum"]["eta"] = 3
+        assert main(["train", "--config", write_config(cfg, tmp_path / "eta3.json")]) == 0
+        assert _risk_log_stages(out) == [1, 2, 3]
+        assert json.loads((out / "plan.json").read_text())["eta"] == 3
+
+    def test_plan_from_another_corpus_is_ignored(self, tmp_path):
+        for name, sentences in (("big", "300"), ("small", "50")):
+            assert main([
+                "gen-synthetic", "--out", str(tmp_path / name), "--sentences", sentences,
+                "--test-sentences", "0", "--valid-sentences", "0", "--dict-size", "10",
+                "--seed", "9",
+            ]) == 0
+        out = tmp_path / "run"
+        cfg = {
+            "train": str(tmp_path / "big" / "train.tsv"),
+            "out": str(out),
+            "seed": 9,
+            "model": {"embed_dim": 8, "hidden_dim": 8},
+            "voters": {"count": 2, "epochs": 1},
+            "curriculum": {"eta": 2, "stage_epochs": 1},
+        }
+        assert main(["build-plan", "--config", write_config(cfg, tmp_path / "big.json")]) == 0
+        cfg["train"] = str(tmp_path / "small" / "train.tsv")
+        assert main(["train", "--config", write_config(cfg, tmp_path / "small.json")]) == 0
+        plan = json.loads((out / "plan.json").read_text())
+        assert max(s for pairs in plan["curricula"] for s, _ in pairs) < 50
+        assert plan["t_u"] + plan["t_p"] == read(tmp_path / "small" / "train.tsv").n_tokens
+
+
+class TestAtomicWrites:
+    def test_killed_checkpoint_write_keeps_the_old_model(self, synth_dir, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", write_config(small_config(synth_dir, out), tmp_path / "a.json")]) == 0
+        before = (out / "model.bin").read_bytes()
+        save = pucl.pipeline.save_checkpoint
+
+        def torn(model, stream):
+            if ".model.bin." not in stream.name:
+                return save(model, stream)
+            stream.write(before[:100])
+            raise OSError("killed while writing the checkpoint")
+
+        monkeypatch.setattr(pucl.pipeline, "save_checkpoint", torn)
+        cfg_path = write_config(small_config(synth_dir, out, seed=12), tmp_path / "b.json")
+        with pytest.raises(OSError, match="killed"):
+            main(["pipeline", "--config", cfg_path])
+        assert (out / "model.bin").read_bytes() == before
+        assert not list(out.glob("*.tmp")) and not list(out.glob(".*"))
+        assert json.loads((out / "manifest.json").read_text())["status"] == "error"
+
+    def test_cut_voter_rewrite_is_never_reused(self, synth_dir, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        cfg_a = write_config(small_config(synth_dir, out), tmp_path / "a.json")
+        assert main(["train-voters", "--config", cfg_a]) == 0
+        voters_a = [(out / f"voter_{i}.bin").read_bytes() for i in range(2)]
+
+        save = pucl.pipeline.save_checkpoint
+        saved = []
+
+        def cut_after_first(model, stream):
+            if saved:
+                raise OSError("killed after voter_0")
+            saved.append(stream.name)
+            save(model, stream)
+
+        monkeypatch.setattr(pucl.pipeline, "save_checkpoint", cut_after_first)
+        cfg_b = write_config(small_config(synth_dir, out, seed=12), tmp_path / "b.json")
+        with pytest.raises(OSError, match="killed"):
+            main(["train-voters", "--config", cfg_b])
+        monkeypatch.undo()
+        # voter_0 is config B's, voter_1 still config A's, and no fingerprint
+        assert (out / "voter_0.bin").read_bytes() != voters_a[0]
+        assert not (out / "voters.sha256").exists()
+
+        assert main(["score-difficulty", "--config", cfg_a]) == 0
+        assert [(out / f"voter_{i}.bin").read_bytes() for i in range(2)] == voters_a
+        assert json.loads((out / "manifest.json").read_text())["voters_reused"] is False
+
+
+class TestStageList:
+    def test_subcommand_stages(self):
+        names = {until: [s.name for s in stages_up_to(until)] for until in ("voters", "train", "analysis")}
+        assert names == {
+            "voters": ["voters"],
+            "train": ["voters", "difficulty", "plan", "train"],
+            "analysis": ["voters", "difficulty", "plan", "analysis"],
+        }
+        assert [s.name for s in stages_up_to(None)] == [s.name for s in STAGES]
+        with pytest.raises(ValueError):
+            stages_up_to("bogus")
+
+    def test_every_artifact_is_declared_by_its_stage(self, synth_dir, tmp_path):
+        out = tmp_path / "run"
+        cfg = small_config(synth_dir, out, mode="full-st")
+        cfg["valid"] = str(synth_dir / "valid.tsv")
+        assert main(["pipeline", "--config", write_config(cfg, tmp_path / "cfg.json")]) == 0
+        patterns = [pattern for stage in STAGES for pattern in stage.writes]
+        written = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+        assert all(any(fnmatch(name, pattern) for pattern in patterns) for name in written)
+        assert all(any(fnmatch(name, pattern) for name in written) for pattern in patterns)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["stages"] == [s.name for s in STAGES]
+        assert sorted(Path(p).name for p in manifest["artifacts"].values()) == written
+
+    def test_trainers_are_looked_up_when_called(self, synth_dir, tmp_path, monkeypatch):
+        # a tracer replaces module-level names; the mode table must see it
+        calls = []
+        train = pucl.pipeline.train_baby_step
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(pucl.pipeline, "train_baby_step", spy)
+        cfg_path = write_config(small_config(synth_dir, tmp_path / "run"), tmp_path / "cfg.json")
+        assert main(["train", "--config", cfg_path]) == 0
+        assert calls == [1]
+
+
+COMMON_OPTIONS = {"--config", "--seed", "--threads", "--out", "--mode"}
+CLI_SURFACE = {
+    "annotate": {"--dict", "--in", "--out"},
+    "train-voters": COMMON_OPTIONS,
+    "score-difficulty": COMMON_OPTIONS,
+    "build-plan": COMMON_OPTIONS,
+    "train": COMMON_OPTIONS,
+    "self-train": COMMON_OPTIONS | {"--model", "--out-model"},
+    "evaluate": {"--model", "--test", "--out"},
+    "analyze": COMMON_OPTIONS,
+    "pipeline": COMMON_OPTIONS,
+    "sweep": COMMON_OPTIONS | {"--vary", "--values"},
+    "gen-synthetic": {
+        "--out", "--sentences", "--test-sentences", "--valid-sentences", "--types",
+        "--dict-size", "--fn-rate", "--fp-rate", "--type-rate", "--seed",
+    },
+}
+
+
+class TestCliSurface:
+    def test_subcommands_and_options(self):
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        surface = {
+            name: {opt for action in p._actions for opt in action.option_strings} - {"-h", "--help"}
+            for name, p in sub.choices.items()
+        }
+        assert len(surface) == 11
+        assert surface == CLI_SURFACE
+
+    def test_train_in_voter_ensemble_mode_exit_3(self, synth_dir, tmp_path):
+        cfg_path = write_config(small_config(synth_dir, tmp_path / "run"), tmp_path / "cfg.json")
+        assert main(["train", "--config", cfg_path, "--mode", "voter-ensemble"]) == 3
+
+    def test_analyze_without_gold_exit_3(self, synth_dir, tmp_path):
+        lines = (synth_dir / "train.tsv").read_text().splitlines()
+        no_gold = tmp_path / "train.tsv"
+        no_gold.write_text("\n".join("\t".join(line.split("\t")[:2]) for line in lines) + "\n")
+        cfg = small_config(synth_dir, tmp_path / "run")
+        cfg["train"] = str(no_gold)
+        assert main(["analyze", "--config", write_config(cfg, tmp_path / "cfg.json")]) == 3
 
 
 class TestModuleEntryPoint:

@@ -238,11 +238,19 @@ class TestCorpusStructure:
         assert corpus.n_tokens == 3
         ref = corpus.ref_of(2)
         assert (ref.sentence_idx, ref.token_idx) == (1, 0)
-        assert corpus.flat_index(ref) == 2
 
     def test_label_out_of_range(self):
         with pytest.raises(FormatError):
             Corpus([Sentence((Token("a", 2),))], LabelSet(["X"]))
+
+    def test_distant_array_is_built_once_and_read_only(self):
+        corpus = parse("a\tX\nb\tO\n\nc\tX\n\n")
+        labels = corpus.distant_array()
+        assert labels is corpus.distant_array()
+        assert labels.tolist() == [1, 0, 1]
+        assert not labels.flags.writeable
+        with pytest.raises(ValueError):
+            labels[0] = 0
 
 
 def loop_window_rows(ids, window):
