@@ -62,10 +62,8 @@ from .voters import (
     DifficultyTable,
     VoterConfig,
     VoterEnsemble,
-    confidence,
     confidence_table,
     difficulty_scores,
-    ensemble_distribution,
     pairwise_disagreement,
     train_voters,
 )

@@ -46,6 +46,13 @@ class CurriculumSettings:
     learning_rate: float = 1e-3
     batch_size: int = 32
 
+    def __post_init__(self) -> None:
+        # The other fields are checked by the StageSchedule they build.
+        if not 0.0 < self.tau < 1.0:
+            raise ValueError(f"tau must be in (0, 1), got {self.tau}")
+        if self.eta < 1:
+            raise ValueError(f"eta must be >= 1, got {self.eta}")
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -70,6 +77,10 @@ class PipelineConfig:
             raise FormatError(f"unknown mode {self.mode!r}; choose from {', '.join(MODES)}")
         if self.threads < 1:
             raise FormatError("threads must be >= 1")
+        try:
+            self.schedule()
+        except ValueError as exc:
+            raise FormatError(f"bad config section 'curriculum': {exc}") from exc
 
     def schedule(self) -> StageSchedule:
         return StageSchedule(

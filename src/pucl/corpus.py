@@ -98,9 +98,6 @@ class Sentence:
     def surfaces(self) -> list[str]:
         return [t.surface for t in self.tokens]
 
-    def distant_labels(self) -> list[int]:
-        return [t.distant_label for t in self.tokens]
-
     def gold_labels(self) -> list[int | None]:
         return [t.gold_label for t in self.tokens]
 

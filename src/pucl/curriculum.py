@@ -20,9 +20,9 @@ from typing import Callable
 
 import numpy as np
 
-from .corpus import Corpus, TokenRef, Vocab
+from .corpus import Corpus, TokenRef, Vocab, build_vocab
 from .errors import NumericError
-from .model import AdamState, ModelConfig, TokenClassifier, adam_step
+from .model import AdamState, BatchRisk, ModelConfig, TokenClassifier, train_epoch
 from .risk import ConfMpuConfig, LossKind, Priors, conf_mpu_risk, kl_soft_rows, loss_rows
 from .seeding import derive_seed, make_rng
 from .voters import ConfidenceTable, DifficultyTable
@@ -167,26 +167,26 @@ class SelfTrainConfig:
             raise ValueError("sharpen and learning_rate must be positive")
 
 
-#: (probs, flat token positions, stage) -> (risk value, dprobs, clamped count)
-BatchRisk = Callable[[np.ndarray, np.ndarray, int], tuple[float, np.ndarray, int]]
-
-
 def _fresh_classifier(
     corpus: Corpus, vocab: Vocab, model_config: ModelConfig | None, seed: int
 ) -> TokenClassifier:
-    base = model_config or ModelConfig(
-        vocab_size=vocab.size, n_classes=corpus.label_set.n_classes
-    )
-    cfg = ModelConfig(
-        vocab_size=vocab.size,
-        n_classes=corpus.label_set.n_classes,
-        embed_dim=base.embed_dim,
-        window=base.window,
-        hidden_dim=base.hidden_dim,
-        init_scale=base.init_scale,
-        seed=derive_seed(seed, "classifier-init"),
+    n_classes = corpus.label_set.n_classes
+    base = model_config or ModelConfig(vocab_size=vocab.size, n_classes=n_classes)
+    cfg = replace(
+        base, vocab_size=vocab.size, n_classes=n_classes, seed=derive_seed(seed, "classifier-init")
     )
     return TokenClassifier(cfg, vocab, corpus.label_set.names)
+
+
+def _mean_risk(row_loss: Callable, targets: np.ndarray) -> BatchRisk:
+    """Batch risk as the mean of ``row_loss(probs, targets[positions])``."""
+
+    def batch_risk(probs: np.ndarray, positions: np.ndarray):
+        values, grads = row_loss(probs, targets[positions])
+        n = len(values)
+        return float(values.sum() / n), grads / n, 0
+
+    return batch_risk
 
 
 def _run_stages(
@@ -194,7 +194,7 @@ def _run_stages(
     plan: CurriculumPlan,
     schedule: StageSchedule,
     seed: int,
-    vocab: Vocab,
+    vocab: Vocab | None,
     model_config: ModelConfig | None,
     batch_risk: BatchRisk,
     log: list[dict] | None,
@@ -206,15 +206,15 @@ def _run_stages(
     Unlabeled tokens live in C_1 and are active from the first stage. The
     optimizer persists across stages. A token entering at curriculum j
     therefore participates in exactly (eta - j + 1) * stage_epochs epochs.
+    Without ``vocab`` the corpus's own vocabulary is built.
     """
-    model = _fresh_classifier(corpus, vocab, model_config, seed)
+    model = _fresh_classifier(corpus, vocab or build_vocab(corpus), model_config, seed)
     adam = AdamState.for_model(model, schedule.learning_rate)
     shuffle_rng = make_rng(seed, "train-shuffle")
 
     labels = corpus.distant_array()
     cur_of = plan.curriculum_of_tokens(len(labels))
     rows = model.corpus_rows(corpus, rows)
-    n_sentences = len(corpus.sentences)
 
     epoch_counter = 0
     for stage in range(1, plan.eta + 1):
@@ -222,23 +222,11 @@ def _run_stages(
         active_positive_count = int(np.sum(active_mask & (labels > 0)))
         for _ in range(schedule.stage_epochs):
             epoch_counter += 1
-            order = shuffle_rng.permutation(n_sentences)
-            batch_values: list[float] = []
-            clamped_total = 0
-            for start in range(0, n_sentences, schedule.batch_size):
-                positions = corpus.token_positions(order[start : start + schedule.batch_size])
-                positions = positions[active_mask[positions]]
-                if len(positions) == 0:
-                    continue
-                probs, cache = model.forward_rows(rows[positions])
-                value, dprobs, clamped = batch_risk(probs, positions, stage)
-                if not np.isfinite(value):
-                    raise NumericError(
-                        f"non-finite risk at stage {stage}, epoch {epoch_counter}"
-                    )
-                batch_values.append(value)
-                clamped_total += clamped
-                adam_step(model, model.backward_rows(cache, dprobs), adam)
+            order = shuffle_rng.permutation(len(corpus.sentences))
+            batch_values, clamped_total = train_epoch(
+                model, adam, corpus, rows, order, schedule.batch_size, batch_risk,
+                f"stage {stage}, epoch {epoch_counter}", active_mask,
+            )
             if log is not None:
                 log.append(
                     {
@@ -270,13 +258,12 @@ def train_baby_step(
 ) -> TokenClassifier:
     """Train a fresh classifier through the curriculum with the
     confidence-based PU risk; returns the final-stage model."""
-    vocab = vocab or _default_vocab(corpus)
     labels = corpus.distant_array()
     lam = confidence.lam
     if len(lam) != len(labels):
         raise ValueError("confidence table does not cover the corpus")
 
-    def batch_risk(probs: np.ndarray, positions: np.ndarray, stage: int):
+    def batch_risk(probs: np.ndarray, positions: np.ndarray):
         breakdown, dprobs = conf_mpu_risk(
             probs, labels[positions], lam[positions], priors, schedule.conf_mpu
         )
@@ -338,14 +325,9 @@ def train_no_confmpu(
 ) -> TokenClassifier:
     """Baby-step training with the plain mean loss (the PU ablation):
     unlabeled tokens are treated as class 0."""
-    vocab = vocab or _default_vocab(corpus)
-    labels = corpus.distant_array()
-
-    def batch_risk(probs: np.ndarray, positions: np.ndarray, stage: int):
-        values, grads = loss_rows(probs, labels[positions], schedule.loss)
-        n = len(values)
-        return float(values.sum() / n), grads / n, 0
-
+    batch_risk = _mean_risk(
+        lambda probs, labels: loss_rows(probs, labels, schedule.loss), corpus.distant_array()
+    )
     return _run_stages(
         corpus, plan, schedule, seed, vocab, model_config, batch_risk, log, stage_callback, rows
     )
@@ -366,24 +348,12 @@ def train_soft_label(
 ) -> TokenClassifier:
     """Baby-step training against per-token soft targets with KL loss
     (curriculum over ensembled labels instead of distant labels)."""
-    vocab = vocab or _default_vocab(corpus)
     if targets.shape[0] != corpus.n_tokens:
         raise ValueError("soft targets do not cover the corpus")
-
-    def batch_risk(probs: np.ndarray, positions: np.ndarray, stage: int):
-        values, grads = kl_soft_rows(probs, targets[positions])
-        n = len(values)
-        return float(values.sum() / n), grads / n, 0
-
     return _run_stages(
-        corpus, plan, schedule, seed, vocab, model_config, batch_risk, log, stage_callback, rows
+        corpus, plan, schedule, seed, vocab, model_config,
+        _mean_risk(kl_soft_rows, targets), log, stage_callback, rows,
     )
-
-
-def _default_vocab(corpus: Corpus) -> Vocab:
-    from .corpus import build_vocab
-
-    return build_vocab(corpus)
 
 
 # --- self-training -------------------------------------------------------------
@@ -412,30 +382,22 @@ def self_train(
     teacher, fresh optimizer) with KL loss over all tokens.
     """
     student = model
-    n_sentences = len(corpus.sentences)
     all_rows = model.corpus_rows(corpus, rows)
     for round_idx in range(cfg.rounds):
         teacher = student
-        teacher_probs, _ = teacher.forward_rows(all_rows)
-        targets = sharpen(teacher_probs, cfg.sharpen)
+        targets = sharpen(teacher.corpus_probs(corpus, all_rows), cfg.sharpen)
         if not np.all(np.isfinite(targets)):
             raise NumericError(f"non-finite self-training targets in round {round_idx + 1}")
         student = teacher.copy()
         adam = AdamState.for_model(student, cfg.learning_rate)
         shuffle_rng = make_rng(seed, "selftrain-shuffle", round_idx)
+        batch_risk = _mean_risk(kl_soft_rows, targets)
         for epoch in range(cfg.epochs):
-            order = shuffle_rng.permutation(n_sentences)
-            batch_values = []
-            for start in range(0, n_sentences, cfg.batch_size):
-                positions = corpus.token_positions(order[start : start + cfg.batch_size])
-                probs, cache = student.forward_rows(all_rows[positions])
-                values, grads = kl_soft_rows(probs, targets[positions])
-                n = len(values)
-                value = float(values.sum() / n)
-                if not np.isfinite(value):
-                    raise NumericError(f"non-finite self-training risk in round {round_idx + 1}")
-                batch_values.append(value)
-                adam_step(student, student.backward_rows(cache, grads / n), adam)
+            order = shuffle_rng.permutation(len(corpus.sentences))
+            batch_values, _ = train_epoch(
+                student, adam, corpus, all_rows, order, cfg.batch_size, batch_risk,
+                f"self-training round {round_idx + 1}",
+            )
             if log is not None:
                 log.append(
                     {

@@ -185,9 +185,6 @@ class CurriculumAnalysis:
             mean_h = "" if row["mean_difficulty"] is None else f"{row['mean_difficulty']:.17g}"
             stream.write(f"{row['curriculum']},{row['positives']},{row['errors']},{rate},{mean_h}\n")
 
-    def error_rates(self) -> list[float | None]:
-        return [row["error_rate"] for row in self.rows]
-
 
 def curriculum_error_analysis(
     plan: CurriculumPlan, corpus: Corpus, difficulty: DifficultyTable
@@ -234,11 +231,6 @@ class Histogram:
     counts: np.ndarray
     mean: float
     median: float
-
-    @property
-    def right_skewed(self) -> bool:
-        """Long-tail indicator: mean above median."""
-        return self.mean > self.median
 
     def to_csv(self, stream: IO[str]) -> None:
         stream.write("bin_lo,bin_hi,count\n")

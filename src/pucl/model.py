@@ -9,11 +9,11 @@ Exactness contract: a training step does the textbook float operations in
 the textbook order, so a fixed seed gives the same bytes however the step
 is implemented. The embedding gradient sums each row's contributions in
 token order starting from 0.0, and ``adam_step`` does Adam's operations
-(Kingma & Ba, arXiv:1412.6980) in their usual order, in place. Passes that
-score a corpus run one sentence at a time and are not batched across
-sentences: one larger matmul may sum in another order and change bytes.
-(Self-training's teacher pass has always run over the whole corpus at once,
-and still does.)
+(Kingma & Ba, arXiv:1412.6980) in their usual order, in place. Every pass
+that scores a corpus (``TokenClassifier.corpus_probs``, ``predict``) runs
+one sentence at a time and is not batched across sentences: one larger
+matmul may sum in another order and change bytes. Every trainer steps
+through one minibatch loop, ``train_epoch``.
 """
 
 from __future__ import annotations
@@ -22,12 +22,13 @@ import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Sequence
+from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
 
 from .corpus import Corpus, Vocab, encode_windows
 from .errors import CompatibilityError, FormatError, NumericError
+from .risk import NoContributingTokens
 
 _CHECKPOINT_MAGIC = b"PUCLCKPT1\n"
 
@@ -199,6 +200,18 @@ class TokenClassifier:
             )
         return rows
 
+    def corpus_probs(self, corpus: Corpus, rows: np.ndarray | None = None) -> np.ndarray:
+        """[n_tokens, n_classes] class distributions of every token of the
+        corpus, in flat token order. Each sentence is one forward pass, so
+        every row has the bytes of a per-sentence forward."""
+        rows = self.corpus_rows(corpus, rows)
+        offsets = corpus.offsets
+        out = np.empty((corpus.n_tokens, self.config.n_classes))
+        for i in range(len(corpus)):
+            lo, hi = offsets[i], offsets[i + 1]
+            out[lo:hi] = self.forward_rows(rows[lo:hi])[0]
+        return out
+
 
 @dataclass
 class AdamState:
@@ -264,6 +277,53 @@ def adam_step(model: TokenClassifier, grads: Gradients, state: AdamState) -> Non
         denom += state.eps
         update /= denom
         param -= update
+
+
+#: (probs, flat token positions) -> (risk value, dprobs, clamped count)
+BatchRisk = Callable[[np.ndarray, np.ndarray], tuple[float, np.ndarray, int]]
+
+
+def train_epoch(
+    model: TokenClassifier,
+    adam: AdamState,
+    corpus: Corpus,
+    rows: np.ndarray,
+    order: np.ndarray,
+    batch_size: int,
+    batch_risk: BatchRisk,
+    where: str,
+    active: np.ndarray | None = None,
+) -> tuple[list[float], int]:
+    """One epoch over the sentences in ``order``, ``batch_size`` sentences
+    per batch: the minibatch loop of every trainer.
+
+    ``active``, a boolean mask over the corpus's tokens, drops the tokens
+    outside it; a batch left empty is skipped. So is a batch whose risk
+    raises NoContributingTokens: its sample has been drawn, so the random
+    stream does not depend on the skip. A non-finite risk raises
+    NumericError with ``where`` (the voter, the stage and epoch, or the
+    self-training round) in its message. Returns the risks of the batches
+    stepped on and their total clamped count.
+    """
+    values: list[float] = []
+    clamped_total = 0
+    for start in range(0, len(order), batch_size):
+        positions = corpus.token_positions(order[start : start + batch_size])
+        if active is not None:
+            positions = positions[active[positions]]
+        if len(positions) == 0:
+            continue
+        probs, cache = model.forward_rows(rows[positions])
+        try:
+            value, dprobs, clamped = batch_risk(probs, positions)
+        except NoContributingTokens:
+            continue
+        if not np.isfinite(value):
+            raise NumericError(f"non-finite risk ({where})")
+        values.append(value)
+        clamped_total += clamped
+        adam_step(model, model.backward_rows(cache, dprobs), adam)
+    return values, clamped_total
 
 
 def predict(

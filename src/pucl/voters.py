@@ -13,15 +13,14 @@ ensemble.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import IO, Sequence
+from dataclasses import dataclass, replace
+from typing import IO
 
 import numpy as np
 
 from .corpus import Corpus, Vocab, build_vocab, encode_windows
-from .errors import NumericError
-from .model import AdamState, ModelConfig, TokenClassifier, adam_step
-from .risk import PROB_FLOOR, LossKind, NoContributingTokens, pn_risk
+from .model import AdamState, ModelConfig, TokenClassifier, train_epoch
+from .risk import PROB_FLOOR, LossKind, pn_risk
 from .seeding import derive_seed, make_rng
 
 
@@ -82,17 +81,7 @@ def _train_one_voter(
 ) -> TokenClassifier:
     init_seed = derive_seed(seed, "voter-init", voter_idx)
     model = TokenClassifier(
-        ModelConfig(
-            vocab_size=vocab.size,
-            n_classes=model_config.n_classes,
-            embed_dim=model_config.embed_dim,
-            window=model_config.window,
-            hidden_dim=model_config.hidden_dim,
-            init_scale=model_config.init_scale,
-            seed=init_seed,
-        ),
-        vocab,
-        corpus.label_set.names,
+        replace(model_config, vocab_size=vocab.size, seed=init_seed), vocab, corpus.label_set.names
     )
     adam = AdamState.for_model(model, cfg.learning_rate)
     sample_rng = make_rng(seed, "voter-sample", voter_idx)
@@ -100,24 +89,18 @@ def _train_one_voter(
     shuffle_rng = make_rng(seed, "voter-shuffle")
     rows = model.corpus_rows(corpus, rows)
     labels = corpus.distant_array()
-    n_sentences = len(corpus.sentences)
+
+    def batch_risk(probs: np.ndarray, positions: np.ndarray):
+        value, dprobs = pn_risk(
+            probs, labels[positions], cfg.keep_negative_ratio, sample_rng, cfg.loss
+        )
+        return value, dprobs, 0
+
     for _ in range(cfg.epochs):
-        order = shuffle_rng.permutation(n_sentences)
-        for start in range(0, n_sentences, cfg.batch_size):
-            positions = corpus.token_positions(order[start : start + cfg.batch_size])
-            probs, cache = model.forward_rows(rows[positions])
-            try:
-                value, dprobs = pn_risk(
-                    probs, labels[positions], cfg.keep_negative_ratio, sample_rng, cfg.loss
-                )
-            except NoContributingTokens:
-                # No positives and every negative dropped: nothing to learn
-                # from. The sample was drawn, so later batches see the same
-                # random stream as before.
-                continue
-            if not np.isfinite(value):
-                raise NumericError(f"non-finite voter risk (voter {voter_idx})")
-            adam_step(model, model.backward_rows(cache, dprobs), adam)
+        order = shuffle_rng.permutation(len(corpus.sentences))
+        train_epoch(
+            model, adam, corpus, rows, order, cfg.batch_size, batch_risk, f"voter {voter_idx}"
+        )
     return model
 
 
@@ -158,18 +141,6 @@ def train_voters(
 # --- ensembling and scoring -------------------------------------------------
 
 
-def ensemble_distribution(
-    ensemble: VoterEnsemble, token_ids: Sequence[int] | np.ndarray, token_idx: int
-) -> np.ndarray:
-    """Elementwise mean of the voters' class distributions for one token."""
-    return np.mean([v.forward(token_ids, token_idx) for v in ensemble.voters], axis=0)
-
-
-def confidence(ensemble_dist: np.ndarray) -> float:
-    """Probability mass on the entity classes: 1 - Pr(unlabeled)."""
-    return float(np.sum(ensemble_dist[1:]))
-
-
 def pairwise_disagreement(p: np.ndarray, q: np.ndarray) -> float:
     """Symmetric KL divergence (mean of both directions), probabilities
     floored at 1e-12 inside the logs."""
@@ -182,16 +153,11 @@ def pairwise_disagreement(p: np.ndarray, q: np.ndarray) -> float:
 def voter_distributions(
     ensemble: VoterEnsemble, corpus: Corpus, rows: np.ndarray | None = None
 ) -> np.ndarray:
-    """[V, n_tokens, n_classes] stack of per-voter distributions. Each voter
-    runs one sentence at a time, so every row has the bytes of a
-    per-sentence forward pass."""
+    """[V, n_tokens, n_classes] stack of the voters' ``corpus_probs``."""
     rows = ensemble.voters[0].corpus_rows(corpus, rows)
-    offsets = corpus.offsets
     out = np.empty((ensemble.size, corpus.n_tokens, corpus.label_set.n_classes))
     for v, voter in enumerate(ensemble.voters):
-        for i in range(len(corpus)):
-            lo, hi = offsets[i], offsets[i + 1]
-            out[v, lo:hi] = voter.forward_rows(rows[lo:hi])[0]
+        out[v] = voter.corpus_probs(corpus, rows)
     return out
 
 

@@ -459,6 +459,13 @@ class TestConfig:
             ("risk", "loss", 3),
             ("risk", "aggregate_clamp", 1),
             ("self_train", "rounds", 2.0),
+            # Out of range: rejected when the config is loaded.
+            ("curriculum", "tau", 1.5),
+            ("curriculum", "tau", 0.0),
+            ("curriculum", "eta", 0),
+            ("curriculum", "stage_epochs", 0),
+            ("curriculum", "batch_size", 0),
+            ("curriculum", "learning_rate", 0.0),
         ],
     )
     def test_section_values_are_not_coerced(self, section, key, value):
@@ -478,6 +485,13 @@ class TestConfig:
         cfg["voters"]["epochs"] = 1.5
         assert main(["train-voters", "--config", write_config(cfg, tmp_path / "cfg.json")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_out_of_range_curriculum_exits_2_before_any_voter(self, synth_dir, tmp_path, capsys):
+        cfg = small_config(synth_dir, tmp_path / "run")
+        cfg["curriculum"]["tau"] = 1.5
+        assert main(["train-voters", "--config", write_config(cfg, tmp_path / "cfg.json")]) == 2
+        assert "tau" in capsys.readouterr().err
+        assert not list((tmp_path / "run").glob("voter_*.bin"))
 
     def test_top_level_values_of_the_right_type(self):
         cfg = config_from_dict(

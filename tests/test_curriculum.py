@@ -19,8 +19,10 @@ from pucl.curriculum import (
     train_soft_label,
     _run_stages,
 )
+from pucl.errors import NumericError
 from pucl.model import ModelConfig
 from pucl.risk import ConfMpuConfig, Priors, estimate_priors
+from pucl.seeding import make_rng
 from pucl.voters import ConfidenceTable, DifficultyTable, VoterConfig, confidence_table, train_voters
 from pucl.distant import SyntheticSpec, generate_synthetic, inject_noise
 from pucl.evaluation import evaluate
@@ -157,7 +159,7 @@ class TestEpochAccounting:
         # counts equal the number of epochs in which the token was active
         participation_batch = np.zeros(corpus.n_tokens)
 
-        def risk(probs, positions, stage):
+        def risk(probs, positions):
             participation_batch[positions] += 1
             return 0.0, np.zeros_like(probs), 0
 
@@ -330,3 +332,107 @@ class TestSelfTrain:
         )
         student = self_train(model, corpus, SelfTrainConfig(rounds=2, epochs=1, sharpen=2.0), 0)
         assert not np.array_equal(student.embedding, model.embedding)
+
+
+def _trained(corpus, vocab, mc, conf, diff, priors):
+    plan = build_plan(diff, corpus, 0.5, 1)
+    return train_baby_step(
+        corpus, plan, conf, priors, StageSchedule(stage_epochs=1, loss="mae"), 0,
+        vocab=vocab, model_config=mc,
+    )
+
+
+# Each runs one trainer on a small_training_setup.
+TRAINERS = {
+    "train_voters": lambda corpus, vocab, mc, conf, diff, priors: train_voters(
+        corpus, mc, VoterConfig(count=2, epochs=1), 0, vocab=vocab
+    ),
+    "train_baby_step": lambda corpus, vocab, mc, conf, diff, priors: train_baby_step(
+        corpus, build_plan(diff, corpus, 0.5, 2), conf, priors, StageSchedule(stage_epochs=1),
+        0, vocab=vocab, model_config=mc,
+    ),
+    "train_no_confmpu": lambda corpus, vocab, mc, conf, diff, priors: train_no_confmpu(
+        corpus, build_plan(diff, corpus, 0.5, 2), StageSchedule(stage_epochs=1), 0,
+        vocab=vocab, model_config=mc,
+    ),
+    "train_soft_label": lambda corpus, vocab, mc, conf, diff, priors: train_soft_label(
+        corpus, build_plan(diff, corpus, 0.5, 2), conf.distributions,
+        StageSchedule(stage_epochs=1), 0, vocab=vocab, model_config=mc,
+    ),
+    "self_train": lambda *setup: self_train(
+        _trained(*setup), setup[0], SelfTrainConfig(rounds=1, epochs=1), 0
+    ),
+}
+
+
+class TestSharedTrainingLoop:
+    @pytest.mark.parametrize("trainer", sorted(TRAINERS))
+    def test_every_trainer_steps_through_train_epoch(self, monkeypatch, trainer):
+        import pucl.curriculum as curriculum_mod
+        import pucl.model as model_mod
+        import pucl.voters as voters_mod
+
+        setup = small_training_setup(n=20)
+        loop_steps = []
+        adam_steps = []
+        real_epoch = model_mod.train_epoch
+        real_step = model_mod.adam_step
+
+        def spy_epoch(model, adam, *args):
+            before = adam.step
+            out = real_epoch(model, adam, *args)
+            loop_steps.append(adam.step - before)
+            return out
+
+        def counted_step(*args):
+            adam_steps.append(1)
+            real_step(*args)
+
+        monkeypatch.setattr(voters_mod, "train_epoch", spy_epoch)
+        monkeypatch.setattr(curriculum_mod, "train_epoch", spy_epoch)
+        monkeypatch.setattr(model_mod, "adam_step", counted_step)
+        TRAINERS[trainer](*setup)
+        assert sum(loop_steps) == len(adam_steps) > 0
+
+    @pytest.mark.parametrize(
+        "trainer, module, name, where",
+        [
+            ("train_voters", "pucl.voters", "pn_risk", "voter 0"),
+            ("train_no_confmpu", "pucl.curriculum", "loss_rows", "stage 1, epoch 1"),
+            ("self_train", "pucl.curriculum", "kl_soft_rows", "self-training round 1"),
+        ],
+    )
+    def test_non_finite_risk_names_where(self, monkeypatch, trainer, module, name, where):
+        import importlib
+
+        setup = small_training_setup(n=20)
+
+        def nan_risk(probs, *args):
+            # pn_risk returns one value, the row losses one per token.
+            values = np.nan if name == "pn_risk" else np.full(len(probs), np.nan)
+            return values, np.zeros_like(probs)
+
+        monkeypatch.setattr(importlib.import_module(module), name, nan_risk)
+        with pytest.raises(NumericError, match=f"non-finite risk \\({where}\\)"):
+            TRAINERS[trainer](*setup)
+
+    def test_self_train_targets_are_the_sharpened_sentence_pass(self, monkeypatch):
+        import pucl.curriculum as curriculum_mod
+
+        corpus, vocab, _, conf, diff, priors = small_training_setup(n=20)
+        # Default widths: there a whole-corpus forward sums in another order.
+        mc = ModelConfig(vocab_size=vocab.size, n_classes=3)
+        model = _trained(corpus, vocab, mc, conf, diff, priors)
+        batch_targets = []
+        real = curriculum_mod.kl_soft_rows
+
+        def spy(probs, targets):
+            batch_targets.append(targets)
+            return real(probs, targets)
+
+        monkeypatch.setattr(curriculum_mod, "kl_soft_rows", spy)
+        cfg = SelfTrainConfig(rounds=1, epochs=1, sharpen=3.0)
+        self_train(model, corpus, cfg, 7)
+        order = make_rng(7, "selftrain-shuffle", 0).permutation(len(corpus))
+        expected = sharpen(model.corpus_probs(corpus), cfg.sharpen)[corpus.token_positions(order)]
+        assert np.array_equal(np.concatenate(batch_targets), expected)

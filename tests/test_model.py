@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pucl.corpus import LabelSet, Sentence, Token, Corpus, Vocab, build_vocab
+from pucl.distant import SyntheticSpec, generate_synthetic
 from pucl.errors import CompatibilityError, NumericError
 from pucl.model import (
     AdamState,
@@ -308,6 +309,21 @@ class TestPredict:
         model = TokenClassifier(cfg, vocab, ["A", "B"])
         with pytest.raises(CompatibilityError):
             predict(model, corpus)
+
+
+class TestCorpusProbs:
+    def test_equals_per_sentence_forward_bitwise(self):
+        corpus, _ = generate_synthetic(
+            SyntheticSpec(n_sentences=30, k=2, dict_size=10), np.random.default_rng(2)
+        )
+        vocab = build_vocab(corpus)
+        # Default widths: there one whole-corpus matmul sums in another order.
+        model = TokenClassifier(ModelConfig(vocab_size=vocab.size, n_classes=3), vocab, ["A", "B"])
+        expected = np.concatenate(
+            [model.forward_rows(model.window_rows(ids))[0] for ids in model.encode_corpus(corpus)]
+        )
+        assert np.array_equal(model.corpus_probs(corpus), expected)
+        assert np.array_equal(model.corpus_probs(corpus, model.corpus_rows(corpus)), expected)
 
 
 class TestCheckpoint:

@@ -5,17 +5,16 @@ import pytest
 
 from pucl.corpus import Corpus, LabelSet, Sentence, Token, build_vocab, encode_windows
 from pucl.distant import SyntheticSpec, generate_synthetic, inject_noise
-from pucl.model import ModelConfig
+from pucl.model import AdamState, ModelConfig, TokenClassifier, train_epoch
 from pucl.risk import PROB_FLOOR
 from pucl.seeding import make_rng
 from pucl.voters import (
+    ConfidenceTable,
     VoterConfig,
     VoterEnsemble,
-    confidence,
     confidence_table,
     difficulty_scores,
     dump_scores_tsv,
-    ensemble_distribution,
     pairwise_disagreement,
     train_voters,
 )
@@ -66,17 +65,19 @@ class TestEnsembleMath:
         vocab = build_vocab(corpus)
         cfg = tiny_model_config(vocab)
         ens = train_voters(corpus, cfg, VoterConfig(count=2, epochs=1), 0, vocab=vocab)
-        a = ens.voters[0]
-        b = ens.voters[1]
-        ids = np.array([2, 3, 4])
-        mean = ensemble_distribution(ens, ids, 1)
-        expected = (a.forward(ids, 1) + b.forward(ids, 1)) / 2
-        assert np.allclose(mean, expected, atol=1e-15)
-        assert mean.sum() == pytest.approx(1.0, abs=1e-9)
+        a, b = ens.voters
+        table = confidence_table(ens, corpus)
+        ids = a.encode_corpus(corpus)[0]
+        for t in range(len(ids)):
+            expected = (a.forward(ids, t) + b.forward(ids, t)) / 2
+            assert np.allclose(table.distributions[t], expected, atol=1e-15)
+        assert np.allclose(table.distributions.sum(axis=1), 1.0, atol=1e-9)
 
     def test_confidence_sum(self):
-        assert confidence(np.array([0.2, 0.5, 0.3])) == pytest.approx(0.8)
-        assert confidence(np.array([1.0, 0.0, 0.0])) == 0.0
+        corpus = Corpus([Sentence((Token("a", 1), Token("b", 0)))], LabelSet(["A", "B"]))
+        table = ConfidenceTable(corpus, np.array([[0.2, 0.5, 0.3], [1.0, 0.0, 0.0]]))
+        assert table.lam[0] == pytest.approx(0.8)
+        assert table.lam[1] == 0.0
 
     def test_lambda_complements_unlabeled_probability(self):
         corpus = synthetic_corpus()
@@ -220,7 +221,9 @@ class TestEmptyVoterBatch:
     def test_sampling_stream_is_drawn_as_for_a_full_batch(self, monkeypatch):
         # Every batch draws one uniform per token from its voter's sampling
         # stream, skipped or not, so the voters of existing seeds keep their
-        # bytes.
+        # bytes. A batch that the active mask empties draws nothing. Only
+        # the batches that keep a token take an Adam step.
+        import pucl.model as model_mod
         import pucl.voters as voters_mod
 
         calls = []
@@ -230,20 +233,62 @@ class TestEmptyVoterBatch:
             calls.append((rng, rng.bit_generator.state, np.array(labels)))
             return real(probs, labels, ratio, rng, loss)
 
+        steps = []
+        real_step = model_mod.adam_step
+
+        def counted_step(*args):
+            steps.append(1)
+            real_step(*args)
+
+        monkeypatch.setattr(model_mod, "adam_step", counted_step)
         monkeypatch.setattr(voters_mod, "pn_risk", spy)
-        self.train(3)
-        batches = self.CFG.epochs * len(mostly_empty_batches_corpus())
-        assert len(calls) == self.CFG.count * batches
-        skipped = 0
-        for v in range(self.CFG.count):
-            replay = make_rng(3, "voter-sample", v)
-            mine = calls[v * batches : (v + 1) * batches]  # voters train in turn
+
+        def replay_skips(mine, replay):
             assert all(rng is mine[0][0] for rng, _, _ in mine)
+            skipped = 0
             for _, state, labels in mine:
                 assert state == replay.bit_generator.state
                 kept = (labels > 0) | (replay.random(len(labels)) < self.CFG.keep_negative_ratio)
                 skipped += not kept.any()
+            return skipped
+
+        self.train(3)
+        corpus = mostly_empty_batches_corpus()
+        batches = self.CFG.epochs * len(corpus)
+        assert len(calls) == self.CFG.count * batches
+        skipped = 0
+        for v in range(self.CFG.count):
+            mine = calls[v * batches : (v + 1) * batches]  # voters train in turn
+            skipped += replay_skips(mine, make_rng(3, "voter-sample", v))
         assert skipped > 0
+        assert len(steps) == self.CFG.count * batches - skipped
+
+        # Mask out sentences 1, 3, 5 and 7 of one epoch at batch size 1.
+        calls.clear()
+        steps.clear()
+        vocab = build_vocab(corpus)
+        model = TokenClassifier(
+            ModelConfig(vocab_size=vocab.size, n_classes=2, embed_dim=4, hidden_dim=4),
+            vocab, corpus.label_set.names,
+        )
+        active = np.ones(corpus.n_tokens, dtype=bool)
+        active[corpus.token_positions(np.arange(1, 9, 2))] = False
+        labels = corpus.distant_array()
+        rng = make_rng(3, "masked")
+
+        def batch_risk(probs, positions):
+            value, dprobs = voters_mod.pn_risk(
+                probs, labels[positions], self.CFG.keep_negative_ratio, rng, "ce"
+            )
+            return value, dprobs, 0
+
+        adam = AdamState.for_model(model, 1e-3)
+        values, _ = train_epoch(
+            model, adam, corpus, model.corpus_rows(corpus), np.arange(len(corpus)), 1,
+            batch_risk, "masked epoch", active,
+        )
+        assert len(calls) == 5
+        assert len(steps) == adam.step == len(values) == 5 - replay_skips(calls, make_rng(3, "masked"))
 
 
 class TestTrainVoters:
