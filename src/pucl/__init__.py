@@ -56,6 +56,7 @@ from .risk import (
     loss_kl_soft,
     loss_mae,
     pn_risk,
+    sample_negatives,
 )
 from .voters import (
     ConfidenceTable,

@@ -225,7 +225,7 @@ def _run_stages(
             order = shuffle_rng.permutation(len(corpus.sentences))
             batch_values, clamped_total = train_epoch(
                 model, adam, corpus, rows, order, schedule.batch_size, batch_risk,
-                f"stage {stage}, epoch {epoch_counter}", active_mask,
+                f"stage {stage}, epoch {epoch_counter}", lambda p: p[active_mask[p]],
             )
             if log is not None:
                 log.append(

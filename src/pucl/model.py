@@ -6,14 +6,19 @@ hidden layer and a softmax output. All parameters are float64 so analytic
 gradients can be checked against finite differences at tight tolerances.
 
 Exactness contract: a training step does the textbook float operations in
-the textbook order, so a fixed seed gives the same bytes however the step
-is implemented. The embedding gradient sums each row's contributions in
-token order starting from 0.0, and ``adam_step`` does Adam's operations
-(Kingma & Ba, arXiv:1412.6980) in their usual order, in place. Every pass
-that scores a corpus (``TokenClassifier.corpus_probs``, ``predict``) runs
-one sentence at a time and is not batched across sentences: one larger
-matmul may sum in another order and change bytes. Every trainer steps
-through one minibatch loop, ``train_epoch``.
+the textbook order over the rows it is given, so a fixed seed gives the
+same bytes however the step is implemented. The embedding gradient sums
+each row's contributions in token order starting from 0.0, and
+``adam_step`` does Adam's operations (Kingma & Ba, arXiv:1412.6980) in
+their usual order, in place. Every trainer steps through one minibatch
+loop, ``train_epoch``, which selects a batch's rows before the forward
+pass. A voter draws its negative sample there and computes only the rows
+the sample keeps. Its step is the full-batch step with zero-gradient rows
+for the dropped tokens up to round-off, not bytewise: the matmuls sum over
+fewer rows, and a one-row batch goes through gemv. Every pass that scores
+a corpus (``TokenClassifier.corpus_probs``, ``predict``) runs one sentence
+at a time and is not batched across sentences: one larger matmul may sum
+in another order and change bytes.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ import numpy as np
 
 from .corpus import Corpus, Vocab, encode_windows
 from .errors import CompatibilityError, FormatError, NumericError
-from .risk import NoContributingTokens
 
 _CHECKPOINT_MAGIC = b"PUCLCKPT1\n"
 
@@ -292,32 +296,30 @@ def train_epoch(
     batch_size: int,
     batch_risk: BatchRisk,
     where: str,
-    active: np.ndarray | None = None,
+    select: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[list[float], int]:
     """One epoch over the sentences in ``order``, ``batch_size`` sentences
     per batch: the minibatch loop of every trainer.
 
-    ``active``, a boolean mask over the corpus's tokens, drops the tokens
-    outside it; a batch left empty is skipped. So is a batch whose risk
-    raises NoContributingTokens: its sample has been drawn, so the random
-    stream does not depend on the skip. A non-finite risk raises
-    NumericError with ``where`` (the voter, the stage and epoch, or the
-    self-training round) in its message. Returns the risks of the batches
-    stepped on and their total clamped count.
+    ``select`` maps a batch's flat token positions to the ones it trains
+    on, before the forward pass: staged training's active tokens, voter
+    training's negative sample. A batch it leaves empty is skipped, so
+    whatever random stream ``select`` draws from does not depend on the
+    skip. A non-finite risk raises NumericError with ``where`` (the voter,
+    the stage and epoch, or the self-training round) in its message.
+    Returns the risks of the batches stepped on and their total clamped
+    count.
     """
     values: list[float] = []
     clamped_total = 0
     for start in range(0, len(order), batch_size):
         positions = corpus.token_positions(order[start : start + batch_size])
-        if active is not None:
-            positions = positions[active[positions]]
+        if select is not None:
+            positions = select(positions)
         if len(positions) == 0:
             continue
         probs, cache = model.forward_rows(rows[positions])
-        try:
-            value, dprobs, clamped = batch_risk(probs, positions)
-        except NoContributingTokens:
-            continue
+        value, dprobs, clamped = batch_risk(probs, positions)
         if not np.isfinite(value):
             raise NumericError(f"non-finite risk ({where})")
         values.append(value)

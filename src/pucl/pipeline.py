@@ -8,8 +8,8 @@ runs its stage and the stages it needs, and reuses only the voters, when
 Artifacts are written to a temporary file and moved into place with
 ``os.replace``, so a killed run leaves the old file or the new one.
 
-With a fixed seed and --threads 1 two runs produce byte-identical artifacts
-(the manifest's wall-clock fields are the only exception).
+With a fixed seed two runs produce byte-identical artifacts, whatever
+--threads is (the manifest's wall-clock fields are the only exception).
 """
 
 from __future__ import annotations

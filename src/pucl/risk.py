@@ -136,41 +136,34 @@ def estimate_priors(corpus: Corpus) -> Priors:
 # --- positive-negative risk with negative sampling ---------------------------
 
 
-class NoContributingTokens(ValueError):
-    """A batch has no positive token and negative sampling dropped every
-    negative one, so its risk is undefined."""
-
-
-def pn_risk(
-    probs: np.ndarray,
-    labels: np.ndarray,
-    keep_negative_ratio: float,
-    rng: np.random.Generator,
-    loss: LossKind = "ce",
-) -> tuple[float, np.ndarray]:
-    """Mean multi-class loss where each distant-0 token is kept with
-    probability ``keep_negative_ratio``; positive tokens always contribute.
-
-    Returns the mean over contributing tokens and per-token gradients
-    (zero rows for dropped tokens). Raises NoContributingTokens, after the
-    sample is drawn, when no token contributes.
-    """
+def sample_negatives(
+    labels: np.ndarray, keep_negative_ratio: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Negative sampling: a keep mask over ``labels`` that keeps every
+    positive token and each distant-0 token with probability
+    ``keep_negative_ratio``. Below ratio 1 it draws one uniform per token,
+    positives included, from ``rng``; at ratio 1 it draws nothing."""
     if not 0.0 < keep_negative_ratio <= 1.0:
         raise ValueError(f"keep_negative_ratio must be in (0, 1], got {keep_negative_ratio}")
     labels = np.asarray(labels)
-    keep = labels > 0
-    negatives = ~keep
     if keep_negative_ratio >= 1.0:
-        keep = keep | negatives
-    else:
-        keep = keep | (negatives & (rng.random(len(labels)) < keep_negative_ratio))
-    count = int(keep.sum())
+        return np.ones(len(labels), dtype=bool)
+    return (labels > 0) | (rng.random(len(labels)) < keep_negative_ratio)
+
+
+def pn_risk(
+    probs: np.ndarray, labels: np.ndarray, loss: LossKind = "ce"
+) -> tuple[float, np.ndarray]:
+    """Mean multi-class loss over the rows given, with per-row gradients.
+
+    Negative sampling happens before the forward pass (``sample_negatives``),
+    so every row given contributes.
+    """
+    count = len(labels)
     if count == 0:
-        raise NoContributingTokens("no contributing tokens after negative sampling")
-    values, grads_kept = loss_rows(probs[keep], labels[keep], loss)
-    grads = np.zeros_like(probs)
-    grads[keep] = grads_kept / count
-    return float(values.sum() / count), grads
+        raise ValueError("pn_risk needs at least one row")
+    values, grads = loss_rows(probs, np.asarray(labels), loss)
+    return float(values.sum() / count), grads / count
 
 
 # --- confidence-based multi-class PU risk ------------------------------------

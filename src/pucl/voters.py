@@ -20,7 +20,7 @@ import numpy as np
 
 from .corpus import Corpus, Vocab, build_vocab, encode_windows
 from .model import AdamState, ModelConfig, TokenClassifier, train_epoch
-from .risk import PROB_FLOOR, LossKind, pn_risk
+from .risk import PROB_FLOOR, LossKind, pn_risk, sample_negatives
 from .seeding import derive_seed, make_rng
 
 
@@ -90,16 +90,17 @@ def _train_one_voter(
     rows = model.corpus_rows(corpus, rows)
     labels = corpus.distant_array()
 
+    def sample(positions: np.ndarray) -> np.ndarray:
+        return positions[sample_negatives(labels[positions], cfg.keep_negative_ratio, sample_rng)]
+
     def batch_risk(probs: np.ndarray, positions: np.ndarray):
-        value, dprobs = pn_risk(
-            probs, labels[positions], cfg.keep_negative_ratio, sample_rng, cfg.loss
-        )
-        return value, dprobs, 0
+        return *pn_risk(probs, labels[positions], cfg.loss), 0
 
     for _ in range(cfg.epochs):
         order = shuffle_rng.permutation(len(corpus.sentences))
         train_epoch(
-            model, adam, corpus, rows, order, cfg.batch_size, batch_risk, f"voter {voter_idx}"
+            model, adam, corpus, rows, order, cfg.batch_size, batch_risk, f"voter {voter_idx}",
+            sample,
         )
     return model
 

@@ -199,6 +199,30 @@ def oracle_embedding_gradient(model, cache, dprobs):
     return out
 
 
+# --- voter step: the full-batch form -------------------------------------------------
+
+
+def oracle_full_batch_voter_step(model, rows, labels, keep_ratio, rng, lr):
+    """One voter step from fresh Adam moments, with every row of the batch
+    computed: forward all rows, draw the negative sample (one uniform per
+    token, keep_ratio < 1), give each dropped row a zero gradient and each
+    kept row the gradient of the mean cross-entropy over the kept rows, then
+    back-propagate all rows. Returns the new parameters by name."""
+    probs, cache = model.forward_rows(rows)
+    uniforms = rng.random(len(labels))
+    keep = [label > 0 or u < keep_ratio for label, u in zip(labels, uniforms)]
+    count = sum(keep)
+    dprobs = np.zeros_like(probs)
+    for t, kept in enumerate(keep):
+        if kept:
+            dprobs[t, labels[t]] = -1.0 / max(probs[t, labels[t]], 1e-12) / count
+    grads = dict(model.backward_rows(cache, dprobs).arrays())
+    params = dict(model.parameters())
+    zeros = {name: np.zeros_like(p) for name, p in params.items()}
+    new_params, _, _ = oracle_adam_step(params, grads, zeros, zeros, 1, lr)
+    return new_params
+
+
 # --- rank correlation -------------------------------------------------------------
 
 

@@ -600,7 +600,7 @@ class TestStageReuse:
 
 
 class TestAtomicWrites:
-    def test_killed_checkpoint_write_keeps_the_old_model(self, synth_dir, tmp_path, monkeypatch):
+    def test_killed_checkpoint_write_keeps_the_old_model(self, synth_dir, tmp_path, monkeypatch, capsys):
         out = tmp_path / "run"
         assert main(["pipeline", "--config", write_config(small_config(synth_dir, out), tmp_path / "a.json")]) == 0
         before = (out / "model.bin").read_bytes()
@@ -614,13 +614,13 @@ class TestAtomicWrites:
 
         monkeypatch.setattr(pucl.pipeline, "save_checkpoint", torn)
         cfg_path = write_config(small_config(synth_dir, out, seed=12), tmp_path / "b.json")
-        with pytest.raises(OSError, match="killed"):
-            main(["pipeline", "--config", cfg_path])
+        assert main(["pipeline", "--config", cfg_path]) == 2  # an OSError is exit 2
+        assert "killed while writing" in capsys.readouterr().err
         assert (out / "model.bin").read_bytes() == before
         assert not list(out.glob("*.tmp")) and not list(out.glob(".*"))
         assert json.loads((out / "manifest.json").read_text())["status"] == "error"
 
-    def test_cut_voter_rewrite_is_never_reused(self, synth_dir, tmp_path, monkeypatch):
+    def test_cut_voter_rewrite_is_never_reused(self, synth_dir, tmp_path, monkeypatch, capsys):
         out = tmp_path / "run"
         cfg_a = write_config(small_config(synth_dir, out), tmp_path / "a.json")
         assert main(["train-voters", "--config", cfg_a]) == 0
@@ -637,8 +637,8 @@ class TestAtomicWrites:
 
         monkeypatch.setattr(pucl.pipeline, "save_checkpoint", cut_after_first)
         cfg_b = write_config(small_config(synth_dir, out, seed=12), tmp_path / "b.json")
-        with pytest.raises(OSError, match="killed"):
-            main(["train-voters", "--config", cfg_b])
+        assert main(["train-voters", "--config", cfg_b]) == 2
+        assert "killed after voter_0" in capsys.readouterr().err
         monkeypatch.undo()
         # voter_0 is config B's, voter_1 still config A's, and no fingerprint
         assert (out / "voter_0.bin").read_bytes() != voters_a[0]
@@ -730,6 +730,48 @@ class TestCliSurface:
         cfg = small_config(synth_dir, tmp_path / "run")
         cfg["train"] = str(no_gold)
         assert main(["analyze", "--config", write_config(cfg, tmp_path / "cfg.json")]) == 3
+
+
+class TestUnopenablePaths:
+    """A path that exists but cannot be opened is an input error: exit 2."""
+
+    def assert_exit_2(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["pipeline", "train-voters"])
+    @pytest.mark.parametrize("key", ["train", "dict"])
+    def test_input_is_a_directory(self, synth_dir, tmp_path, capsys, command, key):
+        cfg = small_config(synth_dir, tmp_path / "run")
+        cfg["dict"] = str(synth_dir / "dict.tsv")
+        cfg[key] = str(tmp_path)
+        self.assert_exit_2([command, "--config", write_config(cfg, tmp_path / "cfg.json")], capsys)
+
+    def test_evaluate_model_is_a_directory(self, synth_dir, tmp_path, capsys):
+        self.assert_exit_2(
+            ["evaluate", "--model", str(tmp_path), "--test", str(synth_dir / "test.tsv")], capsys
+        )
+
+    def test_evaluate_test_is_a_directory(self, tmp_path, trained, capsys):
+        self.assert_exit_2(
+            ["evaluate", "--model", str(trained / "model.bin"), "--test", str(tmp_path)], capsys
+        )
+
+    @pytest.mark.parametrize("option", ["--dict", "--in", "--out"])
+    def test_annotate_path_is_a_directory(self, synth_dir, tmp_path, capsys, option):
+        paths = {
+            "--dict": str(synth_dir / "dict.tsv"),
+            "--in": str(synth_dir / "test.tsv"),
+            "--out": str(tmp_path / "out.tsv"),
+        }
+        paths[option] = str(tmp_path)
+        self.assert_exit_2(["annotate", *[x for kv in paths.items() for x in kv]], capsys)
+
+    def test_pipeline_out_is_an_existing_file(self, synth_dir, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n", encoding="utf-8")
+        cfg_path = write_config(small_config(synth_dir, taken), tmp_path / "cfg.json")
+        self.assert_exit_2(["pipeline", "--config", cfg_path], capsys)
 
 
 class TestModuleEntryPoint:

@@ -375,13 +375,15 @@ class TestSharedTrainingLoop:
         setup = small_training_setup(n=20)
         loop_steps = []
         adam_steps = []
+        selects = []
         real_epoch = model_mod.train_epoch
         real_step = model_mod.adam_step
 
-        def spy_epoch(model, adam, *args):
+        def spy_epoch(model, adam, *args, **kwargs):
             before = adam.step
-            out = real_epoch(model, adam, *args)
+            out = real_epoch(model, adam, *args, **kwargs)
             loop_steps.append(adam.step - before)
+            selects.append(kwargs.get("select", args[6] if len(args) > 6 else None))
             return out
 
         def counted_step(*args):
@@ -393,6 +395,10 @@ class TestSharedTrainingLoop:
         monkeypatch.setattr(model_mod, "adam_step", counted_step)
         TRAINERS[trainer](*setup)
         assert sum(loop_steps) == len(adam_steps) > 0
+        # Voters select their negative sample and the stages their active
+        # tokens; self-training (after one staged epoch) trains on every token.
+        has_select = [select is not None for select in selects]
+        assert all(has_select[:-1]) and has_select[-1] == (trainer != "self_train")
 
     @pytest.mark.parametrize(
         "trainer, module, name, where",

@@ -15,6 +15,7 @@ from pucl.risk import (
     loss_kl_soft,
     loss_mae,
     pn_risk,
+    sample_negatives,
 )
 
 
@@ -149,7 +150,10 @@ class TestPnRisk:
     def test_ratio_one_is_plain_mean(self):
         rng = np.random.default_rng(0)
         probs, labels = self.batch(rng)
-        value, grads = pn_risk(probs, labels, 1.0, rng, "ce")
+        state = rng.bit_generator.state
+        keep = sample_negatives(labels, 1.0, rng)
+        assert keep.all() and rng.bit_generator.state == state  # nothing drawn
+        value, grads = pn_risk(probs[keep], labels[keep], "ce")
         expected = np.mean(
             [-np.log(max(probs[i, labels[i]], 1e-12)) for i in range(len(labels))]
         )
@@ -158,34 +162,42 @@ class TestPnRisk:
 
     def test_positives_never_dropped(self):
         rng = np.random.default_rng(1)
-        probs, labels = self.batch(rng, size=200)
-        _, grads = pn_risk(probs, labels, 0.01, rng, "ce")
-        positive_rows = np.flatnonzero(labels > 0)
-        assert np.all(np.any(grads[positive_rows] != 0, axis=1))
+        _, labels = self.batch(rng, size=200)
+        keep = sample_negatives(labels, 0.01, rng)
+        assert np.all(keep[labels > 0])
+        assert not np.all(keep[labels == 0])
+
+    def test_one_uniform_per_token(self):
+        rng = np.random.default_rng(5)
+        _, labels = self.batch(rng, size=40)
+        replay = np.random.default_rng(5)
+        self.batch(replay, size=40)
+        keep = sample_negatives(labels, 0.3, rng)
+        assert np.array_equal(keep, (labels > 0) | (replay.random(40) < 0.3))
+        assert rng.bit_generator.state == replay.bit_generator.state
 
     def test_binomial_retention(self):
         rng = np.random.default_rng(2)
         n = 1000
-        probs = np.full((n, 2), 0.5)
         labels = np.zeros(n, dtype=np.int64)
-        _, grads = pn_risk(probs, labels, 0.3, rng, "ce")
-        retained = int(np.sum(np.any(grads != 0, axis=1)))
+        retained = int(sample_negatives(labels, 0.3, rng).sum())
         sigma = math.sqrt(n * 0.3 * 0.7)
         assert abs(retained - 300) < 3 * sigma
 
     def test_empty_contributing_set(self):
         rng = np.random.default_rng(3)
-        probs = np.full((5, 2), 0.5)
         labels = np.zeros(5, dtype=np.int64)
-        with pytest.raises(ValueError):
-            # all negatives dropped with overwhelming probability at 1e-12
-            pn_risk(probs, labels, 1e-12, rng, "ce")
+        # all negatives dropped with overwhelming probability at 1e-12
+        keep = sample_negatives(labels, 1e-12, rng)
+        assert not keep.any()
+        with pytest.raises(ValueError, match="at least one row"):
+            pn_risk(np.full((5, 2), 0.5)[keep], labels[keep], "ce")
 
     def test_ratio_validation(self):
         rng = np.random.default_rng(4)
-        probs = np.full((2, 2), 0.5)
-        with pytest.raises(ValueError):
-            pn_risk(probs, np.array([0, 1]), 0.0, rng, "ce")
+        for ratio in (0.0, -0.1, 1.5):
+            with pytest.raises(ValueError, match="keep_negative_ratio"):
+                sample_negatives(np.array([0, 1]), ratio, rng)
 
 
 class TestConfMpuFixture:

@@ -1,13 +1,15 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from oracles import oracle_full_batch_voter_step
 from pucl.corpus import Corpus, LabelSet, Sentence, Token, build_vocab, encode_windows
 from pucl.distant import SyntheticSpec, generate_synthetic, inject_noise
 from pucl.model import AdamState, ModelConfig, TokenClassifier, train_epoch
 from pucl.risk import PROB_FLOOR
-from pucl.seeding import make_rng
+from pucl.seeding import derive_seed, make_rng
 from pucl.voters import (
     ConfidenceTable,
     VoterConfig,
@@ -220,18 +222,19 @@ class TestEmptyVoterBatch:
 
     def test_sampling_stream_is_drawn_as_for_a_full_batch(self, monkeypatch):
         # Every batch draws one uniform per token from its voter's sampling
-        # stream, skipped or not, so the voters of existing seeds keep their
-        # bytes. A batch that the active mask empties draws nothing. Only
-        # the batches that keep a token take an Adam step.
+        # stream before its forward pass, skipped or not, so the kept sets
+        # of existing seeds do not change. A batch that the active mask
+        # empties draws nothing. Only the batches that keep a token take an
+        # Adam step.
         import pucl.model as model_mod
         import pucl.voters as voters_mod
 
         calls = []
-        real = voters_mod.pn_risk
+        real = voters_mod.sample_negatives
 
-        def spy(probs, labels, ratio, rng, loss):
+        def spy(labels, ratio, rng):
             calls.append((rng, rng.bit_generator.state, np.array(labels)))
-            return real(probs, labels, ratio, rng, loss)
+            return real(labels, ratio, rng)
 
         steps = []
         real_step = model_mod.adam_step
@@ -241,7 +244,7 @@ class TestEmptyVoterBatch:
             real_step(*args)
 
         monkeypatch.setattr(model_mod, "adam_step", counted_step)
-        monkeypatch.setattr(voters_mod, "pn_risk", spy)
+        monkeypatch.setattr(voters_mod, "sample_negatives", spy)
 
         def replay_skips(mine, replay):
             assert all(rng is mine[0][0] for rng, _, _ in mine)
@@ -276,19 +279,92 @@ class TestEmptyVoterBatch:
         labels = corpus.distant_array()
         rng = make_rng(3, "masked")
 
+        def select(positions):
+            positions = positions[active[positions]]
+            if len(positions) == 0:
+                return positions
+            keep = voters_mod.sample_negatives(labels[positions], self.CFG.keep_negative_ratio, rng)
+            return positions[keep]
+
         def batch_risk(probs, positions):
-            value, dprobs = voters_mod.pn_risk(
-                probs, labels[positions], self.CFG.keep_negative_ratio, rng, "ce"
-            )
-            return value, dprobs, 0
+            return *voters_mod.pn_risk(probs, labels[positions], "ce"), 0
 
         adam = AdamState.for_model(model, 1e-3)
         values, _ = train_epoch(
             model, adam, corpus, model.corpus_rows(corpus), np.arange(len(corpus)), 1,
-            batch_risk, "masked epoch", active,
+            batch_risk, "masked epoch", select,
         )
         assert len(calls) == 5
         assert len(steps) == adam.step == len(values) == 5 - replay_skips(calls, make_rng(3, "masked"))
+
+
+class TestSampleFirstStep:
+    def test_voters_forward_only_the_sampled_rows(self, monkeypatch):
+        import pucl.voters as voters_mod
+
+        forwarded = []
+        real_forward = TokenClassifier.forward_rows
+
+        def spy_forward(model, rows):
+            forwarded.append(rows.copy())
+            return real_forward(model, rows)
+
+        kept = []
+        real = voters_mod.sample_negatives
+
+        def spy(labels, ratio, rng):
+            keep = real(labels, ratio, rng)
+            kept.append(keep)
+            return keep
+
+        monkeypatch.setattr(TokenClassifier, "forward_rows", spy_forward)
+        monkeypatch.setattr(voters_mod, "sample_negatives", spy)
+        corpus = synthetic_corpus(seed=5, n=30)
+        vocab = build_vocab(corpus)
+        mc = tiny_model_config(vocab)
+        cfg = VoterConfig(count=2, epochs=2, batch_size=4, keep_negative_ratio=0.2)
+        train_voters(corpus, mc, cfg, 4, vocab=vocab)
+
+        rows = encode_windows(corpus, vocab, mc.window)
+        samples = iter(kept)
+        expected = []
+        for _ in range(cfg.count):  # voters train in turn
+            shuffle_rng = make_rng(4, "voter-shuffle")
+            for _ in range(cfg.epochs):
+                order = shuffle_rng.permutation(len(corpus))
+                for start in range(0, len(order), cfg.batch_size):
+                    positions = corpus.token_positions(order[start : start + cfg.batch_size])
+                    keep = next(samples)
+                    assert len(keep) == len(positions)
+                    if keep.any():
+                        expected.append(rows[positions[keep]])
+        assert next(samples, None) is None
+        assert len(forwarded) == len(expected)
+        assert all(np.array_equal(got, want) for got, want in zip(forwarded, expected))
+        assert sum(map(len, forwarded)) < sum(map(len, kept))
+
+    def test_one_step_matches_the_full_batch_oracle(self):
+        corpus = synthetic_corpus(seed=6, n=30)
+        vocab = build_vocab(corpus)
+        mc = tiny_model_config(vocab)
+        cfg = VoterConfig(count=2, epochs=1, batch_size=len(corpus), keep_negative_ratio=0.2)
+        ens = train_voters(corpus, mc, cfg, 9, vocab=vocab)
+
+        positions = corpus.token_positions(make_rng(9, "voter-shuffle").permutation(len(corpus)))
+        rows = encode_windows(corpus, vocab, mc.window)[positions]
+        labels = corpus.distant_array()[positions]
+        for v, voter in enumerate(ens.voters):
+            replay = make_rng(9, "voter-sample", v).random(len(labels))
+            assert np.any((labels == 0) & (replay >= cfg.keep_negative_ratio))  # rows dropped
+            fresh = TokenClassifier(
+                replace(mc, seed=derive_seed(9, "voter-init", v)), vocab, corpus.label_set.names
+            )
+            expected = oracle_full_batch_voter_step(
+                fresh, rows, labels, cfg.keep_negative_ratio,
+                make_rng(9, "voter-sample", v), cfg.learning_rate,
+            )
+            for name, param in voter.parameters():
+                np.testing.assert_allclose(param, expected[name], rtol=1e-12, atol=0)
 
 
 class TestTrainVoters:
