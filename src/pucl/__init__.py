@@ -10,7 +10,7 @@ risk, optionally followed by soft-label self-training; strict and relaxed
 span metrics evaluate the result.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .corpus import (
     Corpus,
@@ -52,8 +52,6 @@ from .risk import (
     RiskBreakdown,
     conf_mpu_risk,
     estimate_priors,
-    loss_ce,
-    loss_kl_soft,
     loss_mae,
     pn_risk,
     sample_negatives,

@@ -214,7 +214,7 @@ def _load_cfg(args: argparse.Namespace) -> PipelineConfig:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--threads", type=int, default=None, help="within-stage parallelism")
+    parser.add_argument("--threads", type=int, default=None, help="accepted for compatibility; changes nothing")
     parser.add_argument("--out", default=None, help="override the output directory")
     parser.add_argument("--mode", default=None, choices=MODES, help="override the pipeline mode")
 

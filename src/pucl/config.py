@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Any, Literal, get_origin, get_type_hints
+from typing import Any, get_args, get_type_hints
 
 from .curriculum import SelfTrainConfig, StageSchedule
 from .errors import FormatError
@@ -127,9 +127,12 @@ _JSON_NAMES = {bool: "boolean", int: "integer", float: "number", str: "string"}
 def _typed(raw: dict, key: str, kind: Any, default: Any, where: str = "config key") -> Any:
     """``raw[key]`` if it is a JSON value of ``kind``, else FormatError.
     Nothing is coerced: a JSON boolean is not an integer, and only a float
-    field also takes an integer. A ``Literal`` of strings is a string."""
+    field also takes an integer. A ``Literal`` of strings is a string, and
+    ``str | None`` also takes null."""
     value = raw.get(key, default)
-    kind = str if get_origin(kind) is Literal else kind
+    if value is None and type(None) in get_args(kind):
+        return None
+    kind = str if get_args(kind) else kind  # a Literal of strings, or str | None
     accepted = (int, float) if kind is float else kind
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
         raise FormatError(f"{where} {key!r} must be a JSON {_JSON_NAMES[kind]}, got {value!r}")
@@ -163,11 +166,11 @@ def config_from_dict(raw: dict) -> PipelineConfig:
 
     try:
         return PipelineConfig(
-            train=raw["train"],
-            dict_path=raw.get("dict"),
-            test=raw.get("test"),
-            valid=raw.get("valid"),
-            out=raw.get("out", "out"),
+            train=_typed(raw, "train", str, None),
+            dict_path=_typed(raw, "dict", str | None, None),
+            test=_typed(raw, "test", str | None, None),
+            valid=_typed(raw, "valid", str | None, None),
+            out=_typed(raw, "out", str, "out"),
             mode=raw.get("mode", "full"),
             seed=_typed(raw, "seed", int, 42),
             threads=_typed(raw, "threads", int, 1),

@@ -8,24 +8,28 @@ gradients can be checked against finite differences at tight tolerances.
 Exactness contract: a training step does the textbook float operations in
 the textbook order over the rows it is given, so a fixed seed gives the
 same bytes however the step is implemented. The embedding gradient sums
-each row's contributions in token order starting from 0.0, and
-``adam_step`` does Adam's operations (Kingma & Ba, arXiv:1412.6980) in
-their usual order, in place. Every trainer steps through one minibatch
-loop, ``train_epoch``, which selects a batch's rows before the forward
-pass. A voter draws its negative sample there and computes only the rows
-the sample keeps. Its step is the full-batch step with zero-gradient rows
-for the dropped tokens up to round-off, not bytewise: the matmuls sum over
-fewer rows, and a one-row batch goes through gemv. Every pass that scores
-a corpus (``TokenClassifier.corpus_probs``, ``predict``) runs one sentence
-at a time and is not batched across sentences: one larger matmul may sum
-in another order and change bytes.
+each row's contributions in token order starting from 0.0. ``adam_step``
+does Adam's operations (Kingma & Ba, arXiv:1412.6980) in their usual
+order, in place on the dense layers and lazily on the embedding: only the
+rows the batch references step (lazy Adam, a different optimiser from
+dense Adam, not a rounding of it). Every trainer steps through one
+minibatch loop, ``train_epoch``, which selects a batch's rows before the
+forward pass. A voter draws its negative sample there and computes only
+the rows the sample keeps. Its step is the full-batch step with
+zero-gradient rows for the dropped tokens up to round-off, not bytewise:
+the matmuls sum over fewer rows, and a one-row batch goes through gemv.
+Every pass that scores a corpus (``TokenClassifier.corpus_probs``,
+``predict``) runs one sentence at a time and is not batched across
+sentences: one larger matmul may sum in another order and change bytes.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Callable, Sequence
 
@@ -35,6 +39,7 @@ from .corpus import Corpus, Vocab, encode_windows
 from .errors import CompatibilityError, FormatError, NumericError
 
 _CHECKPOINT_MAGIC = b"PUCLCKPT1\n"
+PARAMETER_NAMES = ("embedding", "w1", "b1", "w2", "b2")
 
 
 @dataclass(frozen=True)
@@ -48,6 +53,9 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        ints = (self.vocab_size, self.n_classes, self.embed_dim, self.window, self.hidden_dim, self.seed)
+        if not all(isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in ints):
+            raise ValueError("model dimensions and seed must be integers")
         if min(self.vocab_size, self.embed_dim, self.hidden_dim) < 1 or self.window < 0:
             raise ValueError("model dimensions must be positive")
         if self.n_classes < 2:
@@ -55,23 +63,26 @@ class ModelConfig:
         if self.init_scale <= 0:
             raise ValueError("init_scale must be positive")
 
+    def parameter_shapes(self) -> dict[str, tuple[int, ...]]:
+        """The shape of every parameter array, by name in PARAMETER_NAMES order."""
+        d, h, c = self.embed_dim, self.hidden_dim, self.n_classes
+        in_dim = (2 * self.window + 1) * d
+        return {"embedding": (self.vocab_size, d), "w1": (in_dim, h), "b1": (h,), "w2": (h, c), "b2": (c,)}
+
 
 @dataclass
 class Gradients:
+    """Dense gradients, plus the sorted vocabulary rows the batch references."""
+
     embedding: np.ndarray
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
+    embedding_rows: np.ndarray
 
     def arrays(self) -> list[tuple[str, np.ndarray]]:
-        return [
-            ("embedding", self.embedding),
-            ("w1", self.w1),
-            ("b1", self.b1),
-            ("w2", self.w2),
-            ("b2", self.b2),
-        ]
+        return [(name, getattr(self, name)) for name in PARAMETER_NAMES]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -90,7 +101,10 @@ class TokenClassifier:
     input); training mutates parameters only through ``adam_step``.
     """
 
-    def __init__(self, config: ModelConfig, vocab: Vocab, label_names: Sequence[str]):
+    def __init__(
+        self, config: ModelConfig, vocab: Vocab, label_names: Sequence[str], params: dict | None = None
+    ):
+        """Without ``params`` the weights are drawn from N(0, init_scale), the biases 0."""
         if config.vocab_size != vocab.size:
             raise ValueError(f"config vocab_size {config.vocab_size} != vocab size {vocab.size}")
         if config.n_classes != len(label_names) + 1:
@@ -98,35 +112,24 @@ class TokenClassifier:
         self.config = config
         self.vocab = vocab
         self.label_names = tuple(label_names)
-        rng = np.random.Generator(np.random.PCG64(config.seed))
-        d, h, c = config.embed_dim, config.hidden_dim, config.n_classes
-        in_dim = (2 * config.window + 1) * d
-        s = config.init_scale
-        self.embedding = rng.normal(0.0, s, size=(config.vocab_size, d))
-        self.w1 = rng.normal(0.0, s, size=(in_dim, h))
-        self.b1 = np.zeros(h)
-        self.w2 = rng.normal(0.0, s, size=(h, c))
-        self.b2 = np.zeros(c)
+        if params is None:
+            rng = np.random.Generator(np.random.PCG64(config.seed))
+            params = {
+                name: rng.normal(0.0, config.init_scale, size=shape) if len(shape) == 2
+                else np.zeros(shape)
+                for name, shape in config.parameter_shapes().items()
+            }
+        for name in PARAMETER_NAMES:
+            setattr(self, name, params[name])
 
     # -- parameter plumbing -------------------------------------------------
 
     def parameters(self) -> list[tuple[str, np.ndarray]]:
-        return [
-            ("embedding", self.embedding),
-            ("w1", self.w1),
-            ("b1", self.b1),
-            ("w2", self.w2),
-            ("b2", self.b2),
-        ]
+        return [(name, getattr(self, name)) for name in PARAMETER_NAMES]
 
     def copy(self) -> "TokenClassifier":
-        clone = object.__new__(TokenClassifier)
-        clone.config = self.config
-        clone.vocab = self.vocab
-        clone.label_names = self.label_names
-        for name, arr in self.parameters():
-            setattr(clone, name, arr.copy())
-        return clone
+        params = {name: arr.copy() for name, arr in self.parameters()}
+        return TokenClassifier(self.config, self.vocab, self.label_names, params)
 
     # -- forward / backward --------------------------------------------------
 
@@ -181,7 +184,8 @@ class TokenClassifier:
         vocab_size, d = self.embedding.shape
         bins = (rows.reshape(-1, 1) * d + np.arange(d)).ravel()
         dembed = np.bincount(bins, weights=dflat.ravel(), minlength=vocab_size * d)
-        return Gradients(dembed.reshape(vocab_size, d), dw1, db1, dw2, db2)
+        touched = np.flatnonzero(np.bincount(rows.ravel(), minlength=vocab_size))
+        return Gradients(dembed.reshape(vocab_size, d), dw1, db1, dw2, db2, touched)
 
     # -- corpus helpers ------------------------------------------------------
 
@@ -220,16 +224,16 @@ class TokenClassifier:
 @dataclass
 class AdamState:
     """Adam moment accumulators, one pair per parameter array, plus two
-    scratch arrays per parameter that ``adam_step`` computes in."""
+    scratch arrays per dense parameter (all but the embedding)."""
 
     learning_rate: float
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
+    scratch: dict[str, tuple[np.ndarray, np.ndarray]]
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    scratch: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict, repr=False)
 
     @staticmethod
     def for_model(model: TokenClassifier, learning_rate: float) -> "AdamState":
@@ -239,39 +243,42 @@ class AdamState:
             learning_rate=learning_rate,
             m={name: np.zeros_like(p) for name, p in model.parameters()},
             v={name: np.zeros_like(p) for name, p in model.parameters()},
+            scratch={n: (np.empty_like(p), np.empty_like(p)) for n, p in model.parameters()[1:]},
         )
 
 
 def adam_step(model: TokenClassifier, grads: Gradients, state: AdamState) -> None:
-    """Standard Adam update with bias correction; fails fast on non-finite
-    gradients.
+    """Adam with bias correction; fails fast on non-finite gradients.
 
     Per parameter this computes, in this order and in place::
 
         m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
         p -= (lr * (m/c1)) / (sqrt(v/c2) + eps)
 
-    with c1 = 1 - b1**step and c2 = 1 - b2**step.
+    with c1 = 1 - b1**step and c2 = 1 - b2**step, ``step`` counting every
+    call. The embedding is lazy (TF Addons' LazyAdam): its rows in
+    ``grads.embedding_rows`` are gathered, stepped and scattered back, and
+    every other row keeps its parameter, m and v bitwise.
     """
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     corr1 = 1.0 - b1**state.step
     corr2 = 1.0 - b2**state.step
+    rows = grads.embedding_rows
     for (name, param), (gname, grad) in zip(model.parameters(), grads.arrays()):
         if name != gname or param.shape != grad.shape:
             raise ValueError(f"gradient/parameter mismatch at {name}")
-        if not np.all(np.isfinite(grad)):
+        lazy = name == "embedding"
+        arrays = (param, state.m[name], state.v[name], grad)
+        p, m, v, g = (a.take(rows, axis=0) for a in arrays) if lazy else arrays
+        if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient in {name} at step {state.step}")
-        m = state.m[name]
-        v = state.v[name]
-        if name not in state.scratch:
-            state.scratch[name] = (np.empty_like(param), np.empty_like(param))
-        update, denom = state.scratch[name]
-        np.multiply(grad, 1.0 - b1, out=update)
+        update, denom = (np.empty_like(p), np.empty_like(p)) if lazy else state.scratch[name]
+        np.multiply(g, 1.0 - b1, out=update)
         m *= b1
         m += update
-        np.multiply(grad, 1.0 - b2, out=update)
-        update *= grad
+        np.multiply(g, 1.0 - b2, out=update)
+        update *= g
         v *= b2
         v += update
         np.divide(m, corr1, out=update)
@@ -280,7 +287,9 @@ def adam_step(model: TokenClassifier, grads: Gradients, state: AdamState) -> Non
         np.sqrt(denom, out=denom)
         denom += state.eps
         update /= denom
-        param -= update
+        p -= update
+        if lazy:
+            param[rows], state.m[name][rows], state.v[name][rows] = p, m, v
 
 
 #: (probs, flat token positions) -> (risk value, dprobs, clamped count)
@@ -384,9 +393,22 @@ def save_checkpoint(model: TokenClassifier, stream: BinaryIO) -> None:
         stream.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
+def _read_exact(stream: BinaryIO, size: int, what: str) -> bytearray:
+    """``size`` bytes of ``stream``, read in bounded chunks so that a corrupt
+    size never sizes an allocation; FormatError if the stream ends first."""
+    out = bytearray()
+    while len(out) < size:
+        chunk = stream.read(min(size - len(out), 1 << 20))
+        if not chunk:
+            raise FormatError(f"checkpoint truncated in {what}")
+        out += chunk
+    return out
+
+
 def load_checkpoint(stream: BinaryIO) -> TokenClassifier:
     """Read a checkpoint written by ``save_checkpoint``; anything else, a
-    truncated file included, raises FormatError."""
+    truncated file included, raises FormatError. An array's bytes are read
+    before anything is allocated for it."""
     magic = stream.read(len(_CHECKPOINT_MAGIC))
     if magic != _CHECKPOINT_MAGIC:
         raise FormatError("not a model checkpoint (bad magic)")
@@ -394,16 +416,7 @@ def load_checkpoint(stream: BinaryIO) -> TokenClassifier:
     if len(length) != 8:
         raise FormatError("checkpoint truncated in the header length")
     (header_len,) = struct.unpack("<Q", length)
-    # Read in bounded chunks: a corrupt length must not size one allocation.
-    chunks: list[bytes] = []
-    remaining = header_len
-    while remaining:
-        chunk = stream.read(min(remaining, 1 << 20))
-        if not chunk:
-            raise FormatError("checkpoint truncated in the header")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    raw_header = b"".join(chunks)
+    raw_header = _read_exact(stream, header_len, "the header")
     try:
         header = json.loads(raw_header.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -423,19 +436,20 @@ def load_checkpoint(stream: BinaryIO) -> TokenClassifier:
         raise FormatError("checkpoint header has a malformed config, vocab or label list")
     try:
         config = ModelConfig(**header["config"])
-        model = TokenClassifier(config, Vocab(words), labels)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"checkpoint header does not describe a model: {exc}") from exc
-    expected = [[name, list(arr.shape)] for name, arr in model.parameters()]
+    expected = [[name, list(shape)] for name, shape in config.parameter_shapes().items()]
     if arrays != expected:
         raise FormatError(f"checkpoint arrays do not match its config; expected {expected}")
-    for name, shape in expected:
-        count = int(np.prod(shape))
-        raw = stream.read(count * 8)
-        if len(raw) != count * 8:
-            raise FormatError(f"checkpoint truncated in array {name}")
-        setattr(model, name, np.frombuffer(raw, dtype="<f8").reshape(shape).copy())
-    return model
+    params = {
+        name: np.frombuffer(_read_exact(stream, 8 * math.prod(shape), f"array {name}"), "<f8")
+        .reshape(shape)
+        for name, shape in expected
+    }
+    try:
+        return TokenClassifier(config, Vocab(words), labels, params)
+    except ValueError as exc:
+        raise FormatError(f"checkpoint header does not describe a model: {exc}") from exc
 
 
 def load_model(path: str | Path) -> TokenClassifier:

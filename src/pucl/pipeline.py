@@ -8,8 +8,8 @@ runs its stage and the stages it needs, and reuses only the voters, when
 Artifacts are written to a temporary file and moved into place with
 ``os.replace``, so a killed run leaves the old file or the new one.
 
-With a fixed seed two runs produce byte-identical artifacts, whatever
---threads is (the manifest's wall-clock fields are the only exception).
+With a fixed seed two runs produce byte-identical artifacts (the
+manifest's wall-clock fields are the only exception).
 """
 
 from __future__ import annotations
@@ -168,7 +168,7 @@ def _voters(run: PipelineResult) -> None:
     stamp.unlink(missing_ok=True)
     run.ensemble = train_voters(
         run.train, run.model_config, cfg.voters, derive_seed(cfg.seed, "voters"),
-        vocab=run.vocab, threads=cfg.threads, rows=run.train_rows,
+        vocab=run.vocab, rows=run.train_rows,
     )
     for path, voter in zip(paths, run.ensemble.voters):
         with atomic_open(path, "wb") as f:

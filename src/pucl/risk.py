@@ -73,11 +73,6 @@ def loss_rows(
     return ce_rows(probs, targets) if kind == "ce" else mae_rows(probs, targets)
 
 
-def loss_ce(dist: np.ndarray, target: int) -> tuple[float, np.ndarray]:
-    values, grads = ce_rows(np.asarray(dist)[None, :], np.array([target]))
-    return float(values[0]), grads[0]
-
-
 def loss_mae(dist: np.ndarray, target: int) -> tuple[float, np.ndarray]:
     values, grads = mae_rows(np.asarray(dist)[None, :], np.array([target]))
     return float(values[0]), grads[0]
@@ -91,11 +86,6 @@ def kl_soft_rows(probs: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np
     values = (t * (logt - np.log(p))).sum(axis=1)
     grads = -t / p
     return values, grads
-
-
-def loss_kl_soft(dist: np.ndarray, soft_target: np.ndarray) -> tuple[float, np.ndarray]:
-    values, grads = kl_soft_rows(np.asarray(dist)[None, :], np.asarray(soft_target)[None, :])
-    return float(values[0]), grads[0]
 
 
 # --- priors ------------------------------------------------------------------

@@ -12,7 +12,6 @@ ensemble.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import IO
 
@@ -117,9 +116,9 @@ def train_voters(
     """Train V independent voters on the distant labels.
 
     Voter v derives its initialization and sampling seeds from (seed, v), so
-    adding voters never perturbs existing ones. Voters share no state and
-    train identically whether sequential or threaded. ``rows`` are the
-    corpus's ``encode_windows`` under ``vocab``, if the caller has them.
+    adding voters never perturbs existing ones. ``threads`` is accepted and
+    changes nothing. ``rows`` are the corpus's ``encode_windows`` under
+    ``vocab``, if the caller has them.
     """
     if not np.any(corpus.distant_array() > 0):
         raise ValueError("corpus has no positive distant labels; voters cannot train")
@@ -127,16 +126,12 @@ def train_voters(
         vocab = build_vocab(corpus)
     if rows is None:
         rows = encode_windows(corpus, vocab, model_config.window)
-
-    def work(v: int) -> TokenClassifier:
-        return _train_one_voter(corpus, model_config, voter_config, vocab, seed, v, rows)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            voters = list(pool.map(work, range(voter_config.count)))
-    else:
-        voters = [work(v) for v in range(voter_config.count)]
-    return VoterEnsemble(voters)
+    return VoterEnsemble(
+        [
+            _train_one_voter(corpus, model_config, voter_config, vocab, seed, v, rows)
+            for v in range(voter_config.count)
+        ]
+    )
 
 
 # --- ensembling and scoring -------------------------------------------------

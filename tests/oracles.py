@@ -185,6 +185,20 @@ def oracle_adam_step(params, grads, m, v, step, lr, b1=0.9, b2=0.999, eps=1e-8):
     return new_p, new_m, new_v
 
 
+def oracle_lazy_adam_step(param, grad, m, v, rows, step, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Lazy Adam: Algorithm 1 of Kingma & Ba applied row by row to the rows
+    given only, with the global step in the bias correction. Every other
+    row keeps its parameter and moments. Returns new (param, m, v)."""
+    new_p, new_m, new_v = param.copy(), m.copy(), v.copy()
+    for r in rows:
+        new_m[r] = b1 * m[r] + (1.0 - b1) * grad[r]
+        new_v[r] = b2 * v[r] + (1.0 - b2) * grad[r] * grad[r]
+        m_hat = new_m[r] / (1.0 - b1**step)
+        v_hat = new_v[r] / (1.0 - b2**step)
+        new_p[r] = param[r] - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return new_p, new_m, new_v
+
+
 def oracle_embedding_gradient(model, cache, dprobs):
     """Embedding gradient of sum_t <dprobs_t, probs_t>: the chain rule down
     to the window inputs, then np.add.at of each window position's slice

@@ -496,11 +496,23 @@ class TestConfig:
     def test_top_level_values_of_the_right_type(self):
         cfg = config_from_dict(
             {"train": "x", "seed": 3, "threads": 2, "allow_same_split": True,
-             "require_type_match": False}
+             "require_type_match": False, "dict": None, "test": "t", "valid": None}
         )
         assert (cfg.seed, cfg.threads, cfg.allow_same_split, cfg.require_type_match) == (
             3, 2, True, False
         )
+        assert (cfg.dict_path, cfg.test, cfg.valid) == (None, "t", None)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("train", 5), ("train", None), ("dict", 5), ("test", ["t.tsv"]), ("valid", 1.5),
+         ("out", 7), ("out", None)],
+    )
+    def test_non_string_path_exits_2(self, synth_dir, tmp_path, capsys, key, value):
+        cfg = small_config(synth_dir, tmp_path / "run")
+        cfg[key] = value
+        assert main(["pipeline", "--config", write_config(cfg, tmp_path / "cfg.json")]) == 2
+        assert f"config key {key!r} must be a JSON string" in capsys.readouterr().err
 
 
 def _risk_log_stages(out_dir: Path) -> list[int]:

@@ -1,11 +1,14 @@
 import io
+import json
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pucl.corpus import LabelSet, Sentence, Token, Corpus, Vocab, build_vocab
 from pucl.distant import SyntheticSpec, generate_synthetic
-from pucl.errors import CompatibilityError, NumericError
+from pucl.errors import CompatibilityError, FormatError, NumericError
 from pucl.model import (
     AdamState,
     ModelConfig,
@@ -37,6 +40,7 @@ from oracles import (
     max_gradient_error,
     oracle_adam_step,
     oracle_embedding_gradient,
+    oracle_lazy_adam_step,
 )
 
 
@@ -202,16 +206,39 @@ class TestExactStep:
             # a few sentences per step, so most embedding rows get an
             # all-zero gradient (and some rows are zero for several steps)
             ids = rng.integers(0, 6, size=3)
-            probs, cache = model.forward_rows(model.window_rows(ids))
+            rows = model.window_rows(ids)
+            probs, cache = model.forward_rows(rows)
             grads = model.backward_rows(cache, rng.normal(size=probs.shape))
             assert np.any(np.all(grads.embedding == 0.0, axis=1))
             adam_step(model, grads, state)
-            params, m, v = oracle_adam_step(params, dict(grads.arrays()), m, v, step, 3e-3)
+            # dense parameters take textbook Adam, the embedding lazy Adam
+            # over the rows the batch references
+            g = dict(grads.arrays())
+            lazy = oracle_lazy_adam_step(
+                params["embedding"], g.pop("embedding"), m["embedding"], v["embedding"],
+                np.unique(rows), step, 3e-3,
+            )
+            dense = oracle_adam_step({n: params[n] for n in g}, g, m, v, step, 3e-3)
+            params, m, v = ({**d, "embedding": e} for d, e in zip(dense, lazy))
             for name, p in model.parameters():
                 assert np.array_equal(p, params[name]), (step, name)
                 assert np.array_equal(state.m[name], m[name]), (step, name)
                 assert np.array_equal(state.v[name], v[name]), (step, name)
 
+    def test_untouched_embedding_rows_keep_their_state(self):
+        model = small_model(seed=9, window=1)
+        state = AdamState.for_model(model, 1e-2)
+        for ids in ([2, 3], [4, 5]):
+            before = [a.copy() for a in (model.embedding, state.m["embedding"], state.v["embedding"])]
+            probs, cache = model.forward_rows(model.window_rows(np.array(ids)))
+            _, dprobs = ce_rows(probs, np.array([1, 2]))
+            adam_step(model, model.backward_rows(cache, dprobs), state)
+        # the second batch (rows 0, 4, 5) leaves rows 2 and 3 alone
+        assert np.all(before[1][[2, 3]] != 0.0) and np.all(before[2][[2, 3]] != 0.0)
+        after = (model.embedding, state.m["embedding"], state.v["embedding"])
+        for old, new in zip(before, after):
+            assert np.array_equal(old[[2, 3]], new[[2, 3]])
+            assert not np.array_equal(old[[4, 5]], new[[4, 5]])
 
 class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
@@ -273,6 +300,15 @@ class TestAdam:
         grads = model.backward_rows(cache, np.ones_like(probs))
         grads.w1[0, 0] = np.nan
         with pytest.raises(NumericError):
+            adam_step(model, grads, state)
+
+    def test_non_finite_embedding_gradient_rejected(self):
+        model = small_model()
+        state = AdamState.for_model(model, 1e-3)
+        probs, cache = model.forward_rows(model.window_rows(np.array([2, 3])))
+        grads = model.backward_rows(cache, np.ones_like(probs))
+        grads.embedding[3, 1] = np.inf
+        with pytest.raises(NumericError, match="embedding"):
             adam_step(model, grads, state)
 
 
@@ -355,7 +391,39 @@ class TestCheckpoint:
         assert a.getvalue() == b.getvalue()
 
     def test_bad_magic(self):
-        from pucl.errors import FormatError
-
         with pytest.raises(FormatError):
             load_checkpoint(io.BytesIO(b"not a checkpoint"))
+
+    def test_large_declared_dimensions_allocate_nothing(self):
+        buf = io.BytesIO()
+        save_checkpoint(small_model(seed=1), buf)
+        raw = buf.getvalue()
+        (length,) = struct.unpack("<Q", raw[10:18])
+        header = json.loads(raw[18 : 18 + length])
+        # a consistent header whose w1 alone would take 24 MB; the file ends
+        # a few bytes into the arrays
+        hidden = 250_000
+        header["config"]["hidden_dim"] = hidden
+        arrays = header["arrays"]  # embedding, w1, b1, w2, b2
+        arrays[1][1][1] = arrays[2][1][0] = arrays[3][1][0] = hidden
+        encoded = json.dumps(header).encode("utf-8")
+        bad = raw[:10] + struct.pack("<Q", len(encoded)) + encoded + raw[18 + length :][:400]
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="truncated"):
+                load_checkpoint(io.BytesIO(bad))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"{peak} bytes allocated for a {len(bad)}-byte checkpoint"
+
+    def test_loading_draws_no_initialisation(self, monkeypatch):
+        buf = io.BytesIO()
+        save_checkpoint(small_model(seed=2), buf)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a checkpoint load drew a random initialisation")
+
+        monkeypatch.setattr(np.random, "PCG64", no_draw)
+        buf.seek(0)
+        load_checkpoint(buf)

@@ -9,10 +9,10 @@ from pucl.corpus import Corpus, LabelSet, Sentence, Token
 from pucl.risk import (
     ConfMpuConfig,
     Priors,
+    ce_rows,
     conf_mpu_risk,
     estimate_priors,
-    loss_ce,
-    loss_kl_soft,
+    kl_soft_rows,
     loss_mae,
     pn_risk,
     sample_negatives,
@@ -21,32 +21,31 @@ from pucl.risk import (
 
 class TestLossCe:
     def test_perfect_prediction(self):
-        value, _ = loss_ce(np.array([0.0, 1.0]), 1)
-        assert value == 0.0
+        values, _ = ce_rows(np.array([[0.0, 1.0]]), np.array([1]))
+        assert values[0] == 0.0
 
     def test_e_inverse(self):
-        value, _ = loss_ce(np.array([1 - math.exp(-1), math.exp(-1)]), 1)
-        assert value == pytest.approx(1.0, abs=1e-12)
+        values, _ = ce_rows(np.array([[1 - math.exp(-1), math.exp(-1)]]), np.array([1]))
+        assert values[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_gradient_matches_fd(self):
         rng = np.random.default_rng(0)
-        for _ in range(20):
-            dist = rng.random(4) + 0.05
-            dist /= dist.sum()
-            target = int(rng.integers(0, 4))
-            value, grad = loss_ce(dist, target)
-            h = 1e-7
-            for j in range(4):
-                up, down = dist.copy(), dist.copy()
-                up[j] += h
-                down[j] -= h
-                fd = (loss_ce(up, target)[0] - loss_ce(down, target)[0]) / (2 * h)
-                denom = max(abs(grad[j]), abs(fd), 1.0)
-                assert abs(grad[j] - fd) / denom < 1e-8
+        dists = rng.random((20, 4)) + 0.05
+        dists /= dists.sum(axis=1, keepdims=True)
+        targets = rng.integers(0, 4, size=20)
+        _, grads = ce_rows(dists, targets)
+        h = 1e-7
+        for j in range(4):
+            up, down = dists.copy(), dists.copy()
+            up[:, j] += h
+            down[:, j] -= h
+            fd = (ce_rows(up, targets)[0] - ce_rows(down, targets)[0]) / (2 * h)
+            denom = np.maximum(np.maximum(np.abs(grads[:, j]), np.abs(fd)), 1.0)
+            assert np.all(np.abs(grads[:, j] - fd) / denom < 1e-8)
 
     def test_floor_prevents_infinity(self):
-        value, grad = loss_ce(np.array([1.0, 0.0]), 1)
-        assert np.isfinite(value) and np.all(np.isfinite(grad))
+        values, grads = ce_rows(np.array([[1.0, 0.0]]), np.array([1]))
+        assert np.all(np.isfinite(values)) and np.all(np.isfinite(grads))
 
 
 class TestLossMae:
@@ -72,36 +71,35 @@ class TestLossMae:
 
 class TestLossKlSoft:
     def test_identical_distributions(self):
-        p = np.array([0.25, 0.75])
-        assert loss_kl_soft(p, p)[0] == pytest.approx(0.0, abs=1e-12)
+        p = np.array([[0.25, 0.75]])
+        assert kl_soft_rows(p, p)[0][0] == pytest.approx(0.0, abs=1e-12)
 
     def test_reference_value(self):
-        value, _ = loss_kl_soft(np.array([0.9, 0.1]), np.array([0.5, 0.5]))
-        assert value == pytest.approx(0.5108256238, abs=1e-9)
+        values, _ = kl_soft_rows(np.array([[0.9, 0.1]]), np.array([[0.5, 0.5]]))
+        assert values[0] == pytest.approx(0.5108256238, abs=1e-9)
 
     def test_non_negative(self):
         rng = np.random.default_rng(2)
-        for _ in range(100):
-            p = rng.random(4) + 0.01
-            p /= p.sum()
-            t = rng.random(4) + 0.01
-            t /= t.sum()
-            assert loss_kl_soft(p, t)[0] >= -1e-15
+        p = rng.random((100, 4)) + 0.01
+        p /= p.sum(axis=1, keepdims=True)
+        t = rng.random((100, 4)) + 0.01
+        t /= t.sum(axis=1, keepdims=True)
+        assert np.all(kl_soft_rows(p, t)[0] >= -1e-15)
 
     def test_gradient_matches_fd(self):
         rng = np.random.default_rng(3)
-        p = rng.random(3) + 0.1
+        p = rng.random((1, 3)) + 0.1
         p /= p.sum()
-        t = rng.random(3) + 0.1
+        t = rng.random((1, 3)) + 0.1
         t /= t.sum()
-        _, grad = loss_kl_soft(p, t)
+        _, grads = kl_soft_rows(p, t)
         h = 1e-7
         for j in range(3):
             up, down = p.copy(), p.copy()
-            up[j] += h
-            down[j] -= h
-            fd = (loss_kl_soft(up, t)[0] - loss_kl_soft(down, t)[0]) / (2 * h)
-            assert abs(grad[j] - fd) / max(abs(fd), 1.0) < 1e-8
+            up[0, j] += h
+            down[0, j] -= h
+            fd = (kl_soft_rows(up, t)[0][0] - kl_soft_rows(down, t)[0][0]) / (2 * h)
+            assert abs(grads[0, j] - fd) / max(abs(fd), 1.0) < 1e-8
 
 
 class TestPriors:
