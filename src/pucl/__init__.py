@@ -18,7 +18,6 @@ from .corpus import (
     Sentence,
     Span,
     Token,
-    TokenRef,
     Vocab,
     build_vocab,
     extract_spans,

@@ -103,14 +103,6 @@ class Sentence:
 
 
 @dataclass(frozen=True, slots=True)
-class TokenRef:
-    """Addresses one token inside a Corpus."""
-
-    sentence_idx: int
-    token_idx: int
-
-
-@dataclass(frozen=True, slots=True)
 class Span:
     """Contiguous entity span, inclusive on both ends."""
 
@@ -132,8 +124,8 @@ class Corpus:
     """Immutable list of sentences plus their label set.
 
     Construction validates every label id against the label set. Flat
-    per-token arrays (labels, sentence offsets) are computed lazily and
-    cached; they are the representation all numeric modules work on.
+    per-token arrays (labels, offsets, context windows) are computed lazily
+    and cached; they are the representation all numeric modules work on.
     """
 
     def __init__(self, sentences: Sequence[Sentence], label_set: LabelSet):
@@ -157,6 +149,7 @@ class Corpus:
         self.label_set = label_set
         self._offsets: np.ndarray | None = None
         self._distant: np.ndarray | None = None
+        self._windows: tuple[Vocab, int, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self.sentences)
@@ -181,10 +174,6 @@ class Corpus:
             self._offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
         return self._offsets
 
-    def ref_of(self, flat_idx: int) -> TokenRef:
-        s = int(np.searchsorted(self.offsets, flat_idx, side="right")) - 1
-        return TokenRef(s, flat_idx - int(self.offsets[s]))
-
     def token_positions(self, sentence_indices: np.ndarray) -> np.ndarray:
         """Flat indices of the tokens of the given sentences, sentence by
         sentence in the given order."""
@@ -204,6 +193,29 @@ class Corpus:
             )
             self._distant.flags.writeable = False
         return self._distant
+
+    def windows(self, vocab: Vocab, window: int) -> np.ndarray:
+        """[n_tokens, 2 * window + 1] vocabulary ids of every token's context
+        window, in flat token order; positions beyond a sentence's edges hold
+        ``Vocab.PAD``. The one encoded form of the corpus: each sentence goes
+        through ``encode_sentence`` once, and the read-only array is kept
+        until another vocabulary (compared with ``==``) or window asks."""
+        cached = self._windows
+        if cached is not None and cached[1] == window and cached[0] == vocab:
+            return cached[2]
+        ids = np.concatenate([vocab.encode_sentence(s) for s in self.sentences])
+        lengths = np.diff(self.offsets)
+        # Lay the sentences out with `window` padding slots before, between and
+        # after them, so that no window reaches into a neighbouring sentence.
+        start = np.arange(len(ids)) + np.repeat(np.arange(len(lengths)) * window, lengths)
+        padded = np.full(len(ids) + (len(lengths) + 1) * window, Vocab.PAD, dtype=np.int64)
+        padded[start + window] = ids
+        out = np.empty((len(ids), 2 * window + 1), dtype=np.int64)
+        for j in range(2 * window + 1):
+            out[:, j] = padded[start + j]
+        out.flags.writeable = False
+        self._windows = (vocab, window, out)
+        return out
 
     def gold_array(self) -> np.ndarray:
         """Flat gold labels; raises if any token lacks one."""
@@ -229,24 +241,20 @@ def read_conll(
     One token per line, ``surface<TAB>distant[<TAB>gold]``; a blank line ends
     a sentence. When ``label_set`` is None it is inferred from the label
     names in order of first appearance. Sentences longer than
-    ``max_sentence_len`` are split at the limit.
+    ``max_sentence_len`` are split at the limit. Each line becomes its
+    ``Token`` as it is read, so errors are reported in line order.
     """
-    inferred: list[str] = []
-    inferred_seen: set[str] = set()
-
-    def intern(name: str) -> str:
-        if name != O_NAME and name not in inferred_seen:
-            inferred_seen.add(name)
-            inferred.append(name)
-        return name
-
-    raw_sentences: list[list[tuple[str, str, str | None]]] = []
-    current: list[tuple[str, str, str | None]] = []
+    if max_sentence_len < 1:
+        raise FormatError(f"max_sentence_len must be >= 1, got {max_sentence_len}")
+    inferred = {O_NAME: 0}  # label name -> id, in order of first appearance
+    label_id = label_set.id_of if label_set is not None else lambda name: inferred.setdefault(name, len(inferred))
+    sentences: list[Sentence] = []
+    current: list[Token] = []
     for lineno, line in enumerate(stream, 1):
         line = line.rstrip("\n").rstrip("\r")
         if line == "":
             if current:
-                raw_sentences.append(current)
+                sentences.append(Sentence(tuple(current)))
                 current = []
             continue
         cols = line.split("\t")
@@ -258,37 +266,20 @@ def read_conll(
             raise FormatError(f"line {lineno}: expected 2 or 3 columns, got {len(cols)}")
         if not surface or any(c.isspace() for c in surface):
             raise FormatError(f"line {lineno}: bad token surface {surface!r}")
-        intern(distant)
-        if gold is not None:
-            intern(gold)
-        current.append((surface, distant, gold))
+        try:
+            current.append(Token(surface, label_id(distant), None if gold is None else label_id(gold)))
+        except UnknownLabelError as exc:
+            raise UnknownLabelError(f"line {lineno}: {exc}") from None
+        if len(current) == max_sentence_len:
+            sentences.append(Sentence(tuple(current)))
+            current = []
     if current:
-        raw_sentences.append(current)
-    if not raw_sentences:
+        sentences.append(Sentence(tuple(current)))
+    if not sentences:
         raise FormatError("empty corpus input")
-
     if label_set is None:
-        if not inferred:
-            # All-O corpora still need a k >= 1 label space.
-            inferred = ["ENT"]
-        label_set = LabelSet(inferred)
-
-    if max_sentence_len < 1:
-        raise FormatError(f"max_sentence_len must be >= 1, got {max_sentence_len}")
-
-    sentences: list[Sentence] = []
-    for rows in raw_sentences:
-        for start in range(0, len(rows), max_sentence_len):
-            chunk = rows[start : start + max_sentence_len]
-            tokens = tuple(
-                Token(
-                    surface=surface,
-                    distant_label=label_set.id_of(distant),
-                    gold_label=None if gold is None else label_set.id_of(gold),
-                )
-                for surface, distant, gold in chunk
-            )
-            sentences.append(Sentence(tokens))
+        # All-O corpora still need a k >= 1 label space.
+        label_set = LabelSet(list(inferred)[1:] or ["ENT"])
     return Corpus(sentences, label_set)
 
 
@@ -394,19 +385,3 @@ def build_vocab(corpus: Corpus, min_count: int = 1) -> Vocab:
     )
     return Vocab(kept)
 
-
-def encode_windows(corpus: Corpus, vocab: Vocab, window: int) -> np.ndarray:
-    """[n_tokens, 2 * window + 1] vocabulary ids of every token's context
-    window, in flat token order; positions beyond a sentence's edges hold
-    ``Vocab.PAD``. Each sentence goes through ``encode_sentence`` once."""
-    ids = np.concatenate([vocab.encode_sentence(s) for s in corpus.sentences])
-    lengths = np.diff(corpus.offsets)
-    # Lay the sentences out with `window` padding slots before, between and
-    # after them, so that no window reaches into a neighbouring sentence.
-    start = np.arange(len(ids)) + np.repeat(np.arange(len(lengths)) * window, lengths)
-    padded = np.full(len(ids) + (len(lengths) + 1) * window, Vocab.PAD, dtype=np.int64)
-    padded[start + window] = ids
-    out = np.empty((len(ids), 2 * window + 1), dtype=np.int64)
-    for j in range(2 * window + 1):
-        out[:, j] = padded[start + j]
-    return out

@@ -7,9 +7,9 @@ floor(tau^j * T_p) easiest positives and the final curriculum absorbs the
 remainder. Stage i of training runs a fixed number of epochs over the
 tokens of curricula 1..i, so the easiest material is revisited most often.
 
-Every trainer takes an optional ``rows``: the corpus's window rows
-(``encode_windows`` under the model's vocabulary and window), so that a
-pipeline encodes each corpus once.
+Trainers read the corpus through ``TokenClassifier.encode_corpus``, which
+the corpus builds once per vocabulary and window, so a pipeline whose
+models share the vocabulary encodes each corpus once.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .corpus import Corpus, TokenRef, Vocab, build_vocab
+from .corpus import Corpus, Vocab, build_vocab
 from .errors import NumericError
 from .model import AdamState, BatchRisk, ModelConfig, TokenClassifier, train_epoch
 from .risk import ConfMpuConfig, LossKind, Priors, conf_mpu_risk, kl_soft_rows, loss_rows
@@ -51,21 +51,20 @@ class CurriculumPlan:
             out[idx] = j
         return out
 
-    def refs(self, corpus: Corpus, j: int) -> list[TokenRef]:
-        """TokenRefs of curriculum j (1-based)."""
-        return [corpus.ref_of(int(i)) for i in self.curricula[j - 1]]
-
     def to_json(self, corpus: Corpus) -> str:
+        """The plan with every token as its [sentence, token-in-sentence] pair."""
+        offsets = corpus.offsets
+        curricula = []
+        for idx in self.curricula:
+            sentence = np.searchsorted(offsets, idx, side="right") - 1
+            curricula.append(np.stack([sentence, idx - offsets[sentence]], axis=1).tolist())
         payload = {
             "tau": self.tau,
             "eta": self.eta,
             "t_u": self.t_u,
             "t_p": self.t_p,
             "positive_counts": list(self.positive_counts),
-            "curricula": [
-                [[ref.sentence_idx, ref.token_idx] for ref in self.refs(corpus, j)]
-                for j in range(1, self.eta + 1)
-            ],
+            "curricula": curricula,
         }
         return json.dumps(payload, sort_keys=True)
 
@@ -199,7 +198,6 @@ def _run_stages(
     batch_risk: BatchRisk,
     log: list[dict] | None,
     stage_callback: Callable[[int, TokenClassifier], None] | None,
-    rows: np.ndarray | None = None,
 ) -> TokenClassifier:
     """Shared stage loop: stage i trains on curricula 1..i.
 
@@ -214,7 +212,6 @@ def _run_stages(
 
     labels = corpus.distant_array()
     cur_of = plan.curriculum_of_tokens(len(labels))
-    rows = model.corpus_rows(corpus, rows)
 
     epoch_counter = 0
     for stage in range(1, plan.eta + 1):
@@ -224,7 +221,7 @@ def _run_stages(
             epoch_counter += 1
             order = shuffle_rng.permutation(len(corpus.sentences))
             batch_values, clamped_total = train_epoch(
-                model, adam, corpus, rows, order, schedule.batch_size, batch_risk,
+                model, adam, corpus, order, schedule.batch_size, batch_risk,
                 f"stage {stage}, epoch {epoch_counter}", lambda p: p[active_mask[p]],
             )
             if log is not None:
@@ -254,7 +251,6 @@ def train_baby_step(
     model_config: ModelConfig | None = None,
     log: list[dict] | None = None,
     stage_callback: Callable[[int, TokenClassifier], None] | None = None,
-    rows: np.ndarray | None = None,
 ) -> TokenClassifier:
     """Train a fresh classifier through the curriculum with the
     confidence-based PU risk; returns the final-stage model."""
@@ -270,7 +266,7 @@ def train_baby_step(
         return breakdown.total, dprobs, breakdown.clamped_count
 
     return _run_stages(
-        corpus, plan, schedule, seed, vocab, model_config, batch_risk, log, stage_callback, rows
+        corpus, plan, schedule, seed, vocab, model_config, batch_risk, log, stage_callback
     )
 
 
@@ -286,7 +282,6 @@ def train_no_curriculum(
     model_config: ModelConfig | None = None,
     log: list[dict] | None = None,
     stage_callback: Callable[[int, TokenClassifier], None] | None = None,
-    rows: np.ndarray | None = None,
 ) -> TokenClassifier:
     """PU training on everything at once (the curriculum ablation).
 
@@ -307,7 +302,6 @@ def train_no_curriculum(
         model_config=model_config,
         log=log,
         stage_callback=stage_callback,
-        rows=rows,
     )
 
 
@@ -321,7 +315,6 @@ def train_no_confmpu(
     model_config: ModelConfig | None = None,
     log: list[dict] | None = None,
     stage_callback: Callable[[int, TokenClassifier], None] | None = None,
-    rows: np.ndarray | None = None,
 ) -> TokenClassifier:
     """Baby-step training with the plain mean loss (the PU ablation):
     unlabeled tokens are treated as class 0."""
@@ -329,7 +322,7 @@ def train_no_confmpu(
         lambda probs, labels: loss_rows(probs, labels, schedule.loss), corpus.distant_array()
     )
     return _run_stages(
-        corpus, plan, schedule, seed, vocab, model_config, batch_risk, log, stage_callback, rows
+        corpus, plan, schedule, seed, vocab, model_config, batch_risk, log, stage_callback
     )
 
 
@@ -344,7 +337,6 @@ def train_soft_label(
     model_config: ModelConfig | None = None,
     log: list[dict] | None = None,
     stage_callback: Callable[[int, TokenClassifier], None] | None = None,
-    rows: np.ndarray | None = None,
 ) -> TokenClassifier:
     """Baby-step training against per-token soft targets with KL loss
     (curriculum over ensembled labels instead of distant labels)."""
@@ -352,7 +344,7 @@ def train_soft_label(
         raise ValueError("soft targets do not cover the corpus")
     return _run_stages(
         corpus, plan, schedule, seed, vocab, model_config,
-        _mean_risk(kl_soft_rows, targets), log, stage_callback, rows,
+        _mean_risk(kl_soft_rows, targets), log, stage_callback,
     )
 
 
@@ -373,7 +365,6 @@ def self_train(
     seed: int,
     *,
     log: list[dict] | None = None,
-    rows: np.ndarray | None = None,
 ) -> TokenClassifier:
     """Teacher/student rounds over the model's own sharpened soft labels.
 
@@ -382,10 +373,9 @@ def self_train(
     teacher, fresh optimizer) with KL loss over all tokens.
     """
     student = model
-    all_rows = model.corpus_rows(corpus, rows)
     for round_idx in range(cfg.rounds):
         teacher = student
-        targets = sharpen(teacher.corpus_probs(corpus, all_rows), cfg.sharpen)
+        targets = sharpen(teacher.corpus_probs(corpus), cfg.sharpen)
         if not np.all(np.isfinite(targets)):
             raise NumericError(f"non-finite self-training targets in round {round_idx + 1}")
         student = teacher.copy()
@@ -395,7 +385,7 @@ def self_train(
         for epoch in range(cfg.epochs):
             order = shuffle_rng.permutation(len(corpus.sentences))
             batch_values, _ = train_epoch(
-                student, adam, corpus, all_rows, order, cfg.batch_size, batch_risk,
+                student, adam, corpus, order, cfg.batch_size, batch_risk,
                 f"self-training round {round_idx + 1}",
             )
             if log is not None:

@@ -155,15 +155,9 @@ def evaluate_labels(
     return evaluate_spans(pred_spans, gold_spans, corpus.label_set, require_type_match)
 
 
-def evaluate(
-    model: TokenClassifier,
-    corpus: Corpus,
-    require_type_match: bool = True,
-    rows: np.ndarray | None = None,
-) -> EvalReport:
-    """Predict with the model (on the corpus's window ``rows``, if given)
-    and score against gold labels."""
-    return evaluate_labels(predict(model, corpus, rows), corpus, require_type_match)
+def evaluate(model: TokenClassifier, corpus: Corpus, require_type_match: bool = True) -> EvalReport:
+    """Predict with the model and score against gold labels."""
+    return evaluate_labels(predict(model, corpus), corpus, require_type_match)
 
 
 # --- curriculum noise analysis ---------------------------------------------

@@ -18,7 +18,9 @@ forward pass. A voter draws its negative sample there and computes only
 the rows the sample keeps. Its step is the full-batch step with
 zero-gradient rows for the dropped tokens up to round-off, not bytewise:
 the matmuls sum over fewer rows, and a one-row batch goes through gemv.
-Every pass that scores a corpus (``TokenClassifier.corpus_probs``,
+Every model reads a corpus through one encoded form, ``Corpus.windows``
+(via ``TokenClassifier.encode_corpus``), and takes its batches as slices
+of it. Every pass that scores a corpus (``TokenClassifier.corpus_probs``,
 ``predict``) runs one sentence at a time and is not batched across
 sentences: one larger matmul may sum in another order and change bytes.
 """
@@ -35,7 +37,7 @@ from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Vocab, encode_windows
+from .corpus import Corpus, Vocab
 from .errors import CompatibilityError, FormatError, NumericError
 
 _CHECKPOINT_MAGIC = b"PUCLCKPT1\n"
@@ -133,18 +135,6 @@ class TokenClassifier:
 
     # -- forward / backward --------------------------------------------------
 
-    def window_rows(self, token_ids: np.ndarray) -> np.ndarray:
-        """[M, 2w+1] window index matrix for one sentence; positions beyond
-        the sentence edges use the padding index."""
-        w = self.config.window
-        m = len(token_ids)
-        padded = np.full(m + 2 * w, Vocab.PAD, dtype=np.int64)
-        padded[w : w + m] = token_ids
-        out = np.empty((m, 2 * w + 1), dtype=np.int64)
-        for j in range(2 * w + 1):
-            out[:, j] = padded[j : j + m]
-        return out
-
     def forward_rows(self, rows: np.ndarray) -> tuple[np.ndarray, tuple]:
         """Probabilities [N, n_classes] for window-index rows [N, 2w+1],
         plus the cache backward_rows needs."""
@@ -153,15 +143,6 @@ class TokenClassifier:
         hidden = np.tanh(flat @ self.w1 + self.b1)
         probs = softmax(hidden @ self.w2 + self.b2)
         return probs, (rows, flat, hidden, probs)
-
-    def forward(self, token_ids: Sequence[int] | np.ndarray, token_idx: int) -> np.ndarray:
-        """Class distribution for one token of one sentence."""
-        ids = np.asarray(token_ids, dtype=np.int64)
-        if not 0 <= token_idx < len(ids):
-            raise IndexError(f"token_idx {token_idx} out of bounds for sentence of {len(ids)}")
-        rows = self.window_rows(ids)[token_idx : token_idx + 1]
-        probs, _ = self.forward_rows(rows)
-        return probs[0]
 
     def backward_rows(self, cache: tuple, dprobs: np.ndarray) -> Gradients:
         """Exact gradients of sum_tokens <dprobs_t, probs_t> chained through
@@ -189,30 +170,17 @@ class TokenClassifier:
 
     # -- corpus helpers ------------------------------------------------------
 
-    def encode_corpus(self, corpus: Corpus) -> list[np.ndarray]:
-        return [self.vocab.encode_sentence(s) for s in corpus.sentences]
+    def encode_corpus(self, corpus: Corpus) -> np.ndarray:
+        """The corpus's window rows under this model's vocabulary and window
+        (``Corpus.windows``): built once, shared by every model that has
+        the same vocabulary and window."""
+        return corpus.windows(self.vocab, self.config.window)
 
-    def corpus_rows(self, corpus: Corpus, rows: np.ndarray | None = None) -> np.ndarray:
-        """Window rows of every token of the corpus, in flat token order.
-
-        ``rows`` is the caller's ``encode_windows`` of the corpus, passed
-        down so that a corpus is encoded once per run; it is checked
-        against this model's window. Without it the corpus is encoded here.
-        """
-        if rows is None:
-            return encode_windows(corpus, self.vocab, self.config.window)
-        if rows.shape != (corpus.n_tokens, 2 * self.config.window + 1):
-            raise ValueError(
-                f"window rows of shape {rows.shape} do not fit a corpus of "
-                f"{corpus.n_tokens} tokens and window {self.config.window}"
-            )
-        return rows
-
-    def corpus_probs(self, corpus: Corpus, rows: np.ndarray | None = None) -> np.ndarray:
+    def corpus_probs(self, corpus: Corpus) -> np.ndarray:
         """[n_tokens, n_classes] class distributions of every token of the
         corpus, in flat token order. Each sentence is one forward pass, so
         every row has the bytes of a per-sentence forward."""
-        rows = self.corpus_rows(corpus, rows)
+        rows = self.encode_corpus(corpus)
         offsets = corpus.offsets
         out = np.empty((corpus.n_tokens, self.config.n_classes))
         for i in range(len(corpus)):
@@ -300,7 +268,6 @@ def train_epoch(
     model: TokenClassifier,
     adam: AdamState,
     corpus: Corpus,
-    rows: np.ndarray,
     order: np.ndarray,
     batch_size: int,
     batch_risk: BatchRisk,
@@ -319,6 +286,7 @@ def train_epoch(
     Returns the risks of the batches stepped on and their total clamped
     count.
     """
+    rows = model.encode_corpus(corpus)
     values: list[float] = []
     clamped_total = 0
     for start in range(0, len(order), batch_size):
@@ -337,26 +305,18 @@ def train_epoch(
     return values, clamped_total
 
 
-def predict(
-    model: TokenClassifier, corpus: Corpus, rows: np.ndarray | None = None
-) -> list[np.ndarray]:
+def predict(model: TokenClassifier, corpus: Corpus) -> list[np.ndarray]:
     """Argmax label per token, per sentence; ties go to the smallest class
-    id (np.argmax picks the first maximum). ``rows`` are the corpus's window
-    rows if the caller has them (see ``TokenClassifier.corpus_rows``)."""
+    id (np.argmax picks the first maximum)."""
     if corpus.label_set.names != model.label_names:
         raise CompatibilityError(
             f"label sets differ: model {list(model.label_names)} "
             f"vs corpus {list(corpus.label_set.names)}"
         )
-    if rows is None:
-        # One pass needs no whole-corpus rows: encode sentence by sentence.
-        sentence_rows = (model.window_rows(ids) for ids in model.encode_corpus(corpus))
-    else:
-        rows = model.corpus_rows(corpus, rows)
-        offsets = corpus.offsets
-        sentence_rows = (rows[offsets[i] : offsets[i + 1]] for i in range(len(corpus)))
+    rows, offsets = model.encode_corpus(corpus), corpus.offsets
     return [
-        np.argmax(model.forward_rows(r)[0], axis=1).astype(np.int64) for r in sentence_rows
+        np.argmax(model.forward_rows(rows[offsets[i] : offsets[i + 1]])[0], axis=1).astype(np.int64)
+        for i in range(len(corpus))
     ]
 
 
@@ -364,7 +324,8 @@ def predict(
 #
 # magic "PUCLCKPT1\n", then an 8-byte little-endian header length, then a
 # UTF-8 JSON header {config, labels, vocab, arrays: [[name, shape], ...]},
-# then each array's raw bytes as little-endian float64 in header order.
+# then each array's raw bytes as little-endian float64 in header order; the
+# file ends there.
 
 
 def save_checkpoint(model: TokenClassifier, stream: BinaryIO) -> None:
@@ -406,9 +367,9 @@ def _read_exact(stream: BinaryIO, size: int, what: str) -> bytearray:
 
 
 def load_checkpoint(stream: BinaryIO) -> TokenClassifier:
-    """Read a checkpoint written by ``save_checkpoint``; anything else, a
-    truncated file included, raises FormatError. An array's bytes are read
-    before anything is allocated for it."""
+    """Read a checkpoint written by ``save_checkpoint``; anything else (a
+    truncated file, bytes after the last array) raises FormatError. An
+    array's bytes are read before anything is allocated for it."""
     magic = stream.read(len(_CHECKPOINT_MAGIC))
     if magic != _CHECKPOINT_MAGIC:
         raise FormatError("not a model checkpoint (bad magic)")
@@ -446,6 +407,8 @@ def load_checkpoint(stream: BinaryIO) -> TokenClassifier:
         .reshape(shape)
         for name, shape in expected
     }
+    if stream.read(1):
+        raise FormatError("checkpoint has bytes after its last array")
     try:
         return TokenClassifier(config, Vocab(words), labels, params)
     except ValueError as exc:

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .config import PipelineConfig
-from .corpus import Corpus, Vocab, build_vocab, encode_windows, read_corpus
+from .corpus import Corpus, Vocab, build_vocab, read_corpus
 from .curriculum import (
     CurriculumPlan,
     build_plan,
@@ -104,8 +104,6 @@ class PipelineResult:
     valid: Corpus | None
     vocab: Vocab
     model_config: ModelConfig
-    train_rows: np.ndarray
-    valid_rows: np.ndarray | None
     ensemble: VoterEnsemble | None = None
     difficulty: DifficultyTable | None = None
     plan: CurriculumPlan | None = None
@@ -131,15 +129,25 @@ class PipelineResult:
 # --- stages ---------------------------------------------------------------------
 
 
+def _source_sha256() -> str:
+    """SHA-256 over the name, size and bytes of every source file of the package."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        source = path.read_bytes()
+        h.update(f"{path.name}\0{len(source)}\0".encode("utf-8") + source)
+    return h.hexdigest()
+
+
 def _voter_fingerprint(run: PipelineResult) -> str:
-    """SHA-256 of everything the voters' bytes depend on."""
+    """SHA-256 of everything the voters' bytes depend on: the seed, the
+    config, the training file and the package's source code."""
     cfg = run.cfg
     payload = {
         "seed": cfg.seed,
         "model": asdict(cfg.model),
         "voters": asdict(cfg.voters),
         "train_sha256": run.manifest["inputs"]["train"]["sha256"],
-        "version": __version__,
+        "source_sha256": _source_sha256(),
     }
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
 
@@ -167,8 +175,7 @@ def _voters(run: PipelineResult) -> None:
         return
     stamp.unlink(missing_ok=True)
     run.ensemble = train_voters(
-        run.train, run.model_config, cfg.voters, derive_seed(cfg.seed, "voters"),
-        vocab=run.vocab, rows=run.train_rows,
+        run.train, run.model_config, cfg.voters, derive_seed(cfg.seed, "voters"), vocab=run.vocab
     )
     for path, voter in zip(paths, run.ensemble.voters):
         with atomic_open(path, "wb") as f:
@@ -177,7 +184,7 @@ def _voters(run: PipelineResult) -> None:
 
 
 def _difficulty(run: PipelineResult) -> None:
-    run.difficulty = difficulty_scores(run.ensemble, run.train, run.train_rows)
+    run.difficulty = difficulty_scores(run.ensemble, run.train)
     with run.write("difficulty_tsv", "difficulty.tsv") as f:
         dump_scores_tsv(run.train, run.difficulty.confidence, run.difficulty, f)
 
@@ -214,10 +221,11 @@ def _train(run: PipelineResult) -> None:
     cfg = run.cfg
     log: list[dict] = []
     stage_metrics: list[dict] = []
+    score_valid = run.valid is not None and run.valid.has_gold()
 
     def stage_callback(stage: int, m: TokenClassifier) -> None:
-        if run.valid_rows is not None:
-            report = evaluate(m, run.valid, cfg.require_type_match, run.valid_rows)
+        if score_valid:
+            report = evaluate(m, run.valid, cfg.require_type_match)
             stage_metrics.append(
                 {"stage": stage, "strict_f1": report.strict.f1, "relaxed_f1": report.relaxed.f1}
             )
@@ -226,7 +234,6 @@ def _train(run: PipelineResult) -> None:
         run.model = _TRAINERS[cfg.mode](
             run, schedule=cfg.schedule(), seed=derive_seed(cfg.seed, "train"), vocab=run.vocab,
             model_config=run.model_config, log=log, stage_callback=stage_callback,
-            rows=run.train_rows,
         )
     run.write_jsonl("risk_log", "risk_log.jsonl", log)
     if stage_metrics:
@@ -241,10 +248,8 @@ def _self_train(run: PipelineResult) -> None:
     if run.cfg.mode != "full-st":
         return
     log: list[dict] = []
-    run.model = self_train(
-        run.model, run.train, run.cfg.self_train, derive_seed(run.cfg.seed, "selftrain"),
-        log=log, rows=run.train_rows,
-    )
+    seed = derive_seed(run.cfg.seed, "selftrain")
+    run.model = self_train(run.model, run.train, run.cfg.self_train, seed, log=log)
     run.write_jsonl("selftrain_log", "selftrain_log.jsonl", log)
     with run.write("model", "model.bin", "wb") as f:
         save_checkpoint(run.model, f)
@@ -349,7 +354,7 @@ def run_pipeline(cfg: PipelineConfig, until: str | None = None) -> PipelineResul
 
 
 def _read_inputs(cfg: PipelineConfig, until: str | None, out_dir: Path, manifest: dict) -> PipelineResult:
-    """Check, hash, read and encode the configured inputs."""
+    """Check, hash and read the configured inputs."""
     same_split = cfg.test and cfg.valid and Path(cfg.test).resolve() == Path(cfg.valid).resolve()
     if same_split and not cfg.allow_same_split:
         raise CompatibilityError(
@@ -391,12 +396,4 @@ def _read_inputs(cfg: PipelineConfig, until: str | None, out_dir: Path, manifest
         hidden_dim=cfg.model.hidden_dim,
         init_scale=cfg.model.init_scale,
     )
-    # Every model shares the vocabulary and window, so each corpus is
-    # encoded once and its rows are passed down.
-    valid_rows = None
-    if valid is not None and valid.has_gold():
-        valid_rows = encode_windows(valid, vocab, model_config.window)
-    train_rows = encode_windows(train, vocab, model_config.window)
-    return PipelineResult(
-        cfg, until, out_dir, manifest, train, test, valid, vocab, model_config, train_rows, valid_rows
-    )
+    return PipelineResult(cfg, until, out_dir, manifest, train, test, valid, vocab, model_config)

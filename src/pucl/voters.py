@@ -17,7 +17,7 @@ from typing import IO
 
 import numpy as np
 
-from .corpus import Corpus, Vocab, build_vocab, encode_windows
+from .corpus import Corpus, Vocab, build_vocab
 from .model import AdamState, ModelConfig, TokenClassifier, train_epoch
 from .risk import PROB_FLOOR, LossKind, pn_risk, sample_negatives
 from .seeding import derive_seed, make_rng
@@ -76,7 +76,6 @@ def _train_one_voter(
     vocab: Vocab,
     seed: int,
     voter_idx: int,
-    rows: np.ndarray,
 ) -> TokenClassifier:
     init_seed = derive_seed(seed, "voter-init", voter_idx)
     model = TokenClassifier(
@@ -86,7 +85,6 @@ def _train_one_voter(
     sample_rng = make_rng(seed, "voter-sample", voter_idx)
     # Shared stream: every voter sees the same batch order per epoch.
     shuffle_rng = make_rng(seed, "voter-shuffle")
-    rows = model.corpus_rows(corpus, rows)
     labels = corpus.distant_array()
 
     def sample(positions: np.ndarray) -> np.ndarray:
@@ -98,8 +96,7 @@ def _train_one_voter(
     for _ in range(cfg.epochs):
         order = shuffle_rng.permutation(len(corpus.sentences))
         train_epoch(
-            model, adam, corpus, rows, order, cfg.batch_size, batch_risk, f"voter {voter_idx}",
-            sample,
+            model, adam, corpus, order, cfg.batch_size, batch_risk, f"voter {voter_idx}", sample
         )
     return model
 
@@ -110,25 +107,20 @@ def train_voters(
     voter_config: VoterConfig,
     seed: int,
     vocab: Vocab | None = None,
-    threads: int = 1,
-    rows: np.ndarray | None = None,
 ) -> VoterEnsemble:
     """Train V independent voters on the distant labels.
 
     Voter v derives its initialization and sampling seeds from (seed, v), so
-    adding voters never perturbs existing ones. ``threads`` is accepted and
-    changes nothing. ``rows`` are the corpus's ``encode_windows`` under
-    ``vocab``, if the caller has them.
+    adding voters never perturbs existing ones. The voters share the
+    vocabulary and so one encoding of the corpus.
     """
     if not np.any(corpus.distant_array() > 0):
         raise ValueError("corpus has no positive distant labels; voters cannot train")
     if vocab is None:
         vocab = build_vocab(corpus)
-    if rows is None:
-        rows = encode_windows(corpus, vocab, model_config.window)
     return VoterEnsemble(
         [
-            _train_one_voter(corpus, model_config, voter_config, vocab, seed, v, rows)
+            _train_one_voter(corpus, model_config, voter_config, vocab, seed, v)
             for v in range(voter_config.count)
         ]
     )
@@ -146,14 +138,11 @@ def pairwise_disagreement(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * float((p * logratio).sum() + (q * -logratio).sum())
 
 
-def voter_distributions(
-    ensemble: VoterEnsemble, corpus: Corpus, rows: np.ndarray | None = None
-) -> np.ndarray:
+def voter_distributions(ensemble: VoterEnsemble, corpus: Corpus) -> np.ndarray:
     """[V, n_tokens, n_classes] stack of the voters' ``corpus_probs``."""
-    rows = ensemble.voters[0].corpus_rows(corpus, rows)
     out = np.empty((ensemble.size, corpus.n_tokens, corpus.label_set.n_classes))
     for v, voter in enumerate(ensemble.voters):
-        out[v] = voter.corpus_probs(corpus, rows)
+        out[v] = voter.corpus_probs(corpus)
     return out
 
 
@@ -184,16 +173,12 @@ class DifficultyTable:
         self.confidence = confidence
 
 
-def confidence_table(
-    ensemble: VoterEnsemble, corpus: Corpus, rows: np.ndarray | None = None
-) -> ConfidenceTable:
-    dists = voter_distributions(ensemble, corpus, rows).mean(axis=0)
+def confidence_table(ensemble: VoterEnsemble, corpus: Corpus) -> ConfidenceTable:
+    dists = voter_distributions(ensemble, corpus).mean(axis=0)
     return ConfidenceTable(corpus, dists)
 
 
-def difficulty_scores(
-    ensemble: VoterEnsemble, corpus: Corpus, rows: np.ndarray | None = None
-) -> DifficultyTable:
+def difficulty_scores(ensemble: VoterEnsemble, corpus: Corpus) -> DifficultyTable:
     """Mean symmetric KL disagreement over all unordered voter pairs, per
     token.
 
@@ -204,7 +189,7 @@ def difficulty_scores(
     """
     if ensemble.size < 2:
         raise ValueError("difficulty scores need at least two voters")
-    dists = voter_distributions(ensemble, corpus, rows)
+    dists = voter_distributions(ensemble, corpus)
     confidence = ConfidenceTable(corpus, dists.mean(axis=0))
     floored = np.maximum(dists, PROB_FLOOR, out=dists)
     logs = np.log(floored)

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+from pucl.corpus import Vocab
 from pucl.risk import Priors
 
 
@@ -134,6 +135,28 @@ def oracle_metrics(pred, gold, require_type=True):
         return precision, recall, f1
 
     return prf(strict_tp, strict_tp), prf(relaxed_tp_p, relaxed_tp_r)
+
+
+# --- context windows: one token at a time -------------------------------------------
+
+
+def loop_window_rows(ids, window):
+    """The per-sentence window matrix, one token at a time."""
+    return np.array(
+        [
+            [ids[t + j] if 0 <= t + j < len(ids) else Vocab.PAD for j in range(-window, window + 1)]
+            for t in range(len(ids))
+        ],
+        dtype=np.int64,
+    ).reshape(len(ids), 2 * window + 1)
+
+
+def loop_sentence_rows(model, corpus):
+    """The model's window matrix of every sentence of the corpus, in order."""
+    return [
+        loop_window_rows(model.vocab.encode_sentence(s), model.config.window)
+        for s in corpus.sentences
+    ]
 
 
 # --- finite differences over model parameters -----------------------------------

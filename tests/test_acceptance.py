@@ -14,6 +14,7 @@ import pytest
 from oracles import (
     count_candidates,
     fd_param_gradients,
+    loop_window_rows,
     max_gradient_error,
     naive_conf_mpu,
     oracle_annotate,
@@ -150,7 +151,7 @@ def test_criterion_03_gradient_integrity():
         )
         model = TokenClassifier(cfg, vocab, ["T1", "T2"])
         ids = rng.integers(0, vocab.size, size=6)
-        rows = model.window_rows(ids)
+        rows = loop_window_rows(ids, model.config.window)
         targets = rng.integers(0, 3, size=6)
         soft = rng.random((6, 3)) + 0.1
         soft /= soft.sum(axis=1, keepdims=True)

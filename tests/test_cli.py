@@ -1,5 +1,6 @@
 import argparse
 import json
+import shutil
 import struct
 import subprocess
 import sys
@@ -316,6 +317,7 @@ MALFORMED_CHECKPOINTS = {
     "array-name-unknown": lambda raw: _edited_header(raw, _rename_array),
     "array-shape-mismatch": lambda raw: _edited_header(raw, _transpose_embedding),
     "arrays-truncated": lambda raw: raw[:-8],
+    "trailing-bytes": lambda raw: raw + b"garbage" * 100,
 }
 
 
@@ -543,6 +545,29 @@ class TestStageReuse:
         monkeypatch.undo()
         assert main(["pipeline", "--config", cfg_path]) == 0  # reuses nothing
         assert json.loads((out / "manifest.json").read_text())["voters_reused"] is False
+
+    def test_voters_retrained_after_a_source_change(self, synth_dir, tmp_path):
+        out = tmp_path / "run"
+        cfg_path = write_config(small_config(synth_dir, out), tmp_path / "cfg.json")
+        assert main(["train-voters", "--config", cfg_path]) == 0
+        package = tmp_path / "src" / "pucl"
+        shutil.copytree(
+            Path(pucl.pipeline.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__")
+        )
+
+        def train_reuses_voters() -> bool:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pucl", "train", "--config", cfg_path],
+                capture_output=True,
+                env={"PYTHONPATH": str(package.parent), "PATH": "/usr/bin:/bin"},
+            )
+            assert proc.returncode == 0, proc.stderr.decode()
+            return json.loads((out / "manifest.json").read_text())["voters_reused"]
+
+        assert train_reuses_voters() is True  # an identical copy of the code
+        voters_py = package / "voters.py"
+        voters_py.write_text(voters_py.read_text(encoding="utf-8") + "# a comment\n", encoding="utf-8")
+        assert train_reuses_voters() is False
 
     def test_stale_voters_are_retrained(self, synth_dir, tmp_path):
         out = tmp_path / "staged"

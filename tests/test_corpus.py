@@ -13,12 +13,13 @@ from pucl.corpus import (
     Token,
     Vocab,
     build_vocab,
-    encode_windows,
     extract_spans,
     read_conll,
     write_conll,
 )
-from pucl.errors import FormatError
+from pucl.errors import FormatError, UnknownLabelError
+
+from oracles import loop_window_rows
 
 
 def parse(text: str, **kwargs) -> Corpus:
@@ -72,6 +73,13 @@ class TestReadConll:
     def test_unknown_label_with_label_set(self):
         with pytest.raises(FormatError, match="LOC"):
             parse("a\tLOC\n", label_set=LabelSet(["PER"]))
+
+    def test_unknown_label_reported_at_its_line(self):
+        # the reader stops at the first bad line: an unknown label on line 2
+        # wins over a malformed line 4
+        text = "a\tO\nb\tLOC\n\nc\tO\tO\tO\n"
+        with pytest.raises(UnknownLabelError, match="line 2: .*LOC"):
+            parse(text, label_set=LabelSet(["PER"]))
 
     def test_empty_input(self):
         with pytest.raises(FormatError):
@@ -236,8 +244,8 @@ class TestCorpusStructure:
     def test_flat_indexing(self):
         corpus = parse("a\tO\nb\tO\n\nc\tO\n\n", label_set=LabelSet(["X"]))
         assert corpus.n_tokens == 3
-        ref = corpus.ref_of(2)
-        assert (ref.sentence_idx, ref.token_idx) == (1, 0)
+        assert corpus.offsets.tolist() == [0, 2, 3]
+        assert corpus.token_positions(np.array([1, 0])).tolist() == [2, 0, 1]
 
     def test_label_out_of_range(self):
         with pytest.raises(FormatError):
@@ -251,17 +259,6 @@ class TestCorpusStructure:
         assert not labels.flags.writeable
         with pytest.raises(ValueError):
             labels[0] = 0
-
-
-def loop_window_rows(ids, window):
-    """The per-sentence window matrix, one token at a time."""
-    return np.array(
-        [
-            [ids[t + j] if 0 <= t + j < len(ids) else Vocab.PAD for j in range(-window, window + 1)]
-            for t in range(len(ids))
-        ],
-        dtype=np.int64,
-    ).reshape(len(ids), 2 * window + 1)
 
 
 class TestEncodedCorpus:
@@ -281,7 +278,42 @@ class TestEncodedCorpus:
         expected = np.concatenate(
             [loop_window_rows(vocab.encode_sentence(s), window) for s in sentences]
         )
-        assert np.array_equal(encode_windows(corpus, vocab, window), expected)
+        assert np.array_equal(corpus.windows(vocab, window), expected)
+
+    def test_windows_are_read_only(self):
+        corpus = parse("a\tX\nb\tO\n\nc\tX\n\n")
+        rows = corpus.windows(build_vocab(corpus), 1)
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 5
+
+    def test_windows_built_once_per_vocab_and_window(self, monkeypatch):
+        corpus = parse("a\tX\nb\tO\n\nc\tX\n\n")
+        encoded = []
+        encode = Vocab.encode_sentence
+        monkeypatch.setattr(
+            Vocab, "encode_sentence", lambda v, s: encoded.append(s) or encode(v, s)
+        )
+        vocab = build_vocab(corpus)
+        rows = corpus.windows(vocab, 2)
+        # an equal vocabulary, as a voter loaded from disk carries, hits too
+        assert corpus.windows(vocab, 2) is rows
+        assert corpus.windows(Vocab(vocab.words()), 2) is rows
+        assert len(encoded) == len(corpus)
+
+    def test_windows_rebuilt_for_another_vocab_or_window(self):
+        corpus = parse("a\tX\nb\tO\n\nc\tX\n\n")
+        vocab = build_vocab(corpus)
+        rows = corpus.windows(vocab, 1)
+        wider = corpus.windows(vocab, 2)
+        assert wider.shape == (3, 5)
+        assert np.array_equal(wider[:, 1:4], rows)
+        other = Vocab(["c", "a"])
+        assert np.array_equal(
+            corpus.windows(other, 1),
+            np.concatenate([loop_window_rows(other.encode_sentence(s), 1) for s in corpus.sentences]),
+        )
+        assert np.array_equal(corpus.windows(vocab, 1), rows)
 
     @settings(max_examples=60, deadline=None)
     @given(lengths=st.lists(st.integers(1, 5), min_size=1, max_size=8), data=st.data())

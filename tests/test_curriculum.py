@@ -27,6 +27,8 @@ from pucl.voters import ConfidenceTable, DifficultyTable, VoterConfig, confidenc
 from pucl.distant import SyntheticSpec, generate_synthetic, inject_noise
 from pucl.evaluation import evaluate
 
+from oracles import loop_sentence_rows
+
 
 def corpus_with_counts(t_p, t_u, k=1):
     """One long sentence with t_p positive and t_u unlabeled tokens."""
@@ -124,9 +126,9 @@ class TestBuildPlan:
         payload = json.loads(plan.to_json(corpus))
         assert (payload["tau"], payload["eta"]) == (plan.tau, plan.eta)
         assert len(payload["curricula"]) == len(plan.curricula)
+        where = [[s, t] for s, sent in enumerate(corpus.sentences) for t in range(len(sent))]
         for pairs, flat in zip(payload["curricula"], plan.curricula):
-            refs = [corpus.ref_of(int(i)) for i in flat]
-            assert pairs == [[r.sentence_idx, r.token_idx] for r in refs]
+            assert pairs == [where[i] for i in flat]
 
 
 # --- staged training --------------------------------------------------------
@@ -243,9 +245,7 @@ class TestReductionIdentity:
             vocab=vocab, model_config=mc, log=log,
         )
         model = _fresh_classifier(corpus, vocab, mc, 31)
-        rows = np.concatenate(
-            [model.window_rows(ids) for ids in model.encode_corpus(corpus)], axis=0
-        )
+        rows = np.concatenate(loop_sentence_rows(model, corpus), axis=0)
         # single whole-corpus batch: token order within it is corpus order
         probs, _ = model.forward_rows(rows)
         breakdown, _ = conf_mpu_risk(
@@ -383,7 +383,7 @@ class TestSharedTrainingLoop:
             before = adam.step
             out = real_epoch(model, adam, *args, **kwargs)
             loop_steps.append(adam.step - before)
-            selects.append(kwargs.get("select", args[6] if len(args) > 6 else None))
+            selects.append(kwargs.get("select", args[5] if len(args) > 5 else None))
             return out
 
         def counted_step(*args):

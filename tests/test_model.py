@@ -37,11 +37,19 @@ def small_model(seed=0, vocab_words=8, embed=4, window=1, hidden=5, classes=3):
 
 from oracles import (
     fd_param_gradients,
+    loop_sentence_rows,
+    loop_window_rows,
     max_gradient_error,
     oracle_adam_step,
     oracle_embedding_gradient,
     oracle_lazy_adam_step,
 )
+
+
+def token_probs(model, ids, t):
+    """Class distribution of token ``t`` of the sentence ``ids``."""
+    rows = loop_window_rows(np.asarray(ids), model.config.window)
+    return model.forward_rows(rows[t : t + 1])[0][0]
 
 
 def assert_close_grads(analytic, numeric, rtol=1e-5, atol=1e-8):
@@ -55,7 +63,7 @@ class TestForward:
     def test_distribution_properties(self):
         model = small_model()
         ids = np.array([2, 3, 4])
-        dist = model.forward(ids, 1)
+        dist = token_probs(model, ids, 1)
         assert dist.shape == (3,)
         assert np.all(dist > 0)
         assert dist.sum() == pytest.approx(1.0, abs=1e-9)
@@ -64,23 +72,24 @@ class TestForward:
         model = small_model()
         model.w2[:] = 0.0
         model.b2[:] = 0.0
-        dist = model.forward(np.array([2, 3]), 0)
+        dist = token_probs(model, np.array([2, 3]), 0)
         assert np.allclose(dist, 1.0 / 3.0)
 
     def test_deterministic_given_seed(self):
         a = small_model(seed=9)
         b = small_model(seed=9)
         ids = np.array([5, 6, 7])
-        assert np.array_equal(a.forward(ids, 2), b.forward(ids, 2))
+        assert np.array_equal(token_probs(a, ids, 2), token_probs(b, ids, 2))
 
     def test_out_of_bounds(self):
-        model = small_model()
+        model = small_model()  # vocabulary ids 0..9
         with pytest.raises(IndexError):
-            model.forward(np.array([2]), 5)
+            model.forward_rows(np.array([[0, 2, 10]]))
 
     def test_window_padding(self):
         model = small_model(window=2)
-        rows = model.window_rows(np.array([4, 5]))
+        corpus = Corpus([Sentence((Token("w2", 0), Token("w3", 0)))], LabelSet(["T1", "T2"]))
+        rows = model.encode_corpus(corpus)
         assert rows.shape == (2, 5)
         assert rows[0, 0] == Vocab.PAD and rows[0, 1] == Vocab.PAD
         assert rows[0, 2] == 4 and rows[1, 1] == 4
@@ -94,7 +103,7 @@ class TestForward:
 class TestBackward:
     def test_zero_gradients(self):
         model = small_model()
-        rows = model.window_rows(np.array([2, 3, 4]))
+        rows = loop_window_rows(np.array([2, 3, 4]), model.config.window)
         probs, cache = model.forward_rows(rows)
         grads = model.backward_rows(cache, np.zeros_like(probs))
         for _, g in grads.arrays():
@@ -102,7 +111,7 @@ class TestBackward:
 
     def test_batch_linearity(self):
         model = small_model(seed=4)
-        rows = model.window_rows(np.array([2, 3]))
+        rows = loop_window_rows(np.array([2, 3]), model.config.window)
         probs, cache = model.forward_rows(rows)
         rng = np.random.default_rng(0)
         d = rng.normal(size=probs.shape)
@@ -120,7 +129,7 @@ class TestBackward:
         model = small_model(seed=1)
         ids = np.array([2, 5, 3, 7])
         targets = np.array([1, 0, 2, 1])
-        rows = model.window_rows(ids)
+        rows = loop_window_rows(ids, model.config.window)
 
         def risk(m):
             probs, _ = m.forward_rows(rows)
@@ -144,7 +153,7 @@ class TestBackward:
         )
         ids = rng.integers(0, model.vocab.size, size=6)
         targets = rng.integers(0, 3, size=6)
-        rows = model.window_rows(ids)
+        rows = loop_window_rows(ids, model.config.window)
 
         def risk(m):
             probs, _ = m.forward_rows(rows)
@@ -162,7 +171,7 @@ class TestBackward:
         ids = np.array([2, 3, 4, 5])
         raw = rng.random((4, 3)) + 0.1
         targets = raw / raw.sum(axis=1, keepdims=True)
-        rows = model.window_rows(ids)
+        rows = loop_window_rows(ids, model.config.window)
 
         def risk(m):
             probs, _ = m.forward_rows(rows)
@@ -183,8 +192,8 @@ class TestExactStep:
         # ids repeat within a row and across rows; 0 is PAD, 1 is UNK
         rows = np.concatenate(
             [
-                model.window_rows(np.array([2, 2, 3, 2])),
-                model.window_rows(np.array([5])),
+                loop_window_rows(np.array([2, 2, 3, 2]), model.config.window),
+                loop_window_rows(np.array([5]), model.config.window),
                 np.array([[0, 2, 2, 0, 7], [2, 2, 2, 2, 2], [1, 0, 1, 0, 1]]),
             ]
         )
@@ -206,7 +215,7 @@ class TestExactStep:
             # a few sentences per step, so most embedding rows get an
             # all-zero gradient (and some rows are zero for several steps)
             ids = rng.integers(0, 6, size=3)
-            rows = model.window_rows(ids)
+            rows = loop_window_rows(ids, model.config.window)
             probs, cache = model.forward_rows(rows)
             grads = model.backward_rows(cache, rng.normal(size=probs.shape))
             assert np.any(np.all(grads.embedding == 0.0, axis=1))
@@ -230,7 +239,7 @@ class TestExactStep:
         state = AdamState.for_model(model, 1e-2)
         for ids in ([2, 3], [4, 5]):
             before = [a.copy() for a in (model.embedding, state.m["embedding"], state.v["embedding"])]
-            probs, cache = model.forward_rows(model.window_rows(np.array(ids)))
+            probs, cache = model.forward_rows(loop_window_rows(np.array(ids), model.config.window))
             _, dprobs = ce_rows(probs, np.array([1, 2]))
             adam_step(model, model.backward_rows(cache, dprobs), state)
         # the second batch (rows 0, 4, 5) leaves rows 2 and 3 alone
@@ -245,7 +254,7 @@ class TestAdam:
         model = small_model()
         before = {n: p.copy() for n, p in model.parameters()}
         state = AdamState.for_model(model, 1e-3)
-        probs, cache = model.forward_rows(model.window_rows(np.array([2, 3])))
+        probs, cache = model.forward_rows(loop_window_rows(np.array([2, 3]), model.config.window))
         grads = model.backward_rows(cache, np.zeros_like(probs))
         adam_step(model, grads, state)
         assert state.step == 1
@@ -272,7 +281,7 @@ class TestAdam:
     def test_model_quadratic_loss_decreases(self):
         model = small_model(seed=2)
         state = AdamState.for_model(model, 1e-2)
-        rows = model.window_rows(np.array([2, 3, 4]))
+        rows = loop_window_rows(np.array([2, 3, 4]), model.config.window)
         targets = np.array([0, 1, 2])
         values = []
         for _ in range(100):
@@ -285,7 +294,7 @@ class TestAdam:
     def test_identical_updates(self):
         a, b = small_model(seed=3), small_model(seed=3)
         sa, sb = AdamState.for_model(a, 1e-3), AdamState.for_model(b, 1e-3)
-        rows = a.window_rows(np.array([2, 3]))
+        rows = loop_window_rows(np.array([2, 3]), a.config.window)
         for model, state in ((a, sa), (b, sb)):
             probs, cache = model.forward_rows(rows)
             _, dprobs = ce_rows(probs, np.array([1, 2]))
@@ -296,7 +305,7 @@ class TestAdam:
     def test_non_finite_gradient_rejected(self):
         model = small_model()
         state = AdamState.for_model(model, 1e-3)
-        probs, cache = model.forward_rows(model.window_rows(np.array([2])))
+        probs, cache = model.forward_rows(loop_window_rows(np.array([2]), model.config.window))
         grads = model.backward_rows(cache, np.ones_like(probs))
         grads.w1[0, 0] = np.nan
         with pytest.raises(NumericError):
@@ -305,7 +314,7 @@ class TestAdam:
     def test_non_finite_embedding_gradient_rejected(self):
         model = small_model()
         state = AdamState.for_model(model, 1e-3)
-        probs, cache = model.forward_rows(model.window_rows(np.array([2, 3])))
+        probs, cache = model.forward_rows(loop_window_rows(np.array([2, 3]), model.config.window))
         grads = model.backward_rows(cache, np.ones_like(probs))
         grads.embedding[3, 1] = np.inf
         with pytest.raises(NumericError, match="embedding"):
@@ -356,10 +365,12 @@ class TestCorpusProbs:
         # Default widths: there one whole-corpus matmul sums in another order.
         model = TokenClassifier(ModelConfig(vocab_size=vocab.size, n_classes=3), vocab, ["A", "B"])
         expected = np.concatenate(
-            [model.forward_rows(model.window_rows(ids))[0] for ids in model.encode_corpus(corpus)]
+            [model.forward_rows(rows)[0] for rows in loop_sentence_rows(model, corpus)]
         )
         assert np.array_equal(model.corpus_probs(corpus), expected)
-        assert np.array_equal(model.corpus_probs(corpus, model.corpus_rows(corpus)), expected)
+        # the second pass reads the windows the first one built
+        assert model.encode_corpus(corpus) is corpus.windows(model.vocab, model.config.window)
+        assert np.array_equal(model.corpus_probs(corpus), expected)
 
 
 class TestCheckpoint:
@@ -382,7 +393,7 @@ class TestCheckpoint:
         save_checkpoint(model, buf)
         buf.seek(0)
         loaded = load_checkpoint(buf)
-        assert np.array_equal(model.forward(ids, 1), loaded.forward(ids, 1))
+        assert np.array_equal(token_probs(model, ids, 1), token_probs(loaded, ids, 1))
 
     def test_byte_determinism(self):
         a, b = io.BytesIO(), io.BytesIO()

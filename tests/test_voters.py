@@ -1,11 +1,13 @@
 import io
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oracles import oracle_full_batch_voter_step
-from pucl.corpus import Corpus, LabelSet, Sentence, Token, build_vocab, encode_windows
+from oracles import loop_sentence_rows, oracle_full_batch_voter_step
+from pucl.cli import main
+from pucl.corpus import Corpus, LabelSet, Sentence, Token, build_vocab
 from pucl.distant import SyntheticSpec, generate_synthetic, inject_noise
 from pucl.model import AdamState, ModelConfig, TokenClassifier, train_epoch
 from pucl.risk import PROB_FLOOR
@@ -69,9 +71,9 @@ class TestEnsembleMath:
         ens = train_voters(corpus, cfg, VoterConfig(count=2, epochs=1), 0, vocab=vocab)
         a, b = ens.voters
         table = confidence_table(ens, corpus)
-        ids = a.encode_corpus(corpus)[0]
-        for t in range(len(ids)):
-            expected = (a.forward(ids, t) + b.forward(ids, t)) / 2
+        rows = loop_sentence_rows(a, corpus)[0]
+        for t in range(len(rows)):
+            expected = (a.forward_rows(rows[t : t + 1])[0][0] + b.forward_rows(rows[t : t + 1])[0][0]) / 2
             assert np.allclose(table.distributions[t], expected, atol=1e-15)
         assert np.allclose(table.distributions.sum(axis=1), 1.0, atol=1e-9)
 
@@ -110,7 +112,7 @@ class TestDifficultyScores:
         table = difficulty_scores(ens, corpus)
         dists = []
         for voter in ens.voters:
-            rows = [voter.forward_rows(voter.window_rows(ids))[0] for ids in voter.encode_corpus(corpus)]
+            rows = [voter.forward_rows(r)[0] for r in loop_sentence_rows(voter, corpus)]
             dists.append(np.concatenate(rows, axis=0))
         for t in range(0, corpus.n_tokens, 7):
             pairs = [
@@ -126,8 +128,8 @@ class TestDifficultyScores:
         ens = train_voters(corpus, tiny_model_config(vocab), VoterConfig(count=2, epochs=1), 3, vocab=vocab)
         table = difficulty_scores(ens, corpus)
         d0, d1 = ens.voters
-        ids = d0.encode_corpus(corpus)[0]
-        h = pairwise_disagreement(d0.forward(ids, 0), d1.forward(ids, 0))
+        first = loop_sentence_rows(d0, corpus)[0][:1]
+        h = pairwise_disagreement(d0.forward_rows(first)[0][0], d1.forward_rows(first)[0][0])
         assert table.scores[0] == pytest.approx(h, abs=1e-12)
 
     def test_permutation_invariance(self):
@@ -153,9 +155,7 @@ def two_pass_tables(ensemble, corpus):
     def stack():
         return np.stack(
             [
-                np.concatenate(
-                    [v.forward_rows(v.window_rows(ids))[0] for ids in v.encode_corpus(corpus)]
-                )
+                np.concatenate([v.forward_rows(r)[0] for r in loop_sentence_rows(v, corpus)])
                 for v in ensemble.voters
             ]
         )
@@ -186,16 +186,21 @@ class TestSingleVoterPass:
         assert np.array_equal(table.scores, scores)
         assert np.array_equal(table.confidence.distributions, mean)
         assert np.array_equal(table.confidence.lam, confidence_table(ens, corpus).lam)
-        rows = encode_windows(corpus, vocab, ens.voters[0].config.window)
-        assert np.array_equal(difficulty_scores(ens, corpus, rows).scores, scores)
+        # the voters were trained on these windows; scoring read them again
+        assert ens.voters[0].encode_corpus(corpus) is corpus.windows(vocab, model_config.window)
+        assert np.array_equal(difficulty_scores(ens, corpus).scores, scores)
 
     def test_rows_of_another_corpus_rejected(self):
+        # Each corpus holds its own windows: scoring a shorter corpus under
+        # the same vocabulary never reads the windows of the longer one.
         corpus = synthetic_corpus(seed=4, n=12)
         vocab = build_vocab(corpus)
         ens = train_voters(corpus, tiny_model_config(vocab), VoterConfig(count=2, epochs=1), 8, vocab=vocab)
-        rows = encode_windows(corpus, vocab, ens.voters[0].config.window)
-        with pytest.raises(ValueError, match="window rows"):
-            difficulty_scores(ens, corpus, rows[:-1])
+        full = difficulty_scores(ens, corpus).scores
+        shorter = Corpus(corpus.sentences[1:], corpus.label_set)
+        scores = difficulty_scores(ens, shorter).scores
+        assert len(scores) == shorter.n_tokens < corpus.n_tokens
+        assert np.array_equal(scores, full[len(corpus.sentences[0]) :])
 
 
 def mostly_empty_batches_corpus():
@@ -291,8 +296,7 @@ class TestEmptyVoterBatch:
 
         adam = AdamState.for_model(model, 1e-3)
         values, _ = train_epoch(
-            model, adam, corpus, model.corpus_rows(corpus), np.arange(len(corpus)), 1,
-            batch_risk, "masked epoch", select,
+            model, adam, corpus, np.arange(len(corpus)), 1, batch_risk, "masked epoch", select
         )
         assert len(calls) == 5
         assert len(steps) == adam.step == len(values) == 5 - replay_skips(calls, make_rng(3, "masked"))
@@ -325,7 +329,8 @@ class TestSampleFirstStep:
         cfg = VoterConfig(count=2, epochs=2, batch_size=4, keep_negative_ratio=0.2)
         train_voters(corpus, mc, cfg, 4, vocab=vocab)
 
-        rows = encode_windows(corpus, vocab, mc.window)
+        model = TokenClassifier(mc, vocab, corpus.label_set.names)
+        rows = np.concatenate(loop_sentence_rows(model, corpus))
         samples = iter(kept)
         expected = []
         for _ in range(cfg.count):  # voters train in turn
@@ -351,7 +356,7 @@ class TestSampleFirstStep:
         ens = train_voters(corpus, mc, cfg, 9, vocab=vocab)
 
         positions = corpus.token_positions(make_rng(9, "voter-shuffle").permutation(len(corpus)))
-        rows = encode_windows(corpus, vocab, mc.window)[positions]
+        rows = corpus.windows(vocab, mc.window)[positions]
         labels = corpus.distant_array()[positions]
         for v, voter in enumerate(ens.voters):
             replay = make_rng(9, "voter-sample", v).random(len(labels))
@@ -397,23 +402,28 @@ class TestTrainVoters:
         )
         for voter in ens.voters:
             preds = np.concatenate(
-                [
-                    np.argmax(voter.forward_rows(voter.window_rows(ids))[0], axis=1)
-                    for ids in voter.encode_corpus(corpus)
-                ]
+                [np.argmax(voter.forward_rows(r)[0], axis=1) for r in loop_sentence_rows(voter, corpus)]
             )
             accuracy = np.mean(preds == labels)
             assert accuracy > majority
 
-    def test_threaded_matches_sequential(self):
-        corpus = synthetic_corpus(n=40)
-        vocab = build_vocab(corpus)
-        cfg = tiny_model_config(vocab)
-        seq = train_voters(corpus, cfg, VoterConfig(count=3, epochs=1), 9, vocab=vocab, threads=1)
-        par = train_voters(corpus, cfg, VoterConfig(count=3, epochs=1), 9, vocab=vocab, threads=3)
-        for a, b in zip(seq.voters, par.voters):
-            for (n, pa), (_, pb) in zip(a.parameters(), b.parameters()):
-                assert np.array_equal(pa, pb), n
+    def test_threaded_matches_sequential(self, tmp_path):
+        # `--threads` is accepted and changes no voter's bytes
+        data = tmp_path / "data"
+        assert main([
+            "gen-synthetic", "--out", str(data), "--sentences", "40", "--test-sentences", "0",
+            "--valid-sentences", "0", "--dict-size", "10", "--seed", "9",
+        ]) == 0
+        config = json.loads((data / "config.json").read_text())
+        config.update(model={"embed_dim": 8, "hidden_dim": 8}, voters={"count": 3, "epochs": 1})
+        (data / "config.json").write_text(json.dumps(config))
+        voters = {}
+        for threads in ("2", "1"):
+            out = tmp_path / f"threads-{threads}"
+            args = ["--config", str(data / "config.json"), "--threads", threads, "--out", str(out)]
+            assert main(["train-voters", *args]) == 0
+            voters[threads] = [(out / f"voter_{i}.bin").read_bytes() for i in range(3)]
+        assert voters["2"] == voters["1"]
 
     def test_ensemble_needs_two(self):
         with pytest.raises(ValueError):
