@@ -34,7 +34,6 @@ from .distant import (
     generate_synthetic,
     inject_noise,
     noise_report,
-    read_dictionary,
 )
 from .model import (
     AdamState,
@@ -51,7 +50,6 @@ from .risk import (
     RiskBreakdown,
     conf_mpu_risk,
     estimate_priors,
-    loss_mae,
     pn_risk,
     sample_negatives,
 )

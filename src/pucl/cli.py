@@ -17,19 +17,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from .benchmark import BENCHMARK_CONFIG, BenchmarkSpec, make_benchmark
 from .config import MODES, PipelineConfig, load_config
 from .corpus import Corpus, LabelSet, Sentence, Token, read_corpus, write_conll
 from .curriculum import self_train
-from .distant import (
-    Dictionary,
-    SyntheticSpec,
-    compile_dictionary,
-    annotate as annotate_sentence,
-    generate_synthetic,
-    inject_noise,
-    noise_report,
-    read_dictionary_pairs,
-)
+from .distant import Dictionary, annotate, compile_dictionary, noise_report, read_dictionary_pairs
 from .errors import (
     CompatibilityError,
     FormatError,
@@ -40,7 +32,7 @@ from .errors import (
 from .evaluation import evaluate
 from .model import load_model, save_checkpoint
 from .pipeline import atomic_open, run_pipeline, write_text
-from .seeding import derive_seed, make_rng
+from .seeding import derive_seed
 
 
 # --- the pipeline, whole or up to a stage -----------------------------------
@@ -80,7 +72,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 
     sentences = []
     for sent in input_corpus.sentences:
-        labels = annotate_sentence(sent, matcher)
+        labels = annotate(sent.surfaces(), matcher)
         sentences.append(Sentence(tuple(Token(t.surface, d, t.gold_label) for t, d in zip(sent.tokens, labels))))
     with atomic_open(args.out) as f:
         write_conll(Corpus(sentences, label_set), f)
@@ -160,43 +152,35 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_synthetic(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    spec = SyntheticSpec(
-        n_sentences=args.sentences + args.test_sentences + args.valid_sentences,
+    spec = BenchmarkSpec(
+        n_train=args.sentences,
+        n_test=args.test_sentences,
+        n_valid=args.valid_sentences,
         k=args.types,
         dict_size=args.dict_size,
+        fn_rate=args.fn_rate,
+        fp_rate=args.fp_rate,
+        type_rate=args.type_rate,
     )
-    rng = make_rng(args.seed, "synthetic")
-    gold, dictionary = generate_synthetic(spec, rng)
-
-    train_gold = Corpus(gold.sentences[: args.sentences], gold.label_set)
-    noisy = inject_noise(
-        train_gold, args.fn_rate, args.fp_rate, args.type_rate, make_rng(args.seed, "noise")
-    )
-    with atomic_open(out_dir / "train.tsv") as f:
-        write_conll(noisy, f)
-    with atomic_open(out_dir / "dict.tsv") as f:
-        for tokens, label in dictionary.entries:
-            f.write(f"{' '.join(tokens)}\t{gold.label_set.name_of(label)}\n")
-
+    train, test, valid, dictionary = make_benchmark(args.seed, spec)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     config = {
-        "train": str(out_dir / "train.tsv"),
+        **BENCHMARK_CONFIG,
         "dict": str(out_dir / "dict.tsv"),
         "out": str(out_dir / "run"),
         "seed": args.seed,
-        "voters": {"count": 5, "epochs": 5, "keep_negative_ratio": 0.1},
-        "curriculum": {"tau": 0.5, "eta": 5, "stage_epochs": 2},
-        "risk": {"epsilon": 0.5, "gamma": 10.0, "loss": "ce"},
     }
-    cut = args.sentences + args.test_sentences
-    for name, sentences in (("test", gold.sentences[args.sentences : cut]), ("valid", gold.sentences[cut:])):
-        if sentences:
+    for name, corpus in (("train", train), ("test", test), ("valid", valid)):
+        if corpus is not None:
             with atomic_open(out_dir / f"{name}.tsv") as f:
-                write_conll(Corpus(sentences, gold.label_set), f)
+                write_conll(corpus, f)
             config[name] = str(out_dir / f"{name}.tsv")
+    with atomic_open(out_dir / "dict.tsv") as f:
+        for tokens, label in dictionary.entries:
+            f.write(f"{' '.join(tokens)}\t{dictionary.label_set.name_of(label)}\n")
     write_text(out_dir / "config.json", json.dumps(config, sort_keys=True, indent=2) + "\n")
-    write_text(out_dir / "noise_report.json", noise_report(noisy).to_json() + "\n")
+    write_text(out_dir / "noise_report.json", noise_report(train).to_json() + "\n")
     print(f"wrote synthetic benchmark under {out_dir}")
     return 0
 
@@ -266,14 +250,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-synthetic", help="generate a synthetic noisy benchmark")
     p.add_argument("--out", required=True)
-    p.add_argument("--sentences", type=int, default=2000)
-    p.add_argument("--test-sentences", type=int, default=500)
-    p.add_argument("--valid-sentences", type=int, default=50)
-    p.add_argument("--types", type=int, default=2)
-    p.add_argument("--dict-size", type=int, default=60)
-    p.add_argument("--fn-rate", type=float, default=0.4)
-    p.add_argument("--fp-rate", type=float, default=0.05)
-    p.add_argument("--type-rate", type=float, default=0.05)
+    spec = BenchmarkSpec()
+    p.add_argument("--sentences", type=int, default=spec.n_train)
+    p.add_argument("--test-sentences", type=int, default=spec.n_test)
+    p.add_argument("--valid-sentences", type=int, default=spec.n_valid)
+    p.add_argument("--types", type=int, default=spec.k)
+    p.add_argument("--dict-size", type=int, default=spec.dict_size)
+    p.add_argument("--fn-rate", type=float, default=spec.fn_rate)
+    p.add_argument("--fp-rate", type=float, default=spec.fp_rate)
+    p.add_argument("--type-rate", type=float, default=spec.type_rate)
     p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=cmd_gen_synthetic)
 

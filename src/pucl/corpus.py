@@ -80,7 +80,8 @@ class Token:
     gold_label: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.surface or any(c.isspace() for c in self.surface):
+        # The same test as `not s or any(c.isspace() for c in s)`, and faster.
+        if self.surface.split() != [self.surface]:
             raise FormatError(f"bad token surface: {self.surface!r}")
 
 
@@ -264,12 +265,10 @@ def read_conll(
             surface, distant, gold = cols
         else:
             raise FormatError(f"line {lineno}: expected 2 or 3 columns, got {len(cols)}")
-        if not surface or any(c.isspace() for c in surface):
-            raise FormatError(f"line {lineno}: bad token surface {surface!r}")
         try:
             current.append(Token(surface, label_id(distant), None if gold is None else label_id(gold)))
-        except UnknownLabelError as exc:
-            raise UnknownLabelError(f"line {lineno}: {exc}") from None
+        except FormatError as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from None
         if len(current) == max_sentence_len:
             sentences.append(Sentence(tuple(current)))
             current = []

@@ -70,17 +70,6 @@ def read_dictionary_pairs(
     return pairs, names
 
 
-def read_dictionary(stream: IO[str] | Iterable[str], label_set: LabelSet | None = None) -> Dictionary:
-    """Parse a dictionary TSV; without a label_set the type names are
-    collected from the file itself."""
-    pairs, names = read_dictionary_pairs(stream)
-    if label_set is None:
-        if not names:
-            raise FormatError("empty dictionary input with no label set given")
-        label_set = LabelSet(names)
-    return Dictionary.build(pairs, label_set)
-
-
 class MatcherIndex:
     """First-token lookup over dictionary entries.
 
@@ -91,16 +80,11 @@ class MatcherIndex:
 
     def __init__(self, dictionary: Dictionary):
         buckets: dict[str, list[tuple[tuple[str, ...], int]]] = {}
-        max_len = 0
         for tokens, label in dictionary.entries:
             buckets.setdefault(tokens[0], []).append((tokens, label))
-            max_len = max(max_len, len(tokens))
         for key in buckets:
             buckets[key].sort(key=lambda e: (-len(e[0]), e[1], e[0]))
         self.buckets = buckets
-        self.max_entry_len = max_len
-        self.label_set = dictionary.label_set
-        self.n_entries = len(dictionary)
 
     def candidates_at(self, folded: Sequence[str], start: int) -> list[tuple[int, int]]:
         """(length, label) of every entry matching exactly at ``start``,
@@ -113,27 +97,20 @@ class MatcherIndex:
         return out
 
 
-def compile_dictionary(
-    entries: Dictionary | Iterable[tuple[str, str]],
-    label_set: LabelSet | None = None,
-) -> MatcherIndex:
-    """Build a MatcherIndex from a Dictionary or raw (surface, type) pairs."""
-    if isinstance(entries, Dictionary):
-        return MatcherIndex(entries)
-    if label_set is None:
-        raise ValueError("label_set is required when passing raw entry pairs")
-    return MatcherIndex(Dictionary.build(entries, label_set))
+def compile_dictionary(dictionary: Dictionary) -> MatcherIndex:
+    """Index a dictionary for ``annotate``."""
+    return MatcherIndex(dictionary)
 
 
-def annotate(sentence: Sentence | Sequence[str], matcher: MatcherIndex) -> list[int]:
-    """Label a sentence with the max-coverage non-overlapping match set.
+def annotate(surfaces: Sequence[str], matcher: MatcherIndex) -> list[int]:
+    """Label a sentence's token surfaces with the max-coverage
+    non-overlapping match set.
 
     Dynamic program over start positions, right to left: best(i) is the best
     labeling of tokens[i:]. At equal coverage a match starting at i beats
     skipping i, and among matches the longest (then smallest type id) wins,
     which realizes the global leftmost-longest tie rule.
     """
-    surfaces = sentence.surfaces() if isinstance(sentence, Sentence) else list(sentence)
     folded = [s.casefold() for s in surfaces]
     n = len(folded)
     # best[i] = (coverage of tokens[i:], chosen (length, label) at i or None)

@@ -223,8 +223,6 @@ def curriculum_error_analysis(
 class Histogram:
     edges: np.ndarray
     counts: np.ndarray
-    mean: float
-    median: float
 
     def to_csv(self, stream: IO[str]) -> None:
         stream.write("bin_lo,bin_hi,count\n")
@@ -232,18 +230,12 @@ class Histogram:
             stream.write(f"{self.edges[i]:.17g},{self.edges[i + 1]:.17g},{int(count)}\n")
 
 
-def difficulty_histogram(scores: np.ndarray | DifficultyTable, bins: int) -> Histogram:
+def difficulty_histogram(scores: np.ndarray, bins: int) -> Histogram:
     """Equal-width histogram over [0, max score]; degenerate all-zero input
     occupies the first bin."""
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
-    values = scores.scores if isinstance(scores, DifficultyTable) else np.asarray(scores)
-    hi = float(values.max()) if len(values) else 0.0
+    hi = float(scores.max()) if len(scores) else 0.0
     edges = np.linspace(0.0, hi if hi > 0 else 1.0, bins + 1)
-    counts, _ = np.histogram(values, bins=edges)
-    return Histogram(
-        edges=edges,
-        counts=counts,
-        mean=float(values.mean()) if len(values) else 0.0,
-        median=float(np.median(values)) if len(values) else 0.0,
-    )
+    counts, _ = np.histogram(scores, bins=edges)
+    return Histogram(edges=edges, counts=counts)

@@ -20,7 +20,6 @@ through clamped tokens) and the confidence lam is treated as a constant.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Literal
 
@@ -71,11 +70,6 @@ def loss_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     _check_loss_kind(kind)
     return ce_rows(probs, targets) if kind == "ce" else mae_rows(probs, targets)
-
-
-def loss_mae(dist: np.ndarray, target: int) -> tuple[float, np.ndarray]:
-    values, grads = mae_rows(np.asarray(dist)[None, :], np.array([target]))
-    return float(values[0]), grads[0]
 
 
 def kl_soft_rows(probs: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -184,20 +178,6 @@ class RiskBreakdown:
     clamped_count: int
     empty_classes: tuple[int, ...]
     gamma: float
-
-    def to_record(self, step: int | None = None) -> dict:
-        rec = {
-            "total": self.total,
-            "per_class": [float(x) for x in self.positive_terms],
-            "unlabeled": self.unlabeled_term,
-            "clamped_count": self.clamped_count,
-        }
-        if step is not None:
-            rec["step"] = step
-        return rec
-
-    def to_json(self, step: int | None = None) -> str:
-        return json.dumps(self.to_record(step), sort_keys=True)
 
 
 def conf_mpu_risk(

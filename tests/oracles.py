@@ -63,6 +63,13 @@ def naive_loss(dist, target, kind):
     return sum(abs((1.0 if j == target else 0.0) - p) for j, p in enumerate(dist))
 
 
+def loss_mae(dist, target):
+    """MAE value and gradient of one distribution against a class id."""
+    grad = np.ones(len(dist))
+    grad[target] = -1.0
+    return naive_loss(dist, target, "mae"), grad
+
+
 def naive_conf_mpu(dists, labels, lams, pi, eps, gamma, kind):
     k = len(pi)
     positive_total = 0.0

@@ -15,6 +15,7 @@ from oracles import (
     count_candidates,
     fd_param_gradients,
     loop_window_rows,
+    loss_mae,
     max_gradient_error,
     naive_conf_mpu,
     oracle_annotate,
@@ -22,15 +23,9 @@ from oracles import (
     random_batch,
     spearman,
 )
-from pucl.benchmark import (
-    BENCHMARK_ETA,
-    BENCHMARK_TAU,
-    benchmark_schedule,
-    benchmark_self_train_config,
-    benchmark_voter_config,
-    make_benchmark,
-)
+from pucl.benchmark import BENCHMARK_CONFIG, make_benchmark
 from pucl.cli import main as cli_main
+from pucl.config import config_from_dict
 from pucl.corpus import LabelSet, Span, Vocab, build_vocab, extract_spans
 from pucl.curriculum import (
     build_plan,
@@ -39,7 +34,7 @@ from pucl.curriculum import (
     train_no_confmpu,
     train_no_curriculum,
 )
-from pucl.distant import annotate, compile_dictionary
+from pucl.distant import Dictionary, annotate, compile_dictionary
 from pucl.evaluation import curriculum_error_analysis, evaluate, evaluate_labels
 from pucl.model import ModelConfig, TokenClassifier
 from pucl.risk import (
@@ -48,7 +43,6 @@ from pucl.risk import (
     ce_rows,
     conf_mpu_risk,
     kl_soft_rows,
-    loss_mae,
     mae_rows,
     estimate_priors,
 )
@@ -62,6 +56,8 @@ from pucl.voters import (
 )
 
 SEEDS = (1, 2, 3, 4, 5)
+# The bundled benchmark's settings, as `gen-synthetic` writes them.
+BENCHMARK = config_from_dict({"train": "train.tsv", **BENCHMARK_CONFIG})
 
 
 def report(number: int, name: str, passed: bool, detail: str = "", started: float | None = None):
@@ -244,7 +240,7 @@ def test_criterion_04_difficulty_properties():
     )
     vocab = build_vocab(corpus)
     mc = ModelConfig(vocab_size=vocab.size, n_classes=3, embed_dim=6, hidden_dim=6)
-    ens = train_voters(corpus, mc, benchmark_voter_config(), 5, vocab=vocab)
+    ens = train_voters(corpus, mc, BENCHMARK.voters, 5, vocab=vocab)
     scores = difficulty_scores(ens, corpus).scores
     ok &= bool(np.all(scores >= 0.0))
     perm = VoterEnsemble([ens.voters[i] for i in (3, 1, 4, 0, 2)])
@@ -332,16 +328,17 @@ class BenchmarkRun:
 @pytest.fixture(scope="module")
 def benchmark_runs():
     runs = []
-    schedule = benchmark_schedule()
+    schedule = BENCHMARK.schedule()
+    tau, eta = BENCHMARK.curriculum.tau, BENCHMARK.curriculum.eta
     for seed in SEEDS:
         t0 = time.time()
-        train, test, _ = make_benchmark(seed)
+        train, test, _, _ = make_benchmark(seed)
         vocab = build_vocab(train)
         mc = ModelConfig(vocab_size=vocab.size, n_classes=train.label_set.n_classes)
-        ens = train_voters(train, mc, benchmark_voter_config(), seed, vocab=vocab)
+        ens = train_voters(train, mc, BENCHMARK.voters, seed, vocab=vocab)
         conf = confidence_table(ens, train)
         diff = difficulty_scores(ens, train)
-        plan = build_plan(diff, train, BENCHMARK_TAU, BENCHMARK_ETA)
+        plan = build_plan(diff, train, tau, eta)
         priors = estimate_priors(train)
 
         analysis = curriculum_error_analysis(plan, train, diff)
@@ -353,10 +350,10 @@ def benchmark_runs():
         m_full = train_baby_step(train, plan, conf, priors, schedule, seed,
                                  vocab=vocab, model_config=mc)
         m_nocur = train_no_curriculum(train, conf, priors, schedule, seed,
-                                      total_epochs=BENCHMARK_ETA * schedule.stage_epochs,
+                                      total_epochs=eta * schedule.stage_epochs,
                                       vocab=vocab, model_config=mc)
         m_nopu = train_no_confmpu(train, plan, schedule, seed, vocab=vocab, model_config=mc)
-        m_st = self_train(m_full, train, benchmark_self_train_config(), seed)
+        m_st = self_train(m_full, train, BENCHMARK.self_train, seed)
 
         r_full = evaluate(m_full, test)
         r_nocur = evaluate(m_nocur, test)
@@ -465,7 +462,7 @@ def test_criterion_11_matcher_optimality():
             surface = " ".join(vocab[int(rng.integers(0, len(vocab)))] for _ in range(length))
             entries.append((surface, "T" if rng.random() < 0.5 else "U"))
         words = [vocab[int(rng.integers(0, len(vocab)))] for _ in range(int(rng.integers(1, 11)))]
-        matcher = compile_dictionary(entries, ls)
+        matcher = compile_dictionary(Dictionary.build(entries, ls))
         if count_candidates(words, matcher) > 12:
             continue
         checked += 1
@@ -475,9 +472,9 @@ def test_criterion_11_matcher_optimality():
             all_equal = False
             break
 
-    fixture = compile_dictionary(
+    fixture = compile_dictionary(Dictionary.build(
         [("milk fat", "T"), ("fat percentage", "T"), ("milk fat percentage", "T")], ls
-    )
+    ))
     fixture_ok = annotate(["milk", "fat", "percentage"], fixture) == [1, 1, 1]
     ok = all_equal and fixture_ok
     report(11, "matcher reaches exhaustive-subset optimum on 500 sentences",

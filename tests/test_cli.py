@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import shutil
 import struct
@@ -11,9 +12,10 @@ import numpy as np
 import pytest
 
 import pucl.pipeline
+from pucl.benchmark import BENCHMARK_CONFIG, BenchmarkSpec, make_benchmark
 from pucl.cli import build_parser, main
 from pucl.config import config_from_dict, load_config
-from pucl.corpus import Vocab, read_conll
+from pucl.corpus import Vocab, read_conll, write_conll
 from pucl.errors import FormatError
 from pucl.model import load_checkpoint
 from pucl.pipeline import STAGES, run_pipeline, stages_up_to
@@ -85,6 +87,31 @@ class TestGenSynthetic:
     def test_config_is_loadable(self, synth_dir):
         cfg = load_config(synth_dir / "config.json")
         assert cfg.curriculum.eta == 5
+
+    def test_files_are_the_benchmark_definition(self, synth_dir):
+        spec = BenchmarkSpec(n_train=60, n_test=20, n_valid=5, dict_size=10)
+        train, test, valid, dictionary = make_benchmark(5, spec)
+        for name, corpus in (("train", train), ("test", test), ("valid", valid)):
+            expected = io.StringIO()
+            write_conll(corpus, expected)
+            assert (synth_dir / f"{name}.tsv").read_text(encoding="utf-8") == expected.getvalue()
+        assert (synth_dir / "dict.tsv").read_text(encoding="utf-8") == "".join(
+            f"{' '.join(tokens)}\t{dictionary.label_set.name_of(label)}\n"
+            for tokens, label in dictionary.entries
+        )
+        paths = {name: str(synth_dir / f"{name}.tsv") for name in ("train", "test", "valid", "dict")}
+        assert json.loads((synth_dir / "config.json").read_text(encoding="utf-8")) == {
+            **BENCHMARK_CONFIG, **paths, "out": str(synth_dir / "run"), "seed": 5
+        }
+
+    @pytest.mark.parametrize("option,value", [
+        ("--sentences", "-5"), ("--test-sentences", "-20"), ("--valid-sentences", "-1"),
+    ])
+    def test_negative_split_size_exits_2(self, tmp_path, capsys, option, value):
+        out = tmp_path / "bench"
+        assert main(["gen-synthetic", "--out", str(out), option, value]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 class TestAnnotate:

@@ -100,6 +100,13 @@ class TestReadConll:
         with pytest.raises(FormatError):
             parse("a b\tO\n")
 
+    def test_bad_surface_reported_at_its_line(self):
+        with pytest.raises(FormatError, match="line 2: bad token surface: 'b\\\\xa0c'"):
+            parse("a\tO\nb\xa0c\tO\n")
+        # Token checks the surface after the labels are looked up
+        with pytest.raises(UnknownLabelError, match="line 1: .*LOC"):
+            parse("b c\tLOC\n", label_set=LabelSet(["PER"]))
+
 
 class TestWriteConll:
     def test_ends_with_single_blank_line(self):

@@ -11,7 +11,7 @@ from pucl.distant import (
     generate_synthetic,
     inject_noise,
     noise_report,
-    read_dictionary,
+    read_dictionary_pairs,
 )
 from pucl.errors import FormatError
 
@@ -27,9 +27,8 @@ def sentence(words, distant=None, gold=None):
 
 class TestCompile:
     def test_index_structure(self):
-        idx = compile_dictionary([("milk fat", "T")], LS)
-        assert idx.max_entry_len == 2
-        assert "milk" in idx.buckets
+        idx = compile_dictionary(Dictionary.build([("milk fat", "T")], LS))
+        assert idx.buckets == {"milk": [(("milk", "fat"), 1)]}
 
     def test_duplicates_collapse(self):
         d = Dictionary.build([("milk fat", "T"), ("Milk  Fat", "T")], LS)
@@ -37,7 +36,7 @@ class TestCompile:
 
     def test_unknown_type(self):
         with pytest.raises(FormatError):
-            compile_dictionary([("milk", "NOPE")], LS)
+            Dictionary.build([("milk", "NOPE")], LS)
 
     def test_every_entry_findable(self):
         rng = np.random.default_rng(3)
@@ -56,21 +55,20 @@ class TestCompile:
 
 class TestAnnotate:
     def test_three_token_entry_wins(self):
-        idx = compile_dictionary(
-            [("milk fat", "T"), ("fat percentage", "T"), ("milk fat percentage", "T")], LS
-        )
+        entries = [("milk fat", "T"), ("fat percentage", "T"), ("milk fat percentage", "T")]
+        idx = compile_dictionary(Dictionary.build(entries, LS))
         assert annotate(["milk", "fat", "percentage"], idx) == [1, 1, 1]
 
     def test_no_hits(self):
-        idx = compile_dictionary([("milk fat", "T")], LS)
+        idx = compile_dictionary(Dictionary.build([("milk fat", "T")], LS))
         assert annotate(["a", "b", "c"], idx) == [0, 0, 0]
 
     def test_leftmost_wins_coverage_tie(self):
-        idx = compile_dictionary([("a b", "T"), ("b c", "U")], LS)
+        idx = compile_dictionary(Dictionary.build([("a b", "T"), ("b c", "U")], LS))
         assert annotate(["a", "b", "c"], idx) == [1, 1, 0]
 
     def test_case_folded_match(self):
-        idx = compile_dictionary([("Milk Fat", "T")], LS)
+        idx = compile_dictionary(Dictionary.build([("Milk Fat", "T")], LS))
         assert annotate(["MILK", "fat"], idx) == [1, 1]
 
     def test_matches_oracle_on_random_sentences(self):
@@ -84,7 +82,7 @@ class TestAnnotate:
                 surface = " ".join(vocab[int(rng.integers(0, len(vocab)))] for _ in range(length))
                 entries.append((surface, "T" if rng.random() < 0.5 else "U"))
             words = [vocab[int(rng.integers(0, len(vocab)))] for _ in range(int(rng.integers(1, 11)))]
-            idx = compile_dictionary(entries, LS)
+            idx = compile_dictionary(Dictionary.build(entries, LS))
             n_candidates = sum(
                 len(idx.candidates_at([w.casefold() for w in words], i)) for i in range(len(words))
             )
@@ -108,7 +106,7 @@ class TestAnnotate:
                 for _ in range(4)
             ]
             words = [vocab[int(rng.integers(0, 6))] for _ in range(8)]
-            idx = compile_dictionary(entries, LS)
+            idx = compile_dictionary(Dictionary.build(entries, LS))
             folded = [w.casefold() for w in words]
             if sum(len(idx.candidates_at(folded, i)) for i in range(len(words))) > 12:
                 continue
@@ -269,10 +267,10 @@ class TestReadDictionary:
         path = tmp_path / "d.tsv"
         path.write_text("milk fat\tT\nhoof color\tU\n", encoding="utf-8")
         with open(path, encoding="utf-8") as f:
-            d = read_dictionary(f)
-        assert len(d) == 2
-        assert d.label_set.names == ("T", "U")
+            pairs, names = read_dictionary_pairs(f)
+        assert pairs == [("milk fat", "T"), ("hoof color", "U")]
+        assert names == ["T", "U"]
 
     def test_bad_columns(self):
         with pytest.raises(FormatError):
-            read_dictionary(["a\tT\tX\n"])
+            read_dictionary_pairs(["a\tT\tX\n"])

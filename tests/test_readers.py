@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pucl.config import config_from_dict
-from pucl.corpus import Vocab, read_conll
-from pucl.distant import read_dictionary
+from pucl.corpus import LabelSet, Vocab, read_conll
+from pucl.distant import Dictionary, read_dictionary_pairs
 from pucl.errors import PuclError
 from pucl.model import ModelConfig, TokenClassifier, load_checkpoint, save_checkpoint
 
@@ -82,6 +82,13 @@ def text_stream(data: bytes) -> io.TextIOWrapper:
     """The bytes as a file opened in text mode reads them. Undecodable bytes
     become lone surrogates: decoding is the file layer's, not the reader's."""
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+
+
+def read_dictionary(stream) -> Dictionary:
+    """A dictionary file as ``pucl annotate`` reads it: raw pairs, then a
+    ``Dictionary`` over the file's own entity types."""
+    pairs, names = read_dictionary_pairs(stream)
+    return Dictionary.build(pairs, LabelSet(name for name in names if name != "O"))
 
 
 def only_pucl_errors(read, data):
