@@ -17,9 +17,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .benchmark import BENCHMARK_CONFIG, BenchmarkSpec, make_benchmark
 from .config import MODES, PipelineConfig, load_config
-from .corpus import Corpus, LabelSet, Sentence, Token, read_corpus, write_conll
+from .corpus import LabelSet, read_corpus, write_conll
 from .curriculum import self_train
 from .distant import Dictionary, annotate, compile_dictionary, noise_report, read_dictionary_pairs
 from .errors import (
@@ -58,24 +60,18 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     with open(dict_path, encoding="utf-8") as f:
         pairs, dict_names = read_dictionary_pairs(f)
 
-    input_corpus = read_corpus(args.input)
+    corpus = read_corpus(args.input)
     # The input's types keep their ids; the dictionary's new types follow.
-    merged_names = list(input_corpus.label_set.names)
-    for name in dict_names:
-        if name != "O" and name not in merged_names:
-            merged_names.append(name)
-    label_set = LabelSet(merged_names)
+    names = list(corpus.label_set.names)
+    label_set = LabelSet(names + [name for name in dict_names if name not in names])
 
     if not pairs:
         print("warning: empty dictionary, output labels are all O", file=sys.stderr)
     matcher = compile_dictionary(Dictionary.build(pairs, label_set))
 
-    sentences = []
-    for sent in input_corpus.sentences:
-        labels = annotate(sent.surfaces(), matcher)
-        sentences.append(Sentence(tuple(Token(t.surface, d, t.gold_label) for t, d in zip(sent.tokens, labels))))
+    distant = [label for surfaces in corpus.sentence_surfaces() for label in annotate(surfaces, matcher)]
     with atomic_open(args.out) as f:
-        write_conll(Corpus(sentences, label_set), f)
+        write_conll(corpus.with_distant(np.array(distant, dtype=np.int64), label_set), f)
     return 0
 
 

@@ -16,14 +16,7 @@ from .errors import FormatError
 from .risk import ConfMpuConfig
 from .voters import VoterConfig
 
-MODES = (
-    "full",
-    "full-st",
-    "no-curriculum",
-    "no-confmpu",
-    "voter-ensemble",
-    "soft-label-curriculum",
-)
+MODES = ("full", "full-st", "no-curriculum", "no-confmpu", "voter-ensemble", "soft-label-curriculum")
 
 
 @dataclass(frozen=True)
@@ -108,16 +101,7 @@ _SECTION_TYPES = {
 }
 
 _TOP_LEVEL_KEYS = {
-    "train",
-    "dict",
-    "test",
-    "valid",
-    "out",
-    "mode",
-    "seed",
-    "threads",
-    "allow_same_split",
-    "require_type_match",
+    "train", "dict", "test", "valid", "out", "mode", "seed", "threads", "allow_same_split", "require_type_match",
 } | set(_SECTION_TYPES)
 
 
@@ -176,11 +160,7 @@ def config_from_dict(raw: dict) -> PipelineConfig:
             threads=_typed(raw, "threads", int, 1),
             allow_same_split=_typed(raw, "allow_same_split", bool, False),
             require_type_match=_typed(raw, "require_type_match", bool, True),
-            model=sections["model"],
-            voters=sections["voters"],
-            curriculum=sections["curriculum"],
-            risk=sections["risk"],
-            self_train=sections["self_train"],
+            **sections,
         )
     except ValueError as exc:
         raise FormatError(f"bad config value: {exc}") from exc

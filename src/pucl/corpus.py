@@ -3,6 +3,11 @@
 Labels are stored as plain type ids (IO scheme): id 0 is the unlabeled /
 non-entity class, ids 1..k are entity types. A maximal run of one non-zero
 id is one entity span; there is no BIO prefixing anywhere in the package.
+
+A corpus is stored as flat per-token columns (surfaces, distant ids, gold
+ids, sentence offsets). ``read_conll`` fills them line by line and
+``write_conll`` writes from them; ``Sentence`` and ``Token`` are views for
+the API and for code that builds a corpus by hand.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -121,59 +126,115 @@ class Span:
         return self.start <= other.end and other.start <= self.end
 
 
-class Corpus:
-    """Immutable list of sentences plus their label set.
+class _Columns(NamedTuple):
+    """The stored form of a corpus: one entry per token, in reading order."""
 
-    Construction validates every label id against the label set. Flat
-    per-token arrays (labels, offsets, context windows) are computed lazily
-    and cached; they are the representation all numeric modules work on.
+    surfaces: list[str]
+    distant: np.ndarray  # int64 label ids
+    gold: np.ndarray  # int64 label ids; -1 on a token without a gold label
+    offsets: np.ndarray  # int64 prefix sums of the sentence lengths
+
+    def read_only(self) -> "_Columns":
+        for array in self[1:]:
+            array.flags.writeable = False
+        return self
+
+
+class Corpus:
+    """Immutable token columns plus their label set.
+
+    A corpus is flat columns: the token surfaces, the distant and gold
+    label ids and the sentence offsets (see ``_Columns``). Every reader in
+    the package works on them; the arrays are read-only and shared with
+    every caller, and none of them may be modified. A corpus read from a
+    file stores only its columns, and ``sentences`` views them as
+    ``Sentence``/``Token`` objects built on first use. A corpus constructed
+    from sentences keeps them, checks every label id against the label set,
+    and derives its columns on first use.
     """
 
     def __init__(self, sentences: Sequence[Sentence], label_set: LabelSet):
-        sentences = list(sentences)
+        sentences = tuple(sentences)
         if not sentences:
             raise FormatError("corpus needs at least one sentence")
         k = label_set.k
         for s_idx, sent in enumerate(sentences):
             for tok in sent.tokens:
                 if not 0 <= tok.distant_label <= k:
-                    raise FormatError(
-                        f"sentence {s_idx}: distant label id {tok.distant_label} "
-                        f"out of range 0..{k}"
-                    )
+                    raise FormatError(f"sentence {s_idx}: distant label id {tok.distant_label} out of range 0..{k}")
                 if tok.gold_label is not None and not 0 <= tok.gold_label <= k:
-                    raise FormatError(
-                        f"sentence {s_idx}: gold label id {tok.gold_label} "
-                        f"out of range 0..{k}"
-                    )
-        self.sentences: tuple[Sentence, ...] = tuple(sentences)
+                    raise FormatError(f"sentence {s_idx}: gold label id {tok.gold_label} out of range 0..{k}")
         self.label_set = label_set
-        self._offsets: np.ndarray | None = None
-        self._distant: np.ndarray | None = None
+        self._sentences: tuple[Sentence, ...] | None = sentences
+        self._cols: _Columns | None = None
         self._windows: tuple[Vocab, int, np.ndarray] | None = None
 
-    def __len__(self) -> int:
-        return len(self.sentences)
+    @classmethod
+    def _from_columns(cls, cols: _Columns, label_set: LabelSet) -> "Corpus":
+        """A corpus over columns whose surfaces and label ids its caller has checked."""
+        corpus = cls.__new__(cls)
+        corpus.label_set, corpus._sentences, corpus._cols, corpus._windows = label_set, None, cols.read_only(), None
+        return corpus
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Corpus)
-            and self.label_set == other.label_set
-            and self.sentences == other.sentences
-        )
+    def _columns(self) -> _Columns:
+        if self._cols is None:
+            tokens = [t for s in self._sentences for t in s.tokens]
+            self._cols = _Columns(
+                [t.surface for t in tokens],
+                np.fromiter((t.distant_label for t in tokens), np.int64, len(tokens)),
+                np.fromiter((-1 if t.gold_label is None else t.gold_label for t in tokens), np.int64, len(tokens)),
+                np.cumsum([0] + [len(s) for s in self._sentences]),
+            ).read_only()
+        return self._cols
+
+    def with_distant(self, distant: np.ndarray, label_set: LabelSet | None = None) -> "Corpus":
+        """The same tokens, gold labels and sentences with new distant
+        labels (an int64 array this corpus takes over), in ``label_set`` if
+        given, which must keep this corpus's type ids."""
+        label_set = label_set or self.label_set
+        surfaces, _, gold, offsets = self._columns()
+        kept_ids = label_set.names[: self.label_set.k] == self.label_set.names
+        if not kept_ids or distant.shape != (len(surfaces),) or not 0 <= distant.min() <= distant.max() <= label_set.k:
+            raise ValueError("distant labels do not fit the corpus")
+        return Corpus._from_columns(_Columns(surfaces, distant, gold, offsets), label_set)
 
     @property
-    def n_tokens(self) -> int:
-        return int(self.offsets[-1])
+    def sentences(self) -> tuple[Sentence, ...]:
+        """The constructing sentences, or views of the columns."""
+        if self._sentences is None:
+            surfaces, distant, gold, offsets = self._columns()
+            tokens = [Token(s, d, None if g < 0 else g) for s, d, g in zip(surfaces, distant.tolist(), gold.tolist())]
+            bounds = offsets.tolist()
+            self._sentences = tuple(Sentence(tuple(tokens[a:b])) for a, b in zip(bounds, bounds[1:]))
+        return self._sentences
+
+    @property
+    def surfaces(self) -> list[str]:
+        return self._columns().surfaces
 
     @property
     def offsets(self) -> np.ndarray:
         """Prefix sums of sentence lengths; offsets[i] is the flat index of
         sentence i's first token, offsets[-1] the total token count."""
-        if self._offsets is None:
-            lengths = [len(s) for s in self.sentences]
-            self._offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
-        return self._offsets
+        return self._columns().offsets
+
+    def sentence_surfaces(self) -> Iterator[list[str]]:
+        """Each sentence's slice of the surfaces column, in order."""
+        bounds = self.offsets.tolist()
+        return (self.surfaces[a:b] for a, b in zip(bounds, bounds[1:]))
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Corpus) or self.label_set != other.label_set:
+            return False
+        mine, theirs = self._columns(), other._columns()
+        return mine.surfaces == theirs.surfaces and all(map(np.array_equal, mine[1:], theirs[1:]))
+
+    @property
+    def n_tokens(self) -> int:
+        return len(self.surfaces)
 
     def token_positions(self, sentence_indices: np.ndarray) -> np.ndarray:
         """Flat indices of the tokens of the given sentences, sentence by
@@ -185,15 +246,8 @@ class Corpus:
         return np.repeat(starts - first_slot, lengths) + np.arange(lengths.sum())
 
     def distant_array(self) -> np.ndarray:
-        """Flat distant labels, built once and shared by every caller, so
-        the array is read-only."""
-        if self._distant is None:
-            self._distant = np.array(
-                [t.distant_label for s in self.sentences for t in s.tokens],
-                dtype=np.int64,
-            )
-            self._distant.flags.writeable = False
-        return self._distant
+        """The distant column."""
+        return self._columns().distant
 
     def windows(self, vocab: Vocab, window: int) -> np.ndarray:
         """[n_tokens, 2 * window + 1] vocabulary ids of every token's context
@@ -204,7 +258,7 @@ class Corpus:
         cached = self._windows
         if cached is not None and cached[1] == window and cached[0] == vocab:
             return cached[2]
-        ids = np.concatenate([vocab.encode_sentence(s) for s in self.sentences])
+        ids = np.concatenate([vocab.encode_sentence(s) for s in self.sentence_surfaces()])
         lengths = np.diff(self.offsets)
         # Lay the sentences out with `window` padding slots before, between and
         # after them, so that no window reaches into a neighbouring sentence.
@@ -219,17 +273,16 @@ class Corpus:
         return out
 
     def gold_array(self) -> np.ndarray:
-        """Flat gold labels; raises if any token lacks one."""
-        out = []
-        for s_idx, sent in enumerate(self.sentences):
-            for tok in sent.tokens:
-                if tok.gold_label is None:
-                    raise FormatError(f"sentence {s_idx}: token without gold label")
-                out.append(tok.gold_label)
-        return np.array(out, dtype=np.int64)
+        """The gold column; raises if any token lacks a gold label."""
+        gold = self._columns().gold
+        missing = gold < 0
+        if missing.any():
+            s_idx = int(np.searchsorted(self.offsets, np.argmax(missing), side="right")) - 1
+            raise FormatError(f"sentence {s_idx}: token without gold label")
+        return gold
 
     def has_gold(self) -> bool:
-        return all(t.gold_label is not None for s in self.sentences for t in s.tokens)
+        return bool((self._columns().gold >= 0).all())
 
 
 def read_conll(
@@ -237,49 +290,68 @@ def read_conll(
     label_set: LabelSet | None = None,
     max_sentence_len: int = DEFAULT_MAX_SENTENCE_LEN,
 ) -> Corpus:
-    """Parse the two/three-column TSV format.
+    """Parse the two/three-column TSV format into the corpus's columns.
 
     One token per line, ``surface<TAB>distant[<TAB>gold]``; a blank line ends
     a sentence. When ``label_set`` is None it is inferred from the label
     names in order of first appearance. Sentences longer than
-    ``max_sentence_len`` are split at the limit. Each line becomes its
-    ``Token`` as it is read, so errors are reported in line order.
+    ``max_sentence_len`` are split at the limit. Each line is checked as it
+    is read (column count, distant label, gold label, then the surface), so
+    the first error in the file is the one reported.
     """
     if max_sentence_len < 1:
         raise FormatError(f"max_sentence_len must be >= 1, got {max_sentence_len}")
-    inferred = {O_NAME: 0}  # label name -> id, in order of first appearance
-    label_id = label_set.id_of if label_set is not None else lambda name: inferred.setdefault(name, len(inferred))
-    sentences: list[Sentence] = []
-    current: list[Token] = []
+    ids = {O_NAME: 0}  # label name -> id; inferred in order of first appearance
+    if label_set is not None:
+        ids.update((name, label_set.id_of(name)) for name in label_set.names)
+
+    def new_label(name: str, lineno: int) -> int:
+        if label_set is None:
+            ids[name] = len(ids)
+            return ids[name]
+        try:
+            return label_set.id_of(name)
+        except UnknownLabelError as exc:
+            raise UnknownLabelError(f"line {lineno}: {exc}") from None
+
+    surfaces: list[str] = []
+    distant: list[int] = []
+    gold: list[int] = []
+    offsets = [0]
+    checked: set[str] = set()  # surfaces known to be one non-empty run of non-whitespace
+    n = 0
     for lineno, line in enumerate(stream, 1):
         line = line.rstrip("\n").rstrip("\r")
         if line == "":
-            if current:
-                sentences.append(Sentence(tuple(current)))
-                current = []
+            if n > offsets[-1]:
+                offsets.append(n)
             continue
         cols = line.split("\t")
-        if len(cols) == 2:
-            surface, distant, gold = cols[0], cols[1], None
-        elif len(cols) == 3:
-            surface, distant, gold = cols
-        else:
+        if not 2 <= len(cols) <= 3:
             raise FormatError(f"line {lineno}: expected 2 or 3 columns, got {len(cols)}")
-        try:
-            current.append(Token(surface, label_id(distant), None if gold is None else label_id(gold)))
-        except FormatError as exc:
-            raise type(exc)(f"line {lineno}: {exc}") from None
-        if len(current) == max_sentence_len:
-            sentences.append(Sentence(tuple(current)))
-            current = []
-    if current:
-        sentences.append(Sentence(tuple(current)))
-    if not sentences:
+        surface, d_name, g_name = cols if len(cols) == 3 else (*cols, None)
+        d = ids.get(d_name)
+        distant.append(new_label(d_name, lineno) if d is None else d)
+        g = -1 if g_name is None else ids.get(g_name)
+        gold.append(new_label(g_name, lineno) if g is None else g)
+        if surface not in checked:
+            # The same test as `not s or any(c.isspace() for c in s)`, and faster.
+            if surface.split() != [surface]:
+                raise FormatError(f"line {lineno}: bad token surface: {surface!r}")
+            checked.add(surface)
+        surfaces.append(surface)
+        n += 1
+        if n - offsets[-1] == max_sentence_len:
+            offsets.append(n)
+    if n > offsets[-1]:
+        offsets.append(n)
+    if n == 0:
         raise FormatError("empty corpus input")
     if label_set is None:
         # All-O corpora still need a k >= 1 label space.
-        label_set = LabelSet(list(inferred)[1:] or ["ENT"])
-    return Corpus(sentences, label_set)
+        label_set = LabelSet(list(ids)[1:] or ["ENT"])
+    cols = _Columns(surfaces, np.array(distant, dtype=np.int64), np.array(gold, dtype=np.int64), np.array(offsets))
+    return Corpus._from_columns(cols, label_set)
 
 
 def read_corpus(
@@ -293,19 +365,18 @@ def read_corpus(
 
 
 def write_conll(corpus: Corpus, stream: IO[str], include_gold: bool = True) -> None:
-    """Inverse of read_conll: each sentence is terminated by one blank line,
-    so the file ends with exactly one blank line. Gold labels are written as
-    a third column when present and ``include_gold`` is set."""
-    name_of = corpus.label_set.name_of
-    for sent in corpus.sentences:
-        for tok in sent.tokens:
-            if include_gold and tok.gold_label is not None:
-                stream.write(
-                    f"{tok.surface}\t{name_of(tok.distant_label)}\t{name_of(tok.gold_label)}\n"
-                )
-            else:
-                stream.write(f"{tok.surface}\t{name_of(tok.distant_label)}\n")
-        stream.write("\n")
+    """Inverse of read_conll, written from the columns: each sentence is
+    terminated by one blank line, so the file ends with exactly one blank
+    line. Gold labels are written as a third column when present and
+    ``include_gold`` is set."""
+    names = (O_NAME,) + corpus.label_set.names
+    surfaces, distant, gold, offsets = corpus._columns()
+    # Every token's line ends in one of these, indexed by its (distant, gold) pair.
+    endings = [f"\t{d}\t{g}\n" if g else f"\t{d}\n" for d in names for g in ("",) + names]
+    pairs = (distant * (len(names) + 1) + (gold + 1 if include_gold else 0)).tolist()
+    bounds = offsets.tolist()
+    for a, b in zip(bounds, bounds[1:]):
+        stream.write("".join([s + endings[p] for s, p in zip(surfaces[a:b], pairs[a:b])]) + "\n")
 
 
 def extract_spans(labels: Sequence[int] | np.ndarray) -> list[Span]:
@@ -356,8 +427,10 @@ class Vocab:
     def encode(self, surface: str) -> int:
         return self.word_to_index.get(surface.casefold(), self.UNK)
 
-    def encode_sentence(self, sentence: Sentence) -> np.ndarray:
-        return np.array([self.encode(t.surface) for t in sentence.tokens], dtype=np.int64)
+    def encode_sentence(self, surfaces: Sequence[str]) -> np.ndarray:
+        """The ids of one sentence's token surfaces."""
+        get = self.word_to_index.get
+        return np.array([get(s.casefold(), self.UNK) for s in surfaces], dtype=np.int64)
 
     def words(self) -> tuple[str, ...]:
         """Real words, in index order (reserved slots excluded)."""
@@ -375,9 +448,7 @@ def build_vocab(corpus: Corpus, min_count: int = 1) -> Vocab:
     """
     if min_count < 1:
         raise ValueError(f"min_count must be >= 1, got {min_count}")
-    counts: Counter[str] = Counter(
-        tok.surface.casefold() for sent in corpus.sentences for tok in sent.tokens
-    )
+    counts: Counter[str] = Counter(map(str.casefold, corpus.surfaces))
     kept = sorted(
         (w for w, c in counts.items() if c >= min_count),
         key=lambda w: (-counts[w], w),

@@ -11,12 +11,12 @@ i.e. leftmost-longest, then smallest type id.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, LabelSet, Sentence, Token, extract_spans
+from .corpus import O_NAME, Corpus, LabelSet, Sentence, Token, extract_spans
 from .errors import FormatError
 
 
@@ -30,7 +30,8 @@ class Dictionary:
     @staticmethod
     def build(pairs: Iterable[tuple[str, str]], label_set: LabelSet) -> "Dictionary":
         """From (surface text, type name) pairs; surfaces are whitespace
-        tokenized and case-folded, duplicates collapse to one entry."""
+        tokenized and case-folded, duplicates collapse to one entry. Every
+        entry needs an entity type: one typed ``O`` is a FormatError."""
         seen: set[tuple[tuple[str, ...], int]] = set()
         entries: list[tuple[tuple[str, ...], int]] = []
         for surface, type_name in pairs:
@@ -38,6 +39,8 @@ class Dictionary:
             if not tokens:
                 raise FormatError(f"empty dictionary surface for type {type_name!r}")
             entry = (tokens, label_set.id_of(type_name))
+            if entry[1] == 0:
+                raise FormatError(f"dictionary entry {surface!r} has no entity type")
             if entry not in seen:
                 seen.add(entry)
                 entries.append(entry)
@@ -51,7 +54,9 @@ def read_dictionary_pairs(
     stream: IO[str] | Iterable[str],
 ) -> tuple[list[tuple[str, str]], list[str]]:
     """Parse `surface<TAB>type_name` lines into raw pairs plus the type
-    names in order of first appearance. Surfaces may contain spaces."""
+    names in order of first appearance. Surfaces may contain spaces; a
+    line typed ``O`` is a FormatError, since an entry without an entity
+    type would only hide the entries it overlaps."""
     pairs: list[tuple[str, str]] = []
     names: list[str] = []
     seen: set[str] = set()
@@ -63,6 +68,8 @@ def read_dictionary_pairs(
         if len(cols) != 2:
             raise FormatError(f"dictionary line {lineno}: expected 2 columns, got {len(cols)}")
         surface, type_name = cols
+        if type_name == O_NAME:
+            raise FormatError(f"dictionary line {lineno}: {surface!r} has no entity type")
         pairs.append((surface, type_name))
         if type_name not in seen:
             seen.add(type_name)
@@ -175,26 +182,9 @@ class NoiseStats:
         return (self.false_positives + self.positive_type_errors) / self.distant_positive_tokens
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "counts": {
-                    "false_negatives": self.false_negatives,
-                    "false_positives": self.false_positives,
-                    "positive_type_errors": self.positive_type_errors,
-                    "gold_positive_tokens": self.gold_positive_tokens,
-                    "distant_positive_tokens": self.distant_positive_tokens,
-                    "total_tokens": self.total_tokens,
-                },
-                "rates": {
-                    "false_negative_rate": self.false_negative_rate,
-                    "false_positive_rate": self.false_positive_rate,
-                    "positive_type_error_rate": self.positive_type_error_rate,
-                    "positive_error_rate": self.positive_error_rate,
-                },
-            },
-            sort_keys=True,
-            indent=2,
-        )
+        rates = ("false_negative_rate", "false_positive_rate", "positive_type_error_rate", "positive_error_rate")
+        record = {"counts": asdict(self), "rates": {name: getattr(self, name) for name in rates}}
+        return json.dumps(record, sort_keys=True, indent=2)
 
 
 def noise_report(corpus: Corpus) -> NoiseStats:
@@ -204,23 +194,10 @@ def noise_report(corpus: Corpus) -> NoiseStats:
     fn = int(np.sum((gold != 0) & (distant == 0)))
     fp = int(np.sum((gold == 0) & (distant != 0)))
     te = int(np.sum((gold != 0) & (distant != 0) & (gold != distant)))
-    return NoiseStats(
-        false_negatives=fn,
-        false_positives=fp,
-        positive_type_errors=te,
-        gold_positive_tokens=int(np.sum(gold != 0)),
-        distant_positive_tokens=int(np.sum(distant != 0)),
-        total_tokens=len(gold),
-    )
+    return NoiseStats(fn, fp, te, int(np.sum(gold != 0)), int(np.sum(distant != 0)), len(gold))
 
 
-def inject_noise(
-    corpus: Corpus,
-    fn_rate: float,
-    fp_rate: float,
-    type_rate: float,
-    rng: np.random.Generator,
-) -> Corpus:
+def inject_noise(corpus: Corpus, fn_rate: float, fp_rate: float, type_rate: float, rng: np.random.Generator) -> Corpus:
     """Corrupt gold labels into distant labels; surfaces and gold are kept.
 
     Per gold entity span, one uniform draw u decides: u < fn_rate erases the
@@ -238,13 +215,15 @@ def inject_noise(
     if type_rate > 0 and k < 2:
         raise ValueError("type_rate > 0 needs at least two entity types")
 
-    new_sentences: list[Sentence] = []
-    for sent in corpus.sentences:
-        gold = [t.gold_label for t in sent.tokens]
-        if any(g is None for g in gold):
-            raise FormatError("inject_noise needs gold labels on every token")
+    if not corpus.has_gold():
+        raise FormatError("inject_noise needs gold labels on every token")
+    gold_column = corpus.gold_array().tolist()
+    bounds = corpus.offsets.tolist()
+    noisy: list[int] = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        gold = gold_column[lo:hi]
         distant = [0] * len(gold)
-        for span in extract_spans(gold):  # type: ignore[arg-type]
+        for span in extract_spans(gold):
             u = rng.random()
             if u < fn_rate:
                 label = 0
@@ -253,39 +232,15 @@ def inject_noise(
                 label = others[int(rng.integers(0, len(others)))]
             else:
                 label = span.label
-            for i in range(span.start, span.end + 1):
-                distant[i] = label
-        for run_start, run_end in _zero_runs(gold):
+            distant[span.start : span.end + 1] = [label] * (span.end - span.start + 1)
+        for run in extract_spans([int(g == 0) for g in gold]):  # the maximal gold-O runs
             if rng.random() < fp_rate:
-                run_len = run_end - run_start + 1
+                run_len = run.end - run.start + 1
                 length = int(rng.integers(1, min(3, run_len) + 1))
-                start = run_start + int(rng.integers(0, run_len - length + 1))
-                label = int(rng.integers(1, k + 1))
-                for i in range(start, start + length):
-                    distant[i] = label
-        new_sentences.append(
-            Sentence(
-                tuple(
-                    Token(t.surface, distant[i], t.gold_label)
-                    for i, t in enumerate(sent.tokens)
-                )
-            )
-        )
-    return Corpus(new_sentences, corpus.label_set)
-
-
-def _zero_runs(labels: Sequence[int | None]) -> list[tuple[int, int]]:
-    runs = []
-    start = None
-    for i, lab in enumerate(labels):
-        if lab == 0 and start is None:
-            start = i
-        elif lab != 0 and start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(labels) - 1))
-    return runs
+                start = run.start + int(rng.integers(0, run_len - length + 1))
+                distant[start : start + length] = [int(rng.integers(1, k + 1))] * length
+        noisy.extend(distant)
+    return corpus.with_distant(np.array(noisy, dtype=np.int64))
 
 
 # --- synthetic corpus generation -----------------------------------------

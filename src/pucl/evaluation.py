@@ -15,7 +15,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, LabelSet, Span, extract_spans
+from .corpus import Corpus, Span
 from .errors import CompatibilityError
 from .model import TokenClassifier, predict
 from .curriculum import CurriculumPlan
@@ -51,51 +51,37 @@ class Metrics:
         }
 
 
-def strict_prf(
-    pred: Sequence[Sequence[Span]], gold: Sequence[Sequence[Span]]
-) -> Metrics:
+# `strict_prf` and `relaxed_prf` define the two metric families on span
+# lists, one list per sentence; `evaluate_labels` computes the same counts
+# over flat label arrays and is tested against them.
+
+
+def strict_prf(pred: Sequence[Sequence[Span]], gold: Sequence[Sequence[Span]]) -> Metrics:
     """Exact-match span metrics; a true positive agrees in start, end and
     label. 0/0 ratios are defined as 0."""
     if len(pred) != len(gold):
         raise ValueError("pred and gold must cover the same sentences")
-    tp = 0
-    n_pred = 0
-    n_gold = 0
-    for p_spans, g_spans in zip(pred, gold):
-        g_set = set(g_spans)
-        tp += sum(1 for s in p_spans if s in g_set)
-        n_pred += len(p_spans)
-        n_gold += len(g_spans)
-    return Metrics.from_counts(tp, tp, n_pred, n_gold)
+    tp = sum(sum(map(set(g).__contains__, p)) for p, g in zip(pred, gold))
+    return Metrics.from_counts(tp, tp, sum(map(len, pred)), sum(map(len, gold)))
 
 
 def relaxed_prf(
-    pred: Sequence[Sequence[Span]],
-    gold: Sequence[Sequence[Span]],
-    require_type_match: bool = True,
+    pred: Sequence[Sequence[Span]], gold: Sequence[Sequence[Span]], require_type_match: bool = True
 ) -> Metrics:
-    """Overlap-based span metrics.
-
-    A predicted span scores for precision if it overlaps any gold span (of
-    the same type unless disabled); a gold span scores for recall if any
-    such prediction overlaps it.
-    """
+    """Overlap-based span metrics: a predicted span scores for precision if
+    it overlaps any gold span (of the same type unless disabled); a gold
+    span scores for recall if any such prediction overlaps it."""
     if len(pred) != len(gold):
         raise ValueError("pred and gold must cover the same sentences")
 
-    def compatible(a: Span, b: Span) -> bool:
-        return a.overlaps(b) and (not require_type_match or a.label == b.label)
+    def hits(spans: Sequence[Span], others: Sequence[Span]) -> int:
+        return sum(
+            any(a.overlaps(b) and (not require_type_match or a.label == b.label) for b in others) for a in spans
+        )
 
-    tp_p = 0
-    tp_r = 0
-    n_pred = 0
-    n_gold = 0
-    for p_spans, g_spans in zip(pred, gold):
-        tp_p += sum(1 for s in p_spans if any(compatible(s, g) for g in g_spans))
-        tp_r += sum(1 for g in g_spans if any(compatible(p, g) for p in p_spans))
-        n_pred += len(p_spans)
-        n_gold += len(g_spans)
-    return Metrics.from_counts(tp_p, tp_r, n_pred, n_gold)
+    tp_p = sum(hits(p, g) for p, g in zip(pred, gold))
+    tp_r = sum(hits(g, p) for p, g in zip(pred, gold))
+    return Metrics.from_counts(tp_p, tp_r, sum(map(len, pred)), sum(map(len, gold)))
 
 
 @dataclass(frozen=True)
@@ -117,42 +103,70 @@ class EvalReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def evaluate_spans(
-    pred: Sequence[Sequence[Span]],
-    gold: Sequence[Sequence[Span]],
-    label_set: LabelSet,
-    require_type_match: bool = True,
-) -> EvalReport:
-    """Assemble overall (micro-averaged) and per-type metric families."""
-    strict_per_type = {}
-    relaxed_per_type = {}
-    for type_id in range(1, label_set.k + 1):
-        p_t = [[s for s in spans if s.label == type_id] for spans in pred]
-        g_t = [[s for s in spans if s.label == type_id] for spans in gold]
-        name = label_set.name_of(type_id)
-        strict_per_type[name] = strict_prf(p_t, g_t)
-        relaxed_per_type[name] = relaxed_prf(p_t, g_t, require_type_match)
-    return EvalReport(
-        strict=strict_prf(pred, gold),
-        relaxed=relaxed_prf(pred, gold, require_type_match),
-        strict_per_type=strict_per_type,
-        relaxed_per_type=relaxed_per_type,
-    )
+def _runs(labels: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last flat index of every span in flat ``labels``: a maximal
+    run of one non-zero id, broken at the sentence boundaries ``offsets``."""
+    breaks = np.ones(len(labels) + 1, dtype=bool)  # breaks[i]: a run cannot go on into token i
+    breaks[1:-1] = labels[1:] != labels[:-1]
+    breaks[offsets] = True
+    entity = labels != 0
+    return np.flatnonzero(breaks[:-1] & entity), np.flatnonzero(breaks[1:] & entity)
+
+
+def _any_marked(starts: np.ndarray, ends: np.ndarray, marked: np.ndarray) -> np.ndarray:
+    """Whether any token of each span [start, end] is marked."""
+    cum = np.concatenate([[0], np.cumsum(marked)])
+    return cum[ends + 1] > cum[starts]
 
 
 def evaluate_labels(
-    pred_labels: Sequence[np.ndarray | Sequence[int]],
-    corpus: Corpus,
-    require_type_match: bool = True,
+    pred_labels: Sequence[np.ndarray | Sequence[int]], corpus: Corpus, require_type_match: bool = True
 ) -> EvalReport:
-    """Evaluate per-token label ids against the corpus gold labels."""
+    """Evaluate per-token label ids, one array per sentence, against the
+    corpus gold labels, overall (micro-averaged) and per type.
+
+    The spans of every sentence are found at once in flat arrays. A
+    predicted span is a strict hit if a gold span has its start, end and
+    label, and a relaxed hit if any of its tokens carries its label on the
+    gold side (any entity label, with ``require_type_match`` off); gold
+    spans are scored against the prediction the same way. The per-type
+    families always match types, as ``relaxed_prf`` does on spans of one
+    type.
+    """
     if not corpus.has_gold():
         raise CompatibilityError("evaluation needs gold labels on every token")
-    if len(pred_labels) != len(corpus.sentences):
+    if len(pred_labels) != len(corpus):
         raise ValueError("prediction count does not match corpus sentences")
-    pred_spans = [extract_spans(labels) for labels in pred_labels]
-    gold_spans = [extract_spans(s.gold_labels()) for s in corpus.sentences]
-    return evaluate_spans(pred_spans, gold_spans, corpus.label_set, require_type_match)
+    offsets = corpus.offsets
+    if [len(p) for p in pred_labels] != np.diff(offsets).tolist():
+        raise ValueError("prediction lengths do not match the corpus sentences")
+    pred = np.concatenate(pred_labels).astype(np.int64)
+    gold = corpus.gold_array()
+    p_start, p_end = _runs(pred, offsets)
+    g_start, g_end = _runs(gold, offsets)
+    p_label, g_label = pred[p_start], gold[g_start]
+    n = len(gold) + 1
+    strict = np.isin(p_start * n + p_end, g_start * n + g_end) & (gold[p_start] == p_label)
+    same = pred == gold
+    p_typed, g_typed = _any_marked(p_start, p_end, same), _any_marked(g_start, g_end, same)
+    if require_type_match:
+        p_relaxed, g_relaxed = p_typed, g_typed
+    else:
+        p_relaxed, g_relaxed = _any_marked(p_start, p_end, gold != 0), _any_marked(g_start, g_end, pred != 0)
+
+    names = corpus.label_set.names
+
+    def per_type(labels: np.ndarray, hits: np.ndarray | None = None) -> list[int]:
+        return np.bincount(labels if hits is None else labels[hits], minlength=len(names) + 1).tolist()
+
+    n_pred, n_gold = per_type(p_label), per_type(g_label)
+    tp, tp_p, tp_r = per_type(p_label, strict), per_type(p_label, p_typed), per_type(g_label, g_typed)
+    return EvalReport(
+        Metrics.from_counts(int(strict.sum()), int(strict.sum()), len(p_start), len(g_start)),
+        Metrics.from_counts(int(p_relaxed.sum()), int(g_relaxed.sum()), len(p_start), len(g_start)),
+        {name: Metrics.from_counts(tp[t], tp[t], n_pred[t], n_gold[t]) for t, name in enumerate(names, 1)},
+        {name: Metrics.from_counts(tp_p[t], tp_r[t], n_pred[t], n_gold[t]) for t, name in enumerate(names, 1)},
+    )
 
 
 def evaluate(model: TokenClassifier, corpus: Corpus, require_type_match: bool = True) -> EvalReport:
@@ -191,28 +205,12 @@ def curriculum_error_analysis(
     rows = []
     for j, idx in enumerate(plan.curricula, start=1):
         pos = idx[distant[idx] > 0]
-        n = len(pos)
-        if n == 0:
-            rows.append(
-                {
-                    "curriculum": j,
-                    "positives": 0,
-                    "errors": 0,
-                    "error_rate": None,
-                    "mean_difficulty": None,
-                }
-            )
-            continue
         errors = int(np.sum(gold[pos] != distant[pos]))
-        rows.append(
-            {
-                "curriculum": j,
-                "positives": n,
-                "errors": errors,
-                "error_rate": errors / n,
-                "mean_difficulty": float(difficulty.scores[pos].mean()),
-            }
-        )
+        rows.append({
+            "curriculum": j, "positives": len(pos), "errors": errors,
+            "error_rate": errors / len(pos) if len(pos) else None,
+            "mean_difficulty": float(difficulty.scores[pos].mean()) if len(pos) else None,
+        })
     return CurriculumAnalysis(tuple(rows))
 
 

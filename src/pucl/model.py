@@ -313,11 +313,7 @@ def predict(model: TokenClassifier, corpus: Corpus) -> list[np.ndarray]:
             f"label sets differ: model {list(model.label_names)} "
             f"vs corpus {list(corpus.label_set.names)}"
         )
-    rows, offsets = model.encode_corpus(corpus), corpus.offsets
-    return [
-        np.argmax(model.forward_rows(rows[offsets[i] : offsets[i + 1]])[0], axis=1).astype(np.int64)
-        for i in range(len(corpus))
-    ]
+    return np.split(np.argmax(model.corpus_probs(corpus), axis=1), corpus.offsets[1:-1])
 
 
 # --- checkpoint format ----------------------------------------------------

@@ -8,8 +8,9 @@ runs its stage and the stages it needs, and reuses only the voters, when
 Artifacts are written to a temporary file and moved into place with
 ``os.replace``, so a killed run leaves the old file or the new one.
 
-With a fixed seed two runs produce byte-identical artifacts (the
-manifest's wall-clock fields are the only exception).
+With a fixed seed two runs produce byte-identical artifacts; the
+manifest, which records the wall-clock time of the run and the wall and
+CPU time of each stage (``phases``), is the only exception.
 """
 
 from __future__ import annotations
@@ -328,6 +329,7 @@ def run_pipeline(cfg: PipelineConfig, until: str | None = None) -> PipelineResul
     manifest: dict = {
         "config": cfg.snapshot(),
         "stages": [s.name for s in stages],
+        "phases": {},  # stage -> its wall and CPU seconds
         "inputs": {},
         "artifacts": {},
         "versions": {
@@ -341,7 +343,11 @@ def run_pipeline(cfg: PipelineConfig, until: str | None = None) -> PipelineResul
     try:
         run = _read_inputs(cfg, until, out_dir, manifest)
         for stage in stages:
+            wall, cpu = time.perf_counter(), time.process_time()
             stage.run(run)
+            manifest["phases"][stage.name] = {
+                "wall_s": time.perf_counter() - wall, "cpu_s": time.process_time() - cpu,
+            }
         manifest["status"] = "ok"
         return run
     except BaseException as exc:

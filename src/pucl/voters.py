@@ -94,7 +94,7 @@ def _train_one_voter(
         return *pn_risk(probs, labels[positions], cfg.loss), 0
 
     for _ in range(cfg.epochs):
-        order = shuffle_rng.permutation(len(corpus.sentences))
+        order = shuffle_rng.permutation(len(corpus))
         train_epoch(
             model, adam, corpus, order, cfg.batch_size, batch_risk, f"voter {voter_idx}", sample
         )
@@ -215,11 +215,11 @@ def dump_scores_tsv(
     """One row per token: sentence_idx, token_idx, surface, distant label
     name, lambda, difficulty."""
     name_of = corpus.label_set.name_of
-    flat = 0
-    for s_idx, sent in enumerate(corpus.sentences):
-        for t_idx, tok in enumerate(sent.tokens):
-            stream.write(
-                f"{s_idx}\t{t_idx}\t{tok.surface}\t{name_of(tok.distant_label)}"
-                f"\t{conf.lam[flat]:.17g}\t{diff.scores[flat]:.17g}\n"
-            )
-            flat += 1
+    offsets = corpus.offsets
+    sentence = np.repeat(np.arange(len(corpus)), np.diff(offsets))
+    position = np.arange(corpus.n_tokens) - offsets[sentence]
+    for s_idx, t_idx, surface, label, lam, h in zip(
+        sentence.tolist(), position.tolist(), corpus.surfaces,
+        corpus.distant_array().tolist(), conf.lam.tolist(), diff.scores.tolist(),
+    ):
+        stream.write(f"{s_idx}\t{t_idx}\t{surface}\t{name_of(label)}\t{lam:.17g}\t{h:.17g}\n")

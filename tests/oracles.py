@@ -161,7 +161,7 @@ def loop_window_rows(ids, window):
 def loop_sentence_rows(model, corpus):
     """The model's window matrix of every sentence of the corpus, in order."""
     return [
-        loop_window_rows(model.vocab.encode_sentence(s), model.config.window)
+        loop_window_rows(model.vocab.encode_sentence(s.surfaces()), model.config.window)
         for s in corpus.sentences
     ]
 

@@ -15,7 +15,7 @@ import pucl.pipeline
 from pucl.benchmark import BENCHMARK_CONFIG, BenchmarkSpec, make_benchmark
 from pucl.cli import build_parser, main
 from pucl.config import config_from_dict, load_config
-from pucl.corpus import Vocab, read_conll, write_conll
+from pucl.corpus import Token, Vocab, read_conll, write_conll
 from pucl.errors import FormatError
 from pucl.model import load_checkpoint
 from pucl.pipeline import STAGES, run_pipeline, stages_up_to
@@ -144,6 +144,19 @@ class TestAnnotate:
         assert "empty dictionary" in capsys.readouterr().err
         assert np.all(read(out_file).distant_array() == 0)
 
+    def test_o_typed_dictionary_entry_exits_2(self, tmp_path, capsys):
+        # An entry typed O would hide the entries it overlaps: `a b c` came
+        # out all O, with exit 0.
+        dictionary = tmp_path / "dict.tsv"
+        dictionary.write_text("a b\tO\nb c\tT\n", encoding="utf-8")
+        corpus = tmp_path / "in.tsv"
+        corpus.write_text("a\tO\nb\tO\nc\tO\n\n", encoding="utf-8")
+        out_file = tmp_path / "out.tsv"
+        code = main(["annotate", "--dict", str(dictionary), "--in", str(corpus), "--out", str(out_file)])
+        assert code == 2
+        assert "dictionary line 1: 'a b' has no entity type" in capsys.readouterr().err
+        assert not out_file.exists()
+
     def test_missing_dictionary_exit_2(self, synth_dir, tmp_path):
         code = main(
             ["annotate", "--dict", str(tmp_path / "nope.tsv"), "--in", str(synth_dir / "test.tsv"), "--out", str(tmp_path / "x.tsv")]
@@ -177,6 +190,28 @@ class TestPipeline:
             a = (outs[0] / artifact).read_bytes()
             b = (outs[1] / artifact).read_bytes()
             assert a == b, artifact
+
+    def test_phase_timings_only_in_the_manifest(self, synth_dir, tmp_path):
+        outs = []
+        for name in ("a", "b"):
+            out_dir = tmp_path / name
+            cfg_path = write_config(small_config(synth_dir, out_dir, mode="full-st"), tmp_path / f"{name}.json")
+            assert main(["pipeline", "--config", cfg_path]) == 0
+            outs.append(out_dir)
+        cfg_path = write_config(small_config(synth_dir, tmp_path / "plan"), tmp_path / "plan.json")
+        assert main(["build-plan", "--config", cfg_path]) == 0
+        for out_dir in (outs[0], tmp_path / "plan"):
+            manifest = json.loads((out_dir / "manifest.json").read_text())
+            assert set(manifest["phases"]) == set(manifest["stages"])
+            for times in manifest["phases"].values():
+                assert set(times) == {"wall_s", "cpu_s"}
+                assert min(times.values()) >= 0
+        assert manifest["stages"] == ["voters", "difficulty", "plan"]
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        for name in names:
+            if name != "manifest.json":
+                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
     def test_mode_validation(self, synth_dir, tmp_path):
         cfg = small_config(synth_dir, tmp_path / "x")
@@ -284,6 +319,27 @@ class TestEvaluateCommand:
         )
         assert code == 0
         assert out_json.read_text() == (trained / "report.json").read_text()
+
+    def test_annotate_and_evaluate_build_no_tokens(self, synth_dir, tmp_path, trained, monkeypatch):
+        # Both commands work on the corpus's columns; a Token built per
+        # token (twice per token, once in each command) would show here.
+        built = []
+        check = Token.__post_init__
+        monkeypatch.setattr(Token, "__post_init__", lambda tok: built.append(tok) or check(tok))
+        Token("probe", 0)
+        assert len(built) == 1
+        annotated = tmp_path / "annotated.tsv"
+        code = main(
+            ["annotate", "--dict", str(synth_dir / "dict.tsv"), "--in", str(synth_dir / "test.tsv"),
+             "--out", str(annotated)]
+        )
+        assert code == 0
+        code = main(
+            ["evaluate", "--model", str(trained / "model.bin"), "--test", str(annotated),
+             "--out", str(tmp_path / "report.json")]
+        )
+        assert code == 0
+        assert len(built) == 1
 
     def test_label_mismatch_exit_3(self, tmp_path, trained):
         bad = tmp_path / "bad.tsv"

@@ -188,6 +188,58 @@ class TestRoundTripProperty:
         assert parse(out.getvalue(), label_set=ls) == corpus
 
 
+@st.composite
+def conll_texts(draw):
+    """(text, label set or None, max_sentence_len, canonical text, expected
+    sentences, expected label set): a random file that mixes two- and
+    three-column lines, CRLF line ends and extra blank lines, and what
+    reading it must give."""
+    names = draw(st.lists(st.sampled_from(["PER", "ORG", "LOC"]), min_size=1, max_size=3, unique=True))
+    given = draw(st.booleans())
+    max_len = draw(st.integers(1, 5))
+    label = st.sampled_from(["O"] + names)
+    rows = st.tuples(SURFACE, label, st.one_of(st.none(), label))
+    sentences = draw(st.lists(st.lists(rows, min_size=1, max_size=8), min_size=1, max_size=6))
+    text = ""
+    for sent in sentences:
+        for surface, d, g in sent:
+            end = draw(st.sampled_from(["\n", "\r\n"]))
+            text += f"{surface}\t{d}{end}" if g is None else f"{surface}\t{d}\t{g}{end}"
+        text += "\n" * draw(st.integers(0 if sent is sentences[-1] else 1, 2))
+    seen = [n for sent in sentences for _, d, g in sent for n in (d, g) if n not in (None, "O")]
+    ls = LabelSet(names) if given else LabelSet(list(dict.fromkeys(seen)) or ["ENT"])
+    chunks = [sent[i : i + max_len] for sent in sentences for i in range(0, len(sent), max_len)]
+    canonical = "".join(
+        "".join(f"{s}\t{d}\n" if g is None else f"{s}\t{d}\t{g}\n" for s, d, g in chunk) + "\n"
+        for chunk in chunks
+    )
+    expected = tuple(
+        Sentence(tuple(Token(s, ls.id_of(d), None if g is None else ls.id_of(g)) for s, d, g in chunk))
+        for chunk in chunks
+    )
+    return text, ls if given else None, max_len, canonical, expected, ls
+
+
+class TestColumnarReaderProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(conll_texts())
+    def test_columns_match_the_hand_built_form(self, case):
+        text, label_set, max_len, canonical, expected, ls = case
+        corpus = parse(text, label_set=label_set, max_sentence_len=max_len)
+        assert corpus.label_set == ls
+        out = io.StringIO()
+        write_conll(corpus, out)
+        assert out.getvalue() == canonical
+        assert corpus.sentences == expected
+        assert corpus == Corpus(expected, ls)
+
+    def test_mixed_gold_columns_round_trip_byte_for_byte(self):
+        text = "a\tPER\tPER\nb\tO\n\nc\tO\tORG\n\nd\tORG\n\n"
+        out = io.StringIO()
+        write_conll(parse(text), out)
+        assert out.getvalue() == text
+
+
 class TestExtractSpans:
     def test_definition(self):
         assert extract_spans([0, 1, 1, 0, 2]) == [Span(1, 2, 1), Span(4, 4, 2)]
@@ -283,7 +335,7 @@ class TestEncodedCorpus:
         corpus = Corpus(sentences, LabelSet(["X"]))
         vocab = Vocab(["a", "b", "c"])
         expected = np.concatenate(
-            [loop_window_rows(vocab.encode_sentence(s), window) for s in sentences]
+            [loop_window_rows(vocab.encode_sentence(s.surfaces()), window) for s in sentences]
         )
         assert np.array_equal(corpus.windows(vocab, window), expected)
 
@@ -318,7 +370,7 @@ class TestEncodedCorpus:
         other = Vocab(["c", "a"])
         assert np.array_equal(
             corpus.windows(other, 1),
-            np.concatenate([loop_window_rows(other.encode_sentence(s), 1) for s in corpus.sentences]),
+            np.concatenate([loop_window_rows(other.encode_sentence(s.surfaces()), 1) for s in corpus.sentences]),
         )
         assert np.array_equal(corpus.windows(vocab, 1), rows)
 

@@ -100,6 +100,36 @@ class TestOracleEquivalence:
             assert report.relaxed.recall == pytest.approx(rr, abs=1e-12)
             assert report.relaxed.f1 == pytest.approx(rf, abs=1e-12)
 
+    @pytest.mark.parametrize("require_type", [True, False])
+    def test_per_type_and_untyped_families_equal_the_references(self, require_type):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            corpus, pred_labels = random_micro_corpus(rng, k=3)
+            report = evaluate_labels(pred_labels, corpus, require_type_match=require_type)
+            pred_spans = [extract_spans(p) for p in pred_labels]
+            gold_spans = [extract_spans(s.gold_labels()) for s in corpus.sentences]
+            families = [(report.strict, report.relaxed, pred_spans, gold_spans)]
+            for t, name in enumerate(corpus.label_set.names, 1):
+                families.append((
+                    report.strict_per_type[name],
+                    report.relaxed_per_type[name],
+                    [[s for s in spans if s.label == t] for spans in pred_spans],
+                    [[s for s in spans if s.label == t] for spans in gold_spans],
+                ))
+            for strict, relaxed, pred, gold in families:
+                (sp, sr, sf), (rp, rr, rf) = oracle_metrics(pred, gold, require_type)
+                assert (strict.precision, strict.recall, strict.f1) == (sp, sr, sf)
+                assert (relaxed.precision, relaxed.recall, relaxed.f1) == (rp, rr, rf)
+                # the span-list references agree on every count too
+                assert strict == strict_prf(pred, gold)
+                assert relaxed == relaxed_prf(pred, gold, require_type)
+
+    def test_prediction_lengths_must_match_the_sentences(self):
+        corpus, pred_labels = random_micro_corpus(np.random.default_rng(5))
+        pred_labels[-1] = np.append(pred_labels[-1], 0)
+        with pytest.raises(ValueError, match="lengths"):
+            evaluate_labels(pred_labels, corpus)
+
     def test_strict_tp_never_exceeds_relaxed_precision_tp(self):
         rng = np.random.default_rng(23)
         for _ in range(100):
