@@ -145,8 +145,9 @@ def evaluate_labels(
     p_start, p_end = _runs(pred, offsets)
     g_start, g_end = _runs(gold, offsets)
     p_label, g_label = pred[p_start], gold[g_start]
-    n = len(gold) + 1
-    strict = np.isin(p_start * n + p_end, g_start * n + g_end) & (gold[p_start] == p_label)
+    gold_end = np.full(len(gold), -1)  # the end of the gold span that starts at each token, or -1
+    gold_end[g_start] = g_end
+    strict = (gold_end[p_start] == p_end) & (gold[p_start] == p_label)
     same = pred == gold
     p_typed, g_typed = _any_marked(p_start, p_end, same), _any_marked(g_start, g_end, same)
     if require_type_match:
