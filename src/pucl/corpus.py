@@ -429,8 +429,7 @@ class Vocab:
 
     def encode_sentence(self, surfaces: Sequence[str]) -> np.ndarray:
         """The ids of one sentence's token surfaces."""
-        get = self.word_to_index.get
-        return np.array([get(s.casefold(), self.UNK) for s in surfaces], dtype=np.int64)
+        return np.array([self.encode(s) for s in surfaces], dtype=np.int64)
 
     def words(self) -> tuple[str, ...]:
         """Real words, in index order (reserved slots excluded)."""
