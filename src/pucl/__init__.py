@@ -16,11 +16,10 @@ from .corpus import (
     Corpus,
     LabelSet,
     Sentence,
-    Span,
     Token,
     Vocab,
     build_vocab,
-    extract_spans,
+    find_spans,
     read_conll,
     write_conll,
 )
@@ -82,8 +81,6 @@ from .evaluation import (
     difficulty_histogram,
     evaluate,
     evaluate_labels,
-    relaxed_prf,
-    strict_prf,
 )
 from .config import PipelineConfig, load_config
 from .pipeline import run_pipeline

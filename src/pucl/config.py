@@ -7,6 +7,7 @@ field has a default. Unknown keys are rejected so typos fail loudly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, get_args, get_type_hints
@@ -80,7 +81,6 @@ class PipelineConfig:
             stage_epochs=self.curriculum.stage_epochs,
             learning_rate=self.curriculum.learning_rate,
             batch_size=self.curriculum.batch_size,
-            loss=self.risk.loss,
             conf_mpu=self.risk,
         )
 
@@ -111,8 +111,9 @@ _JSON_NAMES = {bool: "boolean", int: "integer", float: "number", str: "string"}
 def _typed(raw: dict, key: str, kind: Any, default: Any, where: str = "config key") -> Any:
     """``raw[key]`` if it is a JSON value of ``kind``, else FormatError.
     Nothing is coerced: a JSON boolean is not an integer, and only a float
-    field also takes an integer. A ``Literal`` of strings is a string, and
-    ``str | None`` also takes null."""
+    field also takes an integer, and never NaN or an infinity (which Python's
+    ``json`` reads). A ``Literal`` of strings is a string, and ``str | None``
+    also takes null."""
     value = raw.get(key, default)
     if value is None and type(None) in get_args(kind):
         return None
@@ -120,6 +121,8 @@ def _typed(raw: dict, key: str, kind: Any, default: Any, where: str = "config ke
     accepted = (int, float) if kind is float else kind
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
         raise FormatError(f"{where} {key!r} must be a JSON {_JSON_NAMES[kind]}, got {value!r}")
+    if kind is float and not math.isfinite(value):
+        raise FormatError(f"{where} {key!r} must be a finite number, got {value!r}")
     return value
 
 

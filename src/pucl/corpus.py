@@ -1,8 +1,11 @@
-"""Corpus data model, CoNLL-style TSV I/O, vocabulary, and span extraction.
+"""Corpus data model, CoNLL-style TSV I/O, vocabulary, and the span finder.
 
 Labels are stored as plain type ids (IO scheme): id 0 is the unlabeled /
 non-entity class, ids 1..k are entity types. A maximal run of one non-zero
-id is one entity span; there is no BIO prefixing anywhere in the package.
+id within a sentence is one entity span; there is no BIO prefixing anywhere
+in the package. Labels, predictions included, travel as flat arrays in
+token order, and ``find_spans`` is the one place that turns them into
+spans, as (start, end) index arrays.
 
 A corpus is stored as flat per-token columns (surfaces, distant ids, gold
 ids, sentence offsets). ``read_conll`` fills them line by line and
@@ -106,24 +109,6 @@ class Sentence:
 
     def gold_labels(self) -> list[int | None]:
         return [t.gold_label for t in self.tokens]
-
-
-@dataclass(frozen=True, slots=True)
-class Span:
-    """Contiguous entity span, inclusive on both ends."""
-
-    start: int
-    end: int
-    label: int
-
-    def __post_init__(self) -> None:
-        if self.start > self.end:
-            raise ValueError(f"span start {self.start} > end {self.end}")
-        if self.label == 0:
-            raise ValueError("span label must be an entity id, not 0")
-
-    def overlaps(self, other: "Span") -> bool:
-        return self.start <= other.end and other.start <= self.end
 
 
 class _Columns(NamedTuple):
@@ -252,13 +237,14 @@ class Corpus:
     def windows(self, vocab: Vocab, window: int) -> np.ndarray:
         """[n_tokens, 2 * window + 1] vocabulary ids of every token's context
         window, in flat token order; positions beyond a sentence's edges hold
-        ``Vocab.PAD``. The one encoded form of the corpus: each sentence goes
-        through ``encode_sentence`` once, and the read-only array is kept
-        until another vocabulary (compared with ``==``) or window asks."""
+        ``Vocab.PAD``. The one encoded form of the corpus: the surfaces
+        column goes through ``encode_sentence`` once, and the read-only array
+        is kept until another vocabulary (compared with ``==``) or window
+        asks."""
         cached = self._windows
         if cached is not None and cached[1] == window and cached[0] == vocab:
             return cached[2]
-        ids = np.concatenate([vocab.encode_sentence(s) for s in self.sentence_surfaces()])
+        ids = vocab.encode_sentence(self.surfaces)
         lengths = np.diff(self.offsets)
         # Lay the sentences out with `window` padding slots before, between and
         # after them, so that no window reaches into a neighbouring sentence.
@@ -379,25 +365,15 @@ def write_conll(corpus: Corpus, stream: IO[str], include_gold: bool = True) -> N
         stream.write("".join([s + endings[p] for s, p in zip(surfaces[a:b], pairs[a:b])]) + "\n")
 
 
-def extract_spans(labels: Sequence[int] | np.ndarray) -> list[Span]:
-    """Maximal runs of one non-zero label id become single spans.
-
-    Zeros break runs; adjacent runs of different non-zero ids are separate
-    spans. Output is sorted by start and pairwise disjoint.
-    """
-    spans: list[Span] = []
-    start = -1
-    run_label = 0
-    for i, raw in enumerate(labels):
-        label = int(raw)
-        if label == run_label:
-            continue
-        if run_label != 0:
-            spans.append(Span(start, i - 1, run_label))
-        start, run_label = i, label
-    if run_label != 0:
-        spans.append(Span(start, len(labels) - 1, run_label))
-    return spans
+def find_spans(labels: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last flat index of every span in flat ``labels``: a maximal
+    run of one non-zero id, broken at the sentence boundaries ``offsets``.
+    Both arrays are in token order."""
+    breaks = np.ones(len(labels) + 1, dtype=bool)  # breaks[i]: a run cannot go on into token i
+    breaks[1:-1] = labels[1:] != labels[:-1]
+    breaks[offsets] = True
+    entity = labels != 0
+    return np.flatnonzero(breaks[:-1] & entity), np.flatnonzero(breaks[1:] & entity)
 
 
 class Vocab:
@@ -428,7 +404,8 @@ class Vocab:
         return self.word_to_index.get(surface.casefold(), self.UNK)
 
     def encode_sentence(self, surfaces: Sequence[str]) -> np.ndarray:
-        """The ids of one sentence's token surfaces."""
+        """The ids of a sequence of token surfaces: one sentence's, or a
+        whole corpus's surfaces column."""
         return np.array([self.encode(s) for s in surfaces], dtype=np.int64)
 
     def words(self) -> tuple[str, ...]:

@@ -23,7 +23,7 @@ import numpy as np
 from .corpus import Corpus, Vocab, build_vocab
 from .errors import NumericError
 from .model import AdamState, BatchRisk, ModelConfig, TokenClassifier, train_epoch
-from .risk import ConfMpuConfig, LossKind, Priors, conf_mpu_risk, kl_soft_rows, loss_rows
+from .risk import ConfMpuConfig, Priors, conf_mpu_risk, kl_soft_rows, loss_rows
 from .seeding import derive_seed, make_rng
 from .voters import ConfidenceTable, DifficultyTable
 
@@ -141,7 +141,6 @@ class StageSchedule:
     stage_epochs: int = 2
     learning_rate: float = 1e-3
     batch_size: int = 32
-    loss: LossKind = "mae"
     conf_mpu: ConfMpuConfig = ConfMpuConfig()
 
     def __post_init__(self) -> None:
@@ -307,7 +306,7 @@ def train_no_confmpu(
     """Baby-step training with the plain mean loss (the PU ablation):
     unlabeled tokens are treated as class 0."""
     batch_risk = _mean_risk(
-        lambda probs, labels: loss_rows(probs, labels, schedule.loss), corpus.distant_array()
+        lambda probs, labels: loss_rows(probs, labels, schedule.conf_mpu.loss), corpus.distant_array()
     )
     return _run_stages(
         corpus, plan, schedule, seed, vocab, model_config, batch_risk, log, stage_callback

@@ -16,7 +16,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .corpus import O_NAME, Corpus, LabelSet, Sentence, Token, extract_spans
+from .corpus import O_NAME, Corpus, LabelSet, Sentence, Token, find_spans
 from .errors import FormatError
 
 
@@ -204,7 +204,9 @@ def inject_noise(corpus: Corpus, fn_rate: float, fp_rate: float, type_rate: floa
     span to 0; fn_rate <= u < fn_rate+type_rate relabels it to a uniformly
     random other type (so the two corruptions are mutually exclusive and the
     erase check wins). Per maximal gold-O run, with probability fp_rate a
-    random sub-run of length 1..3 gets a random entity type.
+    random sub-run of length 1..3 gets a random entity type. The draws go
+    sentence by sentence: a sentence's spans, then its gold-O runs, each in
+    token order.
     """
     for name, rate in (("fn_rate", fn_rate), ("fp_rate", fp_rate), ("type_rate", type_rate)):
         if not 0.0 <= rate <= 1.0:
@@ -217,30 +219,27 @@ def inject_noise(corpus: Corpus, fn_rate: float, fp_rate: float, type_rate: floa
 
     if not corpus.has_gold():
         raise FormatError("inject_noise needs gold labels on every token")
-    gold_column = corpus.gold_array().tolist()
-    bounds = corpus.offsets.tolist()
-    noisy: list[int] = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        gold = gold_column[lo:hi]
-        distant = [0] * len(gold)
-        for span in extract_spans(gold):
+    gold, offsets = corpus.gold_array(), corpus.offsets
+    span_starts, span_ends = find_spans(gold, offsets)
+    run_starts, run_ends = find_spans(gold == 0, offsets)  # the maximal gold-O runs
+    starts, ends = np.concatenate([span_starts, run_starts]), np.concatenate([span_ends, run_ends])
+    is_run = np.repeat([False, True], [len(span_starts), len(run_starts)])
+    order = np.lexsort((starts, is_run, np.searchsorted(offsets, starts, side="right")))
+    distant = gold.copy()  # a span that keeps its type and an O token that stays O
+    for run, start, end in zip(is_run[order].tolist(), starts[order].tolist(), ends[order].tolist()):
+        if not run:
             u = rng.random()
             if u < fn_rate:
-                label = 0
+                distant[start : end + 1] = 0
             elif u < fn_rate + type_rate:
-                others = [t for t in range(1, k + 1) if t != span.label]
-                label = others[int(rng.integers(0, len(others)))]
-            else:
-                label = span.label
-            distant[span.start : span.end + 1] = [label] * (span.end - span.start + 1)
-        for run in extract_spans([int(g == 0) for g in gold]):  # the maximal gold-O runs
-            if rng.random() < fp_rate:
-                run_len = run.end - run.start + 1
-                length = int(rng.integers(1, min(3, run_len) + 1))
-                start = run.start + int(rng.integers(0, run_len - length + 1))
-                distant[start : start + length] = [int(rng.integers(1, k + 1))] * length
-        noisy.extend(distant)
-    return corpus.with_distant(np.array(noisy, dtype=np.int64))
+                others = [t for t in range(1, k + 1) if t != gold[start]]
+                distant[start : end + 1] = others[int(rng.integers(0, len(others)))]
+        elif rng.random() < fp_rate:
+            run_len = end - start + 1
+            length = int(rng.integers(1, min(3, run_len) + 1))
+            first = start + int(rng.integers(0, run_len - length + 1))
+            distant[first : first + length] = int(rng.integers(1, k + 1))
+    return corpus.with_distant(distant)
 
 
 # --- synthetic corpus generation -----------------------------------------

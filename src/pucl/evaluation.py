@@ -4,18 +4,20 @@ analysis, and difficulty-distribution summaries.
 Strict credit requires an exact (start, end, type) match. Relaxed credit
 needs at least one overlapping token with a same-type span on the other
 side; the precision and recall numerators are counted independently, so one
-prediction overlapping two gold spans recalls both.
+prediction overlapping two gold spans recalls both. Spans are found with
+``corpus.find_spans`` in the flat prediction and gold arrays and counted
+with numpy; ``tests/oracles.py`` holds the span-list references.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO
 
 import numpy as np
 
-from .corpus import Corpus, Span
+from .corpus import Corpus, find_spans
 from .errors import CompatibilityError
 from .model import TokenClassifier, predict
 from .curriculum import CurriculumPlan
@@ -51,39 +53,6 @@ class Metrics:
         }
 
 
-# `strict_prf` and `relaxed_prf` define the two metric families on span
-# lists, one list per sentence; `evaluate_labels` computes the same counts
-# over flat label arrays and is tested against them.
-
-
-def strict_prf(pred: Sequence[Sequence[Span]], gold: Sequence[Sequence[Span]]) -> Metrics:
-    """Exact-match span metrics; a true positive agrees in start, end and
-    label. 0/0 ratios are defined as 0."""
-    if len(pred) != len(gold):
-        raise ValueError("pred and gold must cover the same sentences")
-    tp = sum(sum(map(set(g).__contains__, p)) for p, g in zip(pred, gold))
-    return Metrics.from_counts(tp, tp, sum(map(len, pred)), sum(map(len, gold)))
-
-
-def relaxed_prf(
-    pred: Sequence[Sequence[Span]], gold: Sequence[Sequence[Span]], require_type_match: bool = True
-) -> Metrics:
-    """Overlap-based span metrics: a predicted span scores for precision if
-    it overlaps any gold span (of the same type unless disabled); a gold
-    span scores for recall if any such prediction overlaps it."""
-    if len(pred) != len(gold):
-        raise ValueError("pred and gold must cover the same sentences")
-
-    def hits(spans: Sequence[Span], others: Sequence[Span]) -> int:
-        return sum(
-            any(a.overlaps(b) and (not require_type_match or a.label == b.label) for b in others) for a in spans
-        )
-
-    tp_p = sum(hits(p, g) for p, g in zip(pred, gold))
-    tp_r = sum(hits(g, p) for p, g in zip(pred, gold))
-    return Metrics.from_counts(tp_p, tp_r, sum(map(len, pred)), sum(map(len, gold)))
-
-
 @dataclass(frozen=True)
 class EvalReport:
     strict: Metrics
@@ -103,47 +72,32 @@ class EvalReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def _runs(labels: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First and last flat index of every span in flat ``labels``: a maximal
-    run of one non-zero id, broken at the sentence boundaries ``offsets``."""
-    breaks = np.ones(len(labels) + 1, dtype=bool)  # breaks[i]: a run cannot go on into token i
-    breaks[1:-1] = labels[1:] != labels[:-1]
-    breaks[offsets] = True
-    entity = labels != 0
-    return np.flatnonzero(breaks[:-1] & entity), np.flatnonzero(breaks[1:] & entity)
-
-
 def _any_marked(starts: np.ndarray, ends: np.ndarray, marked: np.ndarray) -> np.ndarray:
     """Whether any token of each span [start, end] is marked."""
     cum = np.concatenate([[0], np.cumsum(marked)])
     return cum[ends + 1] > cum[starts]
 
 
-def evaluate_labels(
-    pred_labels: Sequence[np.ndarray | Sequence[int]], corpus: Corpus, require_type_match: bool = True
-) -> EvalReport:
-    """Evaluate per-token label ids, one array per sentence, against the
+def evaluate_labels(pred: np.ndarray, corpus: Corpus, require_type_match: bool = True) -> EvalReport:
+    """Evaluate flat per-token label ids, in corpus token order, against the
     corpus gold labels, overall (micro-averaged) and per type.
 
-    The spans of every sentence are found at once in flat arrays. A
-    predicted span is a strict hit if a gold span has its start, end and
+    A predicted span is a strict hit if a gold span has its start, end and
     label, and a relaxed hit if any of its tokens carries its label on the
     gold side (any entity label, with ``require_type_match`` off); gold
     spans are scored against the prediction the same way. The per-type
-    families always match types, as ``relaxed_prf`` does on spans of one
-    type.
+    families always match types, as the relaxed reference does on spans of
+    one type.
     """
     if not corpus.has_gold():
         raise CompatibilityError("evaluation needs gold labels on every token")
-    if len(pred_labels) != len(corpus):
-        raise ValueError("prediction count does not match corpus sentences")
+    pred = np.asarray(pred, dtype=np.int64)
+    if pred.shape != (corpus.n_tokens,):
+        raise ValueError(f"prediction shape {pred.shape} does not match the corpus's {corpus.n_tokens} tokens")
     offsets = corpus.offsets
-    if [len(p) for p in pred_labels] != np.diff(offsets).tolist():
-        raise ValueError("prediction lengths do not match the corpus sentences")
-    pred = np.concatenate(pred_labels).astype(np.int64)
     gold = corpus.gold_array()
-    p_start, p_end = _runs(pred, offsets)
-    g_start, g_end = _runs(gold, offsets)
+    p_start, p_end = find_spans(pred, offsets)
+    g_start, g_end = find_spans(gold, offsets)
     p_label, g_label = pred[p_start], gold[g_start]
     gold_end = np.full(len(gold), -1)  # the end of the gold span that starts at each token, or -1
     gold_end[g_start] = g_end

@@ -305,15 +305,15 @@ def train_epoch(
     return values, clamped_total
 
 
-def predict(model: TokenClassifier, corpus: Corpus) -> list[np.ndarray]:
-    """Argmax label per token, per sentence; ties go to the smallest class
-    id (np.argmax picks the first maximum)."""
+def predict(model: TokenClassifier, corpus: Corpus) -> np.ndarray:
+    """Argmax label of every token, as one flat array in corpus token order;
+    ties go to the smallest class id (np.argmax picks the first maximum)."""
     if corpus.label_set.names != model.label_names:
         raise CompatibilityError(
             f"label sets differ: model {list(model.label_names)} "
             f"vs corpus {list(corpus.label_set.names)}"
         )
-    return np.split(np.argmax(model.corpus_probs(corpus), axis=1), corpus.offsets[1:-1])
+    return np.argmax(model.corpus_probs(corpus), axis=1)
 
 
 # --- checkpoint format ----------------------------------------------------
@@ -364,8 +364,9 @@ def _read_exact(stream: BinaryIO, size: int, what: str) -> bytearray:
 
 def load_checkpoint(stream: BinaryIO) -> TokenClassifier:
     """Read a checkpoint written by ``save_checkpoint``; anything else (a
-    truncated file, bytes after the last array) raises FormatError. An
-    array's bytes are read before anything is allocated for it."""
+    truncated file, bytes after the last array, a non-finite parameter)
+    raises FormatError. An array's bytes are read before anything is
+    allocated for it."""
     magic = stream.read(len(_CHECKPOINT_MAGIC))
     if magic != _CHECKPOINT_MAGIC:
         raise FormatError("not a model checkpoint (bad magic)")
@@ -405,6 +406,9 @@ def load_checkpoint(stream: BinaryIO) -> TokenClassifier:
     }
     if stream.read(1):
         raise FormatError("checkpoint has bytes after its last array")
+    non_finite = [name for name, arr in params.items() if not np.isfinite(arr).all()]
+    if non_finite:
+        raise FormatError(f"checkpoint has non-finite values in {', '.join(non_finite)}")
     try:
         return TokenClassifier(config, Vocab(words), labels, params)
     except ValueError as exc:

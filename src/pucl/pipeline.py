@@ -264,8 +264,7 @@ def _report(run: PipelineResult) -> None:
         run.report = evaluate(run.model, test, run.cfg.require_type_match)
     else:  # mode voter-ensemble: the argmax of the mean voter distribution
         labels = np.argmax(voter_distributions(run.ensemble, test).mean(axis=0), axis=1)
-        preds = np.split(labels, test.offsets[1:-1])
-        run.report = evaluate_labels(preds, test, run.cfg.require_type_match)
+        run.report = evaluate_labels(labels, test, run.cfg.require_type_match)
     write_text(run.record("report", "report.json"), run.report.to_json() + "\n")
 
 

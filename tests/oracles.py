@@ -7,10 +7,13 @@ checks.
 
 import itertools
 import math
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from pucl.corpus import Vocab
+from pucl.evaluation import Metrics
 from pucl.risk import Priors
 
 
@@ -104,7 +107,115 @@ def random_batch(rng, k, size):
     return probs, labels, lam, Priors(pi)
 
 
-# --- span metrics: token-at-a-time double loops --------------------------------
+# --- spans: one sentence's span list, token at a time ------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class Span:
+    """Contiguous entity span, inclusive on both ends."""
+
+    start: int
+    end: int
+    label: int
+
+    def __post_init__(self) -> None:
+        if self.start > self.end:
+            raise ValueError(f"span start {self.start} > end {self.end}")
+        if self.label == 0:
+            raise ValueError("span label must be an entity id, not 0")
+
+    def overlaps(self, other: "Span") -> bool:
+        return self.start <= other.end and other.start <= self.end
+
+
+def extract_spans(labels: Sequence[int] | np.ndarray) -> list[Span]:
+    """Maximal runs of one non-zero label id become single spans.
+
+    Zeros break runs; adjacent runs of different non-zero ids are separate
+    spans. Output is sorted by start and pairwise disjoint.
+    """
+    spans: list[Span] = []
+    start = -1
+    run_label = 0
+    for i, raw in enumerate(labels):
+        label = int(raw)
+        if label == run_label:
+            continue
+        if run_label != 0:
+            spans.append(Span(start, i - 1, run_label))
+        start, run_label = i, label
+    if run_label != 0:
+        spans.append(Span(start, len(labels) - 1, run_label))
+    return spans
+
+
+# --- noise injection: sentence by sentence over span lists ---------------------------
+
+
+def oracle_inject_noise(gold_column, offsets, k, fn_rate, fp_rate, type_rate, rng):
+    """The distant column that ``inject_noise`` draws, one sentence at a
+    time: each gold span's fate, then each gold-O run's false positive."""
+    gold_column = list(gold_column)
+    bounds = list(offsets)
+    noisy = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        gold = gold_column[lo:hi]
+        distant = [0] * len(gold)
+        for span in extract_spans(gold):
+            u = rng.random()
+            if u < fn_rate:
+                label = 0
+            elif u < fn_rate + type_rate:
+                others = [t for t in range(1, k + 1) if t != span.label]
+                label = others[int(rng.integers(0, len(others)))]
+            else:
+                label = span.label
+            distant[span.start : span.end + 1] = [label] * (span.end - span.start + 1)
+        for run in extract_spans([int(g == 0) for g in gold]):  # the maximal gold-O runs
+            if rng.random() < fp_rate:
+                run_len = run.end - run.start + 1
+                length = int(rng.integers(1, min(3, run_len) + 1))
+                start = run.start + int(rng.integers(0, run_len - length + 1))
+                distant[start : start + length] = [int(rng.integers(1, k + 1))] * length
+        noisy.extend(distant)
+    return noisy
+
+
+# --- span metrics: span-list references and token-at-a-time double loops --------------
+
+
+# `strict_prf` and `relaxed_prf` define the two metric families on span
+# lists, one list per sentence; `evaluate_labels` computes the same counts
+# over flat label arrays and is tested against them.
+
+
+def strict_prf(pred: Sequence[Sequence[Span]], gold: Sequence[Sequence[Span]]) -> Metrics:
+    """Exact-match span metrics; a true positive agrees in start, end and
+    label. 0/0 ratios are defined as 0."""
+    if len(pred) != len(gold):
+        raise ValueError("pred and gold must cover the same sentences")
+    tp = sum(sum(map(set(g).__contains__, p)) for p, g in zip(pred, gold))
+    return Metrics.from_counts(tp, tp, sum(map(len, pred)), sum(map(len, gold)))
+
+
+def relaxed_prf(
+    pred: Sequence[Sequence[Span]], gold: Sequence[Sequence[Span]], require_type_match: bool = True
+) -> Metrics:
+    """Overlap-based span metrics: a predicted span scores for precision if
+    it overlaps any gold span (of the same type unless disabled); a gold
+    span scores for recall if any such prediction overlaps it."""
+    if len(pred) != len(gold):
+        raise ValueError("pred and gold must cover the same sentences")
+
+    def hits(spans: Sequence[Span], others: Sequence[Span]) -> int:
+        return sum(
+            any(a.overlaps(b) and (not require_type_match or a.label == b.label) for b in others) for a in spans
+        )
+
+    tp_p = sum(hits(p, g) for p, g in zip(pred, gold))
+    tp_r = sum(hits(g, p) for p, g in zip(pred, gold))
+    return Metrics.from_counts(tp_p, tp_r, sum(map(len, pred)), sum(map(len, gold)))
+
 
 
 def oracle_metrics(pred, gold, require_type=True):

@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import math
 import shutil
 import struct
 import subprocess
@@ -271,19 +272,19 @@ class TestPipeline:
         assert set(report["strict_per_type"]) == {"T1"}
 
     def test_each_sentence_encoded_once(self, synth_dir, tmp_path, monkeypatch):
-        calls: dict[int, list] = {}  # id -> [sentence (kept alive), count]
+        calls: dict[int, list] = {}  # id -> [surfaces (kept alive), count]
         encode = Vocab.encode_sentence
 
-        def counting(vocab, sentence):
-            calls.setdefault(id(sentence), [sentence, 0])[1] += 1
-            return encode(vocab, sentence)
+        def counting(vocab, surfaces):
+            calls.setdefault(id(surfaces), [surfaces, 0])[1] += 1
+            return encode(vocab, surfaces)
 
         monkeypatch.setattr(Vocab, "encode_sentence", counting)
         cfg = small_config(synth_dir, tmp_path / "run", mode="full-st")
         cfg["valid"] = str(synth_dir / "valid.tsv")
         run_pipeline(config_from_dict(cfg))
-        sentences = sum(len(read(synth_dir / f"{n}.tsv")) for n in ("train", "valid", "test"))
-        assert len(calls) == sentences
+        tokens = sum(read(synth_dir / f"{n}.tsv").n_tokens for n in ("train", "valid", "test"))
+        assert sum(len(surfaces) for surfaces, _ in calls.values()) == tokens
         assert {count for _, count in calls.values()} == {1}
 
     def test_manifest_written_on_failure(self, synth_dir, tmp_path):
@@ -389,6 +390,13 @@ def _transpose_embedding(header: dict) -> None:
     header["arrays"][0][1].reverse()  # same byte count, wrong shape
 
 
+def _nan_weight(raw: bytes) -> bytes:
+    """The checkpoint with NaN at w2[0, 0]; w2 follows embedding, w1 and b1."""
+    header, arrays = _split_checkpoint(raw)
+    at = len(raw) - len(arrays) + 8 * sum(math.prod(shape) for _, shape in header["arrays"][:3])
+    return raw[:at] + struct.pack("<d", math.nan) + raw[at + 8 :]
+
+
 MALFORMED_CHECKPOINTS = {
     "length-field-short": lambda raw: raw[:14],
     "header-truncated": lambda raw: raw[:40],
@@ -401,6 +409,7 @@ MALFORMED_CHECKPOINTS = {
     "array-shape-mismatch": lambda raw: _edited_header(raw, _transpose_embedding),
     "arrays-truncated": lambda raw: raw[:-8],
     "trailing-bytes": lambda raw: raw + b"garbage" * 100,
+    "non-finite-weight": _nan_weight,
 }
 
 
@@ -413,6 +422,14 @@ class TestMalformedCheckpoint:
         code = main(["evaluate", "--model", str(bad), "--test", str(synth_dir / "test.tsv")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_self_train_on_a_non_finite_checkpoint_exits_2(self, synth_dir, tmp_path, trained, capsys):
+        bad = tmp_path / "model.bin"
+        bad.write_bytes(_nan_weight((trained / "model.bin").read_bytes()))
+        cfg_path = write_config(small_config(synth_dir, tmp_path / "run"), tmp_path / "cfg.json")
+        assert main(["self-train", "--config", cfg_path, "--model", str(bad)]) == 2
+        assert "non-finite values in w2" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "model_selftrained.bin").exists()
 
 
 class TestSweep:
@@ -577,6 +594,19 @@ class TestConfig:
         assert main(["train-voters", "--config", write_config(cfg, tmp_path / "cfg.json")]) == 2
         assert "tau" in capsys.readouterr().err
         assert not list((tmp_path / "run").glob("voter_*.bin"))
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("voters", "learning_rate", math.nan), ("model", "init_scale", math.nan), ("risk", "gamma", math.inf),
+         ("curriculum", "learning_rate", math.inf), ("self_train", "sharpen", math.nan)],
+    )
+    def test_non_finite_value_exits_2_at_load(self, synth_dir, tmp_path, capsys, section, key, value):
+        # Python's json reads NaN and Infinity; unchecked, each of these fails only mid-training (exit 4).
+        cfg = small_config(synth_dir, tmp_path / "run", mode="full-st")
+        cfg[section][key] = value
+        assert main(["pipeline", "--config", write_config(cfg, tmp_path / "cfg.json")]) == 2
+        assert f"config section {section!r} key {key!r} must be a finite number" in capsys.readouterr().err
+        assert {p.name for p in (tmp_path / "run").glob("*")} <= {"manifest.json"}
 
     def test_top_level_values_of_the_right_type(self):
         cfg = config_from_dict(

@@ -9,17 +9,16 @@ from pucl.corpus import (
     Corpus,
     LabelSet,
     Sentence,
-    Span,
     Token,
     Vocab,
     build_vocab,
-    extract_spans,
+    find_spans,
     read_conll,
     write_conll,
 )
 from pucl.errors import FormatError, UnknownLabelError
 
-from oracles import loop_window_rows
+from oracles import extract_spans, loop_window_rows
 
 
 def parse(text: str, **kwargs) -> Corpus:
@@ -240,37 +239,63 @@ class TestColumnarReaderProperty:
         assert out.getvalue() == text
 
 
+def spans_of(labels, offsets=None) -> list[tuple[int, int, int]]:
+    """(start, end, label) of every span ``find_spans`` finds in flat
+    ``labels``; one sentence unless ``offsets`` are given."""
+    labels = np.asarray(labels)
+    starts, ends = find_spans(labels, np.array([0, len(labels)] if offsets is None else offsets))
+    return list(zip(starts.tolist(), ends.tolist(), labels[starts].tolist()))
+
+
 class TestExtractSpans:
+    """The span finder, ``find_spans``."""
+
     def test_definition(self):
-        assert extract_spans([0, 1, 1, 0, 2]) == [Span(1, 2, 1), Span(4, 4, 2)]
+        assert spans_of([0, 1, 1, 0, 2]) == [(1, 2, 1), (4, 4, 2)]
 
     def test_no_entities(self):
-        assert extract_spans([0, 0, 0]) == []
+        assert spans_of([0, 0, 0]) == []
 
     def test_adjacent_runs_split(self):
-        assert extract_spans([1, 2, 2]) == [Span(0, 0, 1), Span(1, 2, 2)]
+        assert spans_of([1, 2, 2]) == [(0, 0, 1), (1, 2, 2)]
 
     def test_single_run_to_end(self):
-        assert extract_spans([0, 3, 3, 3]) == [Span(1, 3, 3)]
+        assert spans_of([0, 3, 3, 3]) == [(1, 3, 3)]
+
+    def test_runs_break_at_sentence_edges(self):
+        assert spans_of([1, 1, 1, 2, 2], [0, 2, 3, 5]) == [(0, 1, 1), (2, 2, 1), (3, 4, 2)]
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=20))
     def test_union_and_disjointness(self, labels):
-        spans = extract_spans(labels)
+        spans = spans_of(labels)
         covered = {}
-        for span in spans:
-            assert span.start <= span.end
-            for i in range(span.start, span.end + 1):
+        for start, end, label in spans:
+            assert start <= end
+            for i in range(start, end + 1):
                 assert i not in covered, "spans overlap"
-                covered[i] = span.label
+                covered[i] = label
         nonzero = {i: lab for i, lab in enumerate(labels) if lab != 0}
         assert covered == nonzero
-        starts = [s.start for s in spans]
+        starts = [start for start, _, _ in spans]
         assert starts == sorted(starts)
         # maximality: the position before each span differs from its label
-        for span in spans:
-            if span.start > 0:
-                assert labels[span.start - 1] != span.label
+        for start, _, label in spans:
+            if start > 0:
+                assert labels[start - 1] != label
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=6), min_size=1, max_size=8))
+    def test_equals_the_oracle_sentence_by_sentence(self, sentences):
+        # Small label alphabets and one-token sentences put many runs against
+        # sentence edges, where a flat run must break.
+        offsets = np.cumsum([0] + [len(s) for s in sentences])
+        expected = [
+            (lo + span.start, lo + span.end, span.label)
+            for lo, labels in zip(offsets.tolist(), sentences)
+            for span in extract_spans(labels)
+        ]
+        assert spans_of([x for s in sentences for x in s], offsets) == expected
 
 
 class TestVocab:
@@ -358,7 +383,7 @@ class TestEncodedCorpus:
         # an equal vocabulary, as a voter loaded from disk carries, hits too
         assert corpus.windows(vocab, 2) is rows
         assert corpus.windows(Vocab(vocab.words()), 2) is rows
-        assert len(encoded) == len(corpus)
+        assert encoded == [corpus.surfaces]  # the whole surfaces column, once
 
     def test_windows_rebuilt_for_another_vocab_or_window(self):
         corpus = parse("a\tX\nb\tO\n\nc\tX\n\n")

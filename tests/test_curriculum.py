@@ -156,7 +156,7 @@ class TestEpochAccounting:
         corpus, vocab, mc, conf, diff, priors = small_training_setup()
         eta, stage_epochs = 3, 2
         plan = build_plan(diff, corpus, 0.5, eta)
-        schedule = StageSchedule(stage_epochs=stage_epochs, loss="mae")
+        schedule = StageSchedule(stage_epochs=stage_epochs, conf_mpu=ConfMpuConfig(loss="mae"))
         # every sentence appears once per epoch, so per-token participation
         # counts equal the number of epochs in which the token was active
         participation_batch = np.zeros(corpus.n_tokens)
@@ -184,7 +184,7 @@ class TestEpochAccounting:
         plan = build_plan(diff, corpus, 0.5, 3)
         log = []
         train_baby_step(
-            corpus, plan, conf, priors, StageSchedule(stage_epochs=1, loss="mae"), 0,
+            corpus, plan, conf, priors, StageSchedule(stage_epochs=1, conf_mpu=ConfMpuConfig(loss="mae")), 0,
             vocab=vocab, model_config=mc, log=log,
         )
         prefix = np.cumsum(plan.positive_counts)
@@ -201,7 +201,7 @@ class TestEpochAccounting:
         log = []
         train_baby_step(
             corpus, plan, conf, Priors(np.array([0.1])),
-            StageSchedule(stage_epochs=1, loss="mae"), 0,
+            StageSchedule(stage_epochs=1, conf_mpu=ConfMpuConfig(loss="mae")), 0,
             vocab=vocab, model_config=mc, log=log,
         )
         # stage 3 trains on the same token set as stage 2 and is logged as such
@@ -211,7 +211,7 @@ class TestEpochAccounting:
 class TestReductionIdentity:
     def test_no_curriculum_equals_eta_one_baby_step(self):
         corpus, vocab, mc, conf, diff, priors = small_training_setup()
-        schedule = StageSchedule(stage_epochs=2, loss="mae")
+        schedule = StageSchedule(stage_epochs=2, conf_mpu=ConfMpuConfig(loss="mae"))
         plan1 = build_plan(diff, corpus, 0.5, 1)
         a = train_baby_step(corpus, plan1, conf, priors, schedule, 123, vocab=vocab, model_config=mc)
         b = train_no_curriculum(corpus, conf, priors, schedule, 123, total_epochs=2, vocab=vocab, model_config=mc)
@@ -222,7 +222,7 @@ class TestReductionIdentity:
         corpus, vocab, mc, conf, diff, priors = small_training_setup()
         log = []
         train_no_curriculum(
-            corpus, conf, priors, StageSchedule(stage_epochs=2, loss="mae"), 5,
+            corpus, conf, priors, StageSchedule(stage_epochs=2, conf_mpu=ConfMpuConfig(loss="mae")), 5,
             total_epochs=6, vocab=vocab, model_config=mc, log=log,
         )
         assert len(log) == 6
@@ -236,7 +236,7 @@ class TestReductionIdentity:
 
         corpus, vocab, mc, conf, diff, priors = small_training_setup(n=12)
         schedule = StageSchedule(
-            stage_epochs=1, batch_size=len(corpus.sentences), loss="mae",
+            stage_epochs=1, batch_size=len(corpus.sentences),
             conf_mpu=ConfMpuConfig(gamma=2.0, loss="mae"),
         )
         log = []
@@ -265,7 +265,7 @@ class TestTrainingBehavior:
             log = []
             train_baby_step(
                 corpus, plan, conf, priors,
-                StageSchedule(stage_epochs=2, learning_rate=3e-3, loss="mae",
+                StageSchedule(stage_epochs=2, learning_rate=3e-3,
                               conf_mpu=ConfMpuConfig(gamma=10.0, loss="mae")),
                 seed, vocab=vocab, model_config=mc, log=log,
             )
@@ -283,7 +283,7 @@ class TestTrainingBehavior:
         mc = ModelConfig(vocab_size=vocab.size, n_classes=3)
         plan = single_curriculum_plan(train)
         model = train_no_confmpu(
-            train, plan, StageSchedule(stage_epochs=10, learning_rate=1e-3, loss="ce"), 0,
+            train, plan, StageSchedule(stage_epochs=10, learning_rate=1e-3, conf_mpu=ConfMpuConfig(loss="ce")), 0,
             vocab=vocab, model_config=mc,
         )
         report = evaluate(model, test)
@@ -314,7 +314,7 @@ class TestSelfTrain:
         corpus, vocab, mc, conf, diff, priors = small_training_setup(n=20)
         plan = build_plan(diff, corpus, 0.5, 1)
         model = train_baby_step(
-            corpus, plan, conf, priors, StageSchedule(stage_epochs=1, loss="mae"), 0,
+            corpus, plan, conf, priors, StageSchedule(stage_epochs=1, conf_mpu=ConfMpuConfig(loss="mae")), 0,
             vocab=vocab, model_config=mc,
         )
         # s=1: targets equal the teacher's own outputs, so the KL risk of the
@@ -327,7 +327,7 @@ class TestSelfTrain:
         corpus, vocab, mc, conf, diff, priors = small_training_setup(n=20)
         plan = build_plan(diff, corpus, 0.5, 1)
         model = train_baby_step(
-            corpus, plan, conf, priors, StageSchedule(stage_epochs=1, loss="mae"), 0,
+            corpus, plan, conf, priors, StageSchedule(stage_epochs=1, conf_mpu=ConfMpuConfig(loss="mae")), 0,
             vocab=vocab, model_config=mc,
         )
         student = self_train(model, corpus, SelfTrainConfig(rounds=2, epochs=1, sharpen=2.0), 0)
@@ -337,7 +337,7 @@ class TestSelfTrain:
 def _trained(corpus, vocab, mc, conf, diff, priors):
     plan = build_plan(diff, corpus, 0.5, 1)
     return train_baby_step(
-        corpus, plan, conf, priors, StageSchedule(stage_epochs=1, loss="mae"), 0,
+        corpus, plan, conf, priors, StageSchedule(stage_epochs=1, conf_mpu=ConfMpuConfig(loss="mae")), 0,
         vocab=vocab, model_config=mc,
     )
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import oracle_annotate
-from pucl.corpus import Corpus, LabelSet, Sentence, Token, extract_spans
+from oracles import extract_spans, oracle_annotate, oracle_inject_noise
+from pucl.corpus import Corpus, LabelSet, Sentence, Token
 from pucl.distant import (
     Dictionary,
     SyntheticSpec,
@@ -223,6 +225,25 @@ class TestInjectNoise:
             inject_noise(corpus, -0.1, 0, 0, np.random.default_rng(0))
         with pytest.raises(ValueError):
             inject_noise(corpus, 0.8, 0, 0.4, np.random.default_rng(0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        sentences=st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=8), min_size=1, max_size=10),
+        k=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_equals_the_per_sentence_oracle(self, sentences, k, seed, data):
+        rate = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+        fn_rate, fp_rate = data.draw(rate), data.draw(rate)
+        type_rate = 0.0 if k == 1 else data.draw(st.just(1.0 - fn_rate) | st.floats(0.0, 1.0 - fn_rate))
+        sents = [[min(x, k) for x in labels] for labels in sentences]
+        corpus = Corpus([sentence(["w"] * len(g), g, g) for g in sents], LabelSet([f"T{t}" for t in range(1, k + 1)]))
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        out = inject_noise(corpus, fn_rate, fp_rate, type_rate, rng)
+        expected = oracle_inject_noise(corpus.gold_array(), corpus.offsets, k, fn_rate, fp_rate, type_rate, oracle_rng)
+        assert out.distant_array().tolist() == expected
+        assert rng.random() == oracle_rng.random()  # the same number of draws
 
     def test_type_rate_needs_two_types(self):
         ls = LabelSet(["T"])

@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from pucl.corpus import Corpus, LabelSet, Sentence, Span, Token, build_vocab, extract_spans
+from pucl.corpus import Corpus, LabelSet, Sentence, Token, build_vocab
 from pucl.curriculum import build_plan
 from pucl.errors import CompatibilityError
 from pucl.evaluation import (
@@ -11,14 +11,12 @@ from pucl.evaluation import (
     difficulty_histogram,
     evaluate,
     evaluate_labels,
-    relaxed_prf,
-    strict_prf,
 )
 from pucl.model import ModelConfig, TokenClassifier
 from pucl.voters import DifficultyTable
 
 
-from oracles import oracle_metrics
+from oracles import Span, extract_spans, oracle_metrics, relaxed_prf, strict_prf
 
 
 def random_micro_corpus(rng, k=2):
@@ -89,7 +87,7 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(17)
         for _ in range(200):
             corpus, pred_labels = random_micro_corpus(rng)
-            report = evaluate_labels(pred_labels, corpus)
+            report = evaluate_labels(np.concatenate(pred_labels), corpus)
             pred_spans = [extract_spans(p) for p in pred_labels]
             gold_spans = [extract_spans(s.gold_labels()) for s in corpus.sentences]
             (sp, sr, sf), (rp, rr, rf) = oracle_metrics(pred_spans, gold_spans)
@@ -105,7 +103,7 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(31)
         for _ in range(200):
             corpus, pred_labels = random_micro_corpus(rng, k=3)
-            report = evaluate_labels(pred_labels, corpus, require_type_match=require_type)
+            report = evaluate_labels(np.concatenate(pred_labels), corpus, require_type_match=require_type)
             pred_spans = [extract_spans(p) for p in pred_labels]
             gold_spans = [extract_spans(s.gold_labels()) for s in corpus.sentences]
             families = [(report.strict, report.relaxed, pred_spans, gold_spans)]
@@ -126,15 +124,16 @@ class TestOracleEquivalence:
 
     def test_prediction_lengths_must_match_the_sentences(self):
         corpus, pred_labels = random_micro_corpus(np.random.default_rng(5))
-        pred_labels[-1] = np.append(pred_labels[-1], 0)
-        with pytest.raises(ValueError, match="lengths"):
-            evaluate_labels(pred_labels, corpus)
+        with pytest.raises(ValueError, match="shape"):
+            evaluate_labels(np.append(np.concatenate(pred_labels), 0), corpus)
+        with pytest.raises(ValueError, match="shape"):
+            evaluate_labels(np.concatenate(pred_labels)[:-1], corpus)
 
     def test_strict_tp_never_exceeds_relaxed_precision_tp(self):
         rng = np.random.default_rng(23)
         for _ in range(100):
             corpus, pred_labels = random_micro_corpus(rng)
-            report = evaluate_labels(pred_labels, corpus)
+            report = evaluate_labels(np.concatenate(pred_labels), corpus)
             assert report.strict.tp_precision <= report.relaxed.tp_precision
 
     def test_sentence_permutation_invariance(self):
@@ -142,10 +141,10 @@ class TestOracleEquivalence:
         corpus, pred_labels = random_micro_corpus(rng)
         while len(corpus.sentences) < 2:
             corpus, pred_labels = random_micro_corpus(rng)
-        report = evaluate_labels(pred_labels, corpus)
+        report = evaluate_labels(np.concatenate(pred_labels), corpus)
         order = rng.permutation(len(corpus.sentences))
         shuffled = Corpus([corpus.sentences[i] for i in order], corpus.label_set)
-        shuffled_pred = [pred_labels[i] for i in order]
+        shuffled_pred = np.concatenate([pred_labels[i] for i in order])
         other = evaluate_labels(shuffled_pred, shuffled)
         assert other.strict.f1 == report.strict.f1
         assert other.relaxed.f1 == report.relaxed.f1

@@ -17,10 +17,6 @@ EXCEPTIONS = {
     # The one-pair form of the difficulty criterion: the reference that the
     # vectorised `difficulty_scores` is checked against.
     "pairwise_disagreement",
-    # The span-list forms of the strict and relaxed metrics: criterion 6's
-    # named references, which the flat-array `evaluate_labels` must equal.
-    "strict_prf",
-    "relaxed_prf",
 }
 
 
