@@ -14,6 +14,7 @@ from typing import Any, get_args, get_type_hints
 
 from .curriculum import SelfTrainConfig, StageSchedule
 from .errors import FormatError
+from .model import ModelConfig
 from .risk import ConfMpuConfig
 from .voters import VoterConfig
 
@@ -30,6 +31,16 @@ class ModelSettings:
     init_scale: float = 0.1
     min_count: int = 1
     max_sentence_len: int = 256
+
+    def __post_init__(self) -> None:
+        for key in ("min_count", "max_sentence_len"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        self.model_config(vocab_size=1, n_classes=2)  # ModelConfig checks the other fields
+
+    def model_config(self, vocab_size: int, n_classes: int) -> ModelConfig:
+        """The classifier architecture these settings describe."""
+        return ModelConfig(vocab_size, n_classes, self.embed_dim, self.window, self.hidden_dim, self.init_scale)
 
 
 @dataclass(frozen=True)

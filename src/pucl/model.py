@@ -21,8 +21,11 @@ the matmuls sum over fewer rows, and a one-row batch goes through gemv.
 Every model reads a corpus through one encoded form, ``Corpus.windows``
 (via ``TokenClassifier.encode_corpus``), and takes its batches as slices
 of it. Every pass that scores a corpus (``TokenClassifier.corpus_probs``,
-``predict``) runs one sentence at a time and is not batched across
-sentences: one larger matmul may sum in another order and change bytes.
+``predict``) forwards consecutive blocks of ``SCORE_BLOCK_ROWS`` rows of
+the flat window matrix; blocks cross sentence boundaries, since each row
+already holds its sentence's padding. A scoring pass has the bytes of that
+fixed blocking. A one-sentence forward, or another block size on some
+BLAS, may sum in another order and differ in the last bit.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import json
 import math
 import numbers
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import BinaryIO, Callable, Sequence
 
@@ -42,6 +45,8 @@ from .errors import CompatibilityError, FormatError, NumericError
 
 _CHECKPOINT_MAGIC = b"PUCLCKPT1\n"
 PARAMETER_NAMES = ("embedding", "w1", "b1", "w2", "b2")
+#: Window rows per forward pass when a corpus is scored (module docstring).
+SCORE_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -58,12 +63,13 @@ class ModelConfig:
         ints = (self.vocab_size, self.n_classes, self.embed_dim, self.window, self.hidden_dim, self.seed)
         if not all(isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in ints):
             raise ValueError("model dimensions and seed must be integers")
-        if min(self.vocab_size, self.embed_dim, self.hidden_dim) < 1 or self.window < 0:
-            raise ValueError("model dimensions must be positive")
+        for key, low in (("vocab_size", 1), ("embed_dim", 1), ("hidden_dim", 1), ("window", 0)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
         if self.n_classes < 2:
             raise ValueError("need at least two classes (unlabeled + one entity type)")
         if self.init_scale <= 0:
-            raise ValueError("init_scale must be positive")
+            raise ValueError(f"init_scale must be positive, got {self.init_scale}")
 
     def parameter_shapes(self) -> dict[str, tuple[int, ...]]:
         """The shape of every parameter array, by name in PARAMETER_NAMES order."""
@@ -178,14 +184,12 @@ class TokenClassifier:
 
     def corpus_probs(self, corpus: Corpus) -> np.ndarray:
         """[n_tokens, n_classes] class distributions of every token of the
-        corpus, in flat token order. Each sentence is one forward pass, so
-        every row has the bytes of a per-sentence forward."""
+        corpus, in flat token order, one forward pass per consecutive
+        block of ``SCORE_BLOCK_ROWS`` window rows."""
         rows = self.encode_corpus(corpus)
-        offsets = corpus.offsets
         out = np.empty((corpus.n_tokens, self.config.n_classes))
-        for i in range(len(corpus)):
-            lo, hi = offsets[i], offsets[i + 1]
-            out[lo:hi] = self.forward_rows(rows[lo:hi])[0]
+        for lo in range(0, len(rows), SCORE_BLOCK_ROWS):
+            out[lo : lo + SCORE_BLOCK_ROWS] = self.forward_rows(rows[lo : lo + SCORE_BLOCK_ROWS])[0]
         return out
 
 
@@ -328,15 +332,7 @@ def save_checkpoint(model: TokenClassifier, stream: BinaryIO) -> None:
     arrays = model.parameters()
     header = json.dumps(
         {
-            "config": {
-                "vocab_size": model.config.vocab_size,
-                "n_classes": model.config.n_classes,
-                "embed_dim": model.config.embed_dim,
-                "window": model.config.window,
-                "hidden_dim": model.config.hidden_dim,
-                "init_scale": model.config.init_scale,
-                "seed": model.config.seed,
-            },
+            "config": asdict(model.config),
             "labels": list(model.label_names),
             "vocab": list(model.vocab.words()),
             "arrays": [[name, list(arr.shape)] for name, arr in arrays],

@@ -393,12 +393,5 @@ def _read_inputs(cfg: PipelineConfig, until: str | None, out_dir: Path, manifest
     valid = read_split(cfg.valid, "valid")
 
     vocab = build_vocab(train, cfg.model.min_count)
-    model_config = ModelConfig(
-        vocab_size=vocab.size,
-        n_classes=train.label_set.n_classes,
-        embed_dim=cfg.model.embed_dim,
-        window=cfg.model.window,
-        hidden_dim=cfg.model.hidden_dim,
-        init_scale=cfg.model.init_scale,
-    )
+    model_config = cfg.model.model_config(vocab.size, train.label_set.n_classes)
     return PipelineResult(cfg, until, out_dir, manifest, train, test, valid, vocab, model_config)

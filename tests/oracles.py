@@ -14,6 +14,7 @@ import numpy as np
 
 from pucl.corpus import Vocab
 from pucl.evaluation import Metrics
+from pucl.model import TokenClassifier
 from pucl.risk import Priors
 
 
@@ -275,6 +276,26 @@ def loop_sentence_rows(model, corpus):
         loop_window_rows(model.vocab.encode_sentence(s.surfaces()), model.config.window)
         for s in corpus.sentences
     ]
+
+
+def blocked_forward(model, rows, block):
+    """``forward_rows`` over consecutive ``block``-row slices of ``rows``,
+    joined in order: the blocking a corpus scoring pass is pinned to."""
+    return np.concatenate([model.forward_rows(rows[lo : lo + block])[0] for lo in range(0, len(rows), block)])
+
+
+def count_forward_calls(monkeypatch):
+    """Patch ``TokenClassifier.forward_rows`` to record the row count of
+    every call; returns the list it appends to."""
+    calls = []
+    forward = TokenClassifier.forward_rows
+
+    def counting(model, rows):
+        calls.append(len(rows))
+        return forward(model, rows)
+
+    monkeypatch.setattr(TokenClassifier, "forward_rows", counting)
+    return calls
 
 
 # --- finite differences over model parameters -----------------------------------

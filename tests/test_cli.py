@@ -608,6 +608,20 @@ class TestConfig:
         assert f"config section {section!r} key {key!r} must be a finite number" in capsys.readouterr().err
         assert {p.name for p in (tmp_path / "run").glob("*")} <= {"manifest.json"}
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("embed_dim", 0), ("hidden_dim", 0), ("min_count", 0), ("max_sentence_len", 0), ("window", -1),
+         ("init_scale", 0.0)],
+    )
+    def test_out_of_range_model_value_exits_2_at_load(self, synth_dir, tmp_path, capsys, key, value):
+        # Unchecked, each of these gets past load, reads every corpus, and
+        # fails later with a message that names neither section nor key.
+        cfg = small_config(synth_dir, tmp_path / "run")
+        cfg["model"][key] = value
+        assert main(["pipeline", "--config", write_config(cfg, tmp_path / "cfg.json")]) == 2
+        assert f"bad config section 'model': {key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()  # no manifest: no input was hashed
+
     def test_top_level_values_of_the_right_type(self):
         cfg = config_from_dict(
             {"train": "x", "seed": 3, "threads": 2, "allow_same_split": True,

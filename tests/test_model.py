@@ -1,15 +1,20 @@
 import io
+import itertools
 import json
+import math
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pucl.corpus import LabelSet, Sentence, Token, Corpus, Vocab, build_vocab
 from pucl.distant import SyntheticSpec, generate_synthetic
 from pucl.errors import CompatibilityError, FormatError, NumericError
 from pucl.model import (
+    SCORE_BLOCK_ROWS,
     AdamState,
     ModelConfig,
     TokenClassifier,
@@ -36,6 +41,8 @@ def small_model(seed=0, vocab_words=8, embed=4, window=1, hidden=5, classes=3):
 
 
 from oracles import (
+    blocked_forward,
+    count_forward_calls,
     fd_param_gradients,
     loop_sentence_rows,
     loop_window_rows,
@@ -354,21 +361,74 @@ class TestPredict:
             predict(model, corpus)
 
 
+B = SCORE_BLOCK_ROWS
+# Corpus sizes around the block edges, in tokens.
+EDGE_SIZES = [1, B - 1, B, B + 1, 2 * B + 3]
+
+
 class TestCorpusProbs:
     def test_equals_per_sentence_forward_bitwise(self):
+        # Restated for the blocked pass: the bytes are those of forwards over
+        # fixed SCORE_BLOCK_ROWS-row blocks of the flat window matrix (built
+        # here token by token), not of one forward per sentence.
         corpus, _ = generate_synthetic(
             SyntheticSpec(n_sentences=30, k=2, dict_size=10), np.random.default_rng(2)
         )
+        assert B < corpus.n_tokens < 2 * B
         vocab = build_vocab(corpus)
-        # Default widths: there one whole-corpus matmul sums in another order.
+        # Default widths: there a one-sentence forward sums in another order
+        # than a block and changes bytes.
         model = TokenClassifier(ModelConfig(vocab_size=vocab.size, n_classes=3), vocab, ["A", "B"])
-        expected = np.concatenate(
-            [model.forward_rows(rows)[0] for rows in loop_sentence_rows(model, corpus)]
-        )
+        rows = np.concatenate(loop_sentence_rows(model, corpus))
+        expected = blocked_forward(model, rows, B)
         assert np.array_equal(model.corpus_probs(corpus), expected)
         # the second pass reads the windows the first one built
         assert model.encode_corpus(corpus) is corpus.windows(model.vocab, model.config.window)
         assert np.array_equal(model.corpus_probs(corpus), expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(EDGE_SIZES),
+        st.lists(st.integers(1, 20), min_size=1, max_size=6),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_close_to_the_per_sentence_forward(self, n_tokens, lengths, seed):
+        corpus = cycled_corpus(n_tokens, lengths, np.random.default_rng(seed))
+        vocab = Vocab([f"w{i}" for i in range(10)])  # w10 and w11 are unknown
+        model = TokenClassifier(
+            ModelConfig(vocab_size=vocab.size, n_classes=3, seed=seed), vocab, corpus.label_set.names
+        )
+        probs = model.corpus_probs(corpus)
+        per_sentence = np.concatenate(
+            [model.forward_rows(rows)[0] for rows in loop_sentence_rows(model, corpus)]
+        )
+        np.testing.assert_allclose(probs, per_sentence, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert np.array_equal(predict(model, corpus), np.argmax(probs, axis=1))
+
+    @pytest.mark.parametrize("n_tokens", EDGE_SIZES)
+    def test_predict_forwards_once_per_block(self, monkeypatch, n_tokens):
+        # Guards against scoring one sentence at a time, which would make a
+        # call per sentence here (sentences of one and three tokens).
+        corpus = cycled_corpus(n_tokens, [1, 3], np.random.default_rng(0))
+        model = small_model(vocab_words=12)
+        calls = count_forward_calls(monkeypatch)
+        predict(model, corpus)
+        assert len(calls) == math.ceil(n_tokens / B)
+
+
+def cycled_corpus(n_tokens, lengths, rng):
+    """An ``n_tokens``-token corpus whose sentence lengths cycle through
+    ``lengths`` (the last one cut short), words drawn from w0..w11."""
+    words = [f"w{i}" for i in rng.integers(0, 12, size=n_tokens)]
+    sentences, start = [], 0
+    for length in itertools.cycle(lengths):
+        if start == n_tokens:
+            break
+        end = min(start + length, n_tokens)
+        sentences.append(Sentence(tuple(Token(w, 0, 0) for w in words[start:end])))
+        start = end
+    return Corpus(sentences, LabelSet(["T1", "T2"]))
 
 
 class TestCheckpoint:

@@ -1,15 +1,16 @@
 import io
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oracles import loop_sentence_rows, oracle_full_batch_voter_step
+from oracles import blocked_forward, count_forward_calls, loop_sentence_rows, oracle_full_batch_voter_step
 from pucl.cli import main
 from pucl.corpus import Corpus, LabelSet, Sentence, Token, build_vocab
 from pucl.distant import SyntheticSpec, generate_synthetic, inject_noise
-from pucl.model import AdamState, ModelConfig, TokenClassifier, train_epoch
+from pucl.model import SCORE_BLOCK_ROWS, AdamState, ModelConfig, TokenClassifier, train_epoch
 from pucl.risk import PROB_FLOOR
 from pucl.seeding import derive_seed, make_rng
 from pucl.voters import (
@@ -150,15 +151,12 @@ class TestDifficultyScores:
 
 def two_pass_tables(ensemble, corpus):
     """Confidence and difficulty as computed before the single voter pass:
-    each table ran every voter over the corpus, sentence by sentence."""
+    each table ran every voter over the corpus, in SCORE_BLOCK_ROWS-row
+    blocks of its window rows."""
 
     def stack():
-        return np.stack(
-            [
-                np.concatenate([v.forward_rows(r)[0] for r in loop_sentence_rows(v, corpus)])
-                for v in ensemble.voters
-            ]
-        )
+        rows = np.concatenate(loop_sentence_rows(ensemble.voters[0], corpus))
+        return np.stack([blocked_forward(v, rows, SCORE_BLOCK_ROWS) for v in ensemble.voters])
 
     mean = stack().mean(axis=0)
     dists = stack()
@@ -177,8 +175,9 @@ class TestSingleVoterPass:
     def test_matches_two_pass_values_exactly(self):
         corpus = synthetic_corpus(seed=4, n=40)
         vocab = build_vocab(corpus)
-        # Default widths: at these, one whole-corpus matmul already sums in
-        # another order than the per-sentence ones and changes bytes.
+        # Default widths: at these, a one-sentence forward sums in another
+        # order than a block and changes bytes.
+        assert SCORE_BLOCK_ROWS < corpus.n_tokens
         model_config = ModelConfig(vocab_size=vocab.size, n_classes=3)
         ens = train_voters(corpus, model_config, VoterConfig(count=4, epochs=1), 8, vocab=vocab)
         mean, scores = two_pass_tables(ens, corpus)
@@ -189,6 +188,14 @@ class TestSingleVoterPass:
         # the voters were trained on these windows; scoring read them again
         assert ens.voters[0].encode_corpus(corpus) is corpus.windows(vocab, model_config.window)
         assert np.array_equal(difficulty_scores(ens, corpus).scores, scores)
+
+    def test_each_voter_forwards_once_per_block(self, monkeypatch):
+        corpus = synthetic_corpus(seed=4, n=40)
+        vocab = build_vocab(corpus)
+        ens = train_voters(corpus, tiny_model_config(vocab), VoterConfig(count=3, epochs=1), 8, vocab=vocab)
+        calls = count_forward_calls(monkeypatch)
+        difficulty_scores(ens, corpus)
+        assert len(calls) == 3 * math.ceil(corpus.n_tokens / SCORE_BLOCK_ROWS) < len(corpus)
 
     def test_rows_of_another_corpus_rejected(self):
         # Each corpus holds its own windows: scoring a shorter corpus under
