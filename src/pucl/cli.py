@@ -5,8 +5,8 @@ score-difficulty, build-plan, train, self-train, evaluate, analyze) and
 whole experiments (pipeline, sweep, gen-synthetic). train-voters,
 score-difficulty, build-plan, train and analyze each run the pipeline up to
 their stage (see ``pipeline.py``). Exit codes: 0 ok, 2 input format error
-(a path that cannot be opened included), 3 compatibility error, 4 numeric
-failure.
+(a path that cannot be opened, or a size that needs more memory than
+there is, included), 3 compatibility error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -265,7 +265,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (PuclError, ValueError, OSError) as exc:
+    except (PuclError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, CompatibilityError):
             return 3

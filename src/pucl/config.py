@@ -1,17 +1,20 @@
 """Pipeline configuration: JSON files with full defaulting.
 
 A minimal config is {"train": ..., "dict": ..., "test": ...}; every other
-field has a default. Unknown keys are rejected so typos fail loudly.
+field has a default. The dataclasses below are the one definition of every
+key, its type and its default: ``config_from_dict`` reads them from the
+fields and their type hints. Unknown keys are rejected so typos fail loudly.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Any, get_args, get_type_hints
 
+from .corpus import DEFAULT_MAX_SENTENCE_LEN
 from .curriculum import SelfTrainConfig, StageSchedule
 from .errors import FormatError
 from .model import ModelConfig
@@ -25,12 +28,12 @@ MODES = ("full", "full-st", "no-curriculum", "no-confmpu", "voter-ensemble", "so
 class ModelSettings:
     """Architecture knobs; vocabulary size and class count come from data."""
 
-    embed_dim: int = 32
-    window: int = 2
-    hidden_dim: int = 64
-    init_scale: float = 0.1
+    embed_dim: int = ModelConfig.embed_dim
+    window: int = ModelConfig.window
+    hidden_dim: int = ModelConfig.hidden_dim
+    init_scale: float = ModelConfig.init_scale
     min_count: int = 1
-    max_sentence_len: int = 256
+    max_sentence_len: int = DEFAULT_MAX_SENTENCE_LEN
 
     def __post_init__(self) -> None:
         for key in ("min_count", "max_sentence_len"):
@@ -47,22 +50,26 @@ class ModelSettings:
 class CurriculumSettings:
     tau: float = 0.5
     eta: int = 5
-    stage_epochs: int = 2
-    learning_rate: float = 1e-3
-    batch_size: int = 32
+    stage_epochs: int = StageSchedule.stage_epochs
+    learning_rate: float = StageSchedule.learning_rate
+    batch_size: int = StageSchedule.batch_size
 
     def __post_init__(self) -> None:
-        # The other fields are checked by the StageSchedule they build.
         if not 0.0 < self.tau < 1.0:
             raise ValueError(f"tau must be in (0, 1), got {self.tau}")
         if self.eta < 1:
             raise ValueError(f"eta must be >= 1, got {self.eta}")
+        self.schedule(ConfMpuConfig())  # StageSchedule checks the other fields
+
+    def schedule(self, conf_mpu: ConfMpuConfig) -> StageSchedule:
+        """The stage schedule these settings describe, with risk ``conf_mpu``."""
+        return StageSchedule(self.stage_epochs, self.learning_rate, self.batch_size, conf_mpu)
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     train: str
-    dict_path: str | None = None
+    dict_path: str | None = field(default=None, metadata={"key": "dict"})
     test: str | None = None
     valid: str | None = None
     out: str = "out"
@@ -82,18 +89,9 @@ class PipelineConfig:
             raise FormatError(f"unknown mode {self.mode!r}; choose from {', '.join(MODES)}")
         if self.threads < 1:
             raise FormatError("threads must be >= 1")
-        try:
-            self.schedule()
-        except ValueError as exc:
-            raise FormatError(f"bad config section 'curriculum': {exc}") from exc
 
     def schedule(self) -> StageSchedule:
-        return StageSchedule(
-            stage_epochs=self.curriculum.stage_epochs,
-            learning_rate=self.curriculum.learning_rate,
-            batch_size=self.curriculum.batch_size,
-            conf_mpu=self.risk,
-        )
+        return self.curriculum.schedule(self.risk)
 
     def snapshot(self) -> dict:
         """JSON-ready dict of the fully-defaulted configuration."""
@@ -103,29 +101,15 @@ class PipelineConfig:
         return replace(self, **{k: v for k, v in kwargs.items() if v is not None})
 
 
-_SECTION_TYPES = {
-    "model": ModelSettings,
-    "voters": VoterConfig,
-    "curriculum": CurriculumSettings,
-    "risk": ConfMpuConfig,
-    "self_train": SelfTrainConfig,
-}
-
-_TOP_LEVEL_KEYS = {
-    "train", "dict", "test", "valid", "out", "mode", "seed", "threads", "allow_same_split", "require_type_match",
-} | set(_SECTION_TYPES)
-
-
 _JSON_NAMES = {bool: "boolean", int: "integer", float: "number", str: "string"}
 
 
-def _typed(raw: dict, key: str, kind: Any, default: Any, where: str = "config key") -> Any:
-    """``raw[key]`` if it is a JSON value of ``kind``, else FormatError.
+def _typed(value: Any, key: str, kind: Any, where: str) -> Any:
+    """``value`` if it is a JSON value of ``kind``, else FormatError.
     Nothing is coerced: a JSON boolean is not an integer, and only a float
     field also takes an integer, and never NaN or an infinity (which Python's
     ``json`` reads). A ``Literal`` of strings is a string, and ``str | None``
     also takes null."""
-    value = raw.get(key, default)
     if value is None and type(None) in get_args(kind):
         return None
     kind = str if get_args(kind) else kind  # a Literal of strings, or str | None
@@ -137,47 +121,39 @@ def _typed(raw: dict, key: str, kind: Any, default: Any, where: str = "config ke
     return value
 
 
-def config_from_dict(raw: dict) -> PipelineConfig:
+def _from_json(cls: type, raw: dict, section: str | None = None) -> Any:
+    """The config dataclass ``cls`` from the JSON object ``raw``, which has
+    one key per field: the field's name, or its ``key`` metadata. A missing
+    key takes the field's default; a field whose type is a dataclass is a
+    section, read the same way."""
     if not isinstance(raw, dict):
-        raise FormatError("config must be a JSON object")
-    unknown = set(raw) - _TOP_LEVEL_KEYS
+        raise FormatError(f"config section {section!r} must be an object" if section else "config must be a JSON object")
+    by_key = {f.metadata.get("key", f.name): f for f in fields(cls)}
+    unknown = ", ".join(sorted(set(raw) - set(by_key)))
     if unknown:
-        raise FormatError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    if "train" not in raw:
-        raise FormatError("config needs a 'train' corpus path")
-
-    sections: dict[str, Any] = {}
-    for name, cls in _SECTION_TYPES.items():
-        body = raw.get(name, {})
-        if not isinstance(body, dict):
-            raise FormatError(f"config section {name!r} must be an object")
-        valid_keys = {f for f in cls.__dataclass_fields__}  # type: ignore[attr-defined]
-        unknown = set(body) - valid_keys
-        if unknown:
-            raise FormatError(f"unknown keys in config section {name!r}: {', '.join(sorted(unknown))}")
-        types = get_type_hints(cls)
-        fields = {key: _typed(body, key, types[key], None, f"config section {name!r} key") for key in body}
-        try:
-            sections[name] = cls(**fields)
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"bad config section {name!r}: {exc}") from exc
-
-    try:
-        return PipelineConfig(
-            train=_typed(raw, "train", str, None),
-            dict_path=_typed(raw, "dict", str | None, None),
-            test=_typed(raw, "test", str | None, None),
-            valid=_typed(raw, "valid", str | None, None),
-            out=_typed(raw, "out", str, "out"),
-            mode=raw.get("mode", "full"),
-            seed=_typed(raw, "seed", int, 42),
-            threads=_typed(raw, "threads", int, 1),
-            allow_same_split=_typed(raw, "allow_same_split", bool, False),
-            require_type_match=_typed(raw, "require_type_match", bool, True),
-            **sections,
+        raise FormatError(
+            f"unknown keys in config section {section!r}: {unknown}" if section else f"unknown config keys: {unknown}"
         )
+    where = f"config section {section!r} key" if section else "config key"
+    hints = get_type_hints(cls)
+    values: dict[str, Any] = {}
+    for key, f in by_key.items():
+        kind = hints[f.name]
+        if key not in raw:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise FormatError(f"config needs a {key!r} corpus path")
+        elif is_dataclass(kind):
+            values[f.name] = _from_json(kind, raw[key], key)
+        else:
+            values[f.name] = _typed(raw[key], key, kind, where)
+    try:
+        return cls(**values)
     except ValueError as exc:
-        raise FormatError(f"bad config value: {exc}") from exc
+        raise FormatError(f"bad config section {section!r}: {exc}" if section else f"bad config value: {exc}") from exc
+
+
+def config_from_dict(raw: dict) -> PipelineConfig:
+    return _from_json(PipelineConfig, raw)
 
 
 def load_config(path: str | Path) -> PipelineConfig:

@@ -350,16 +350,15 @@ def read_corpus(
         return read_conll(f, label_set, max_sentence_len)
 
 
-def write_conll(corpus: Corpus, stream: IO[str], include_gold: bool = True) -> None:
+def write_conll(corpus: Corpus, stream: IO[str]) -> None:
     """Inverse of read_conll, written from the columns: each sentence is
     terminated by one blank line, so the file ends with exactly one blank
-    line. Gold labels are written as a third column when present and
-    ``include_gold`` is set."""
+    line. Gold labels are written as a third column when present."""
     names = (O_NAME,) + corpus.label_set.names
     surfaces, distant, gold, offsets = corpus._columns()
     # Every token's line ends in one of these, indexed by its (distant, gold) pair.
     endings = [f"\t{d}\t{g}\n" if g else f"\t{d}\n" for d in names for g in ("",) + names]
-    pairs = (distant * (len(names) + 1) + (gold + 1 if include_gold else 0)).tolist()
+    pairs = (distant * (len(names) + 1) + gold + 1).tolist()
     bounds = offsets.tolist()
     for a, b in zip(bounds, bounds[1:]):
         stream.write("".join([s + endings[p] for s, p in zip(surfaces[a:b], pairs[a:b])]) + "\n")

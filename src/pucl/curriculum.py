@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .corpus import Corpus, Vocab, build_vocab
+from .corpus import Corpus, Vocab
 from .errors import NumericError
 from .model import AdamState, BatchRisk, ModelConfig, TokenClassifier, train_epoch
 from .risk import ConfMpuConfig, Priors, conf_mpu_risk, kl_soft_rows, loss_rows
@@ -165,17 +165,6 @@ class SelfTrainConfig:
             raise ValueError("sharpen and learning_rate must be positive")
 
 
-def _fresh_classifier(
-    corpus: Corpus, vocab: Vocab, model_config: ModelConfig | None, seed: int
-) -> TokenClassifier:
-    n_classes = corpus.label_set.n_classes
-    base = model_config or ModelConfig(vocab_size=vocab.size, n_classes=n_classes)
-    cfg = replace(
-        base, vocab_size=vocab.size, n_classes=n_classes, seed=derive_seed(seed, "classifier-init")
-    )
-    return TokenClassifier(cfg, vocab, corpus.label_set.names)
-
-
 def _mean_risk(row_loss: Callable, targets: np.ndarray) -> BatchRisk:
     """Batch risk as the mean of ``row_loss(probs, targets[positions])``."""
 
@@ -192,8 +181,8 @@ def _run_stages(
     plan: CurriculumPlan,
     schedule: StageSchedule,
     seed: int,
-    vocab: Vocab | None,
-    model_config: ModelConfig | None,
+    vocab: Vocab,
+    model_config: ModelConfig,
     batch_risk: BatchRisk,
     log: list[dict] | None,
     stage_callback: Callable[[int, TokenClassifier], None] | None,
@@ -203,9 +192,11 @@ def _run_stages(
     Unlabeled tokens live in C_1 and are active from the first stage. The
     optimizer persists across stages. A token entering at curriculum j
     therefore participates in exactly (eta - j + 1) * stage_epochs epochs.
-    Without ``vocab`` the corpus's own vocabulary is built.
+    The classifier has the shape of ``model_config`` and an init seed
+    derived from ``seed``.
     """
-    model = _fresh_classifier(corpus, vocab or build_vocab(corpus), model_config, seed)
+    init = replace(model_config, seed=derive_seed(seed, "classifier-init"))
+    model = TokenClassifier(init, vocab, corpus.label_set.names)
     adam = AdamState.for_model(model, schedule.learning_rate)
     shuffle_rng = make_rng(seed, "train-shuffle")
 
@@ -242,8 +233,8 @@ def train_baby_step(
     schedule: StageSchedule,
     seed: int,
     *,
-    vocab: Vocab | None = None,
-    model_config: ModelConfig | None = None,
+    vocab: Vocab,
+    model_config: ModelConfig,
     log: list[dict] | None = None,
     stage_callback: Callable[[int, TokenClassifier], None] | None = None,
 ) -> TokenClassifier:
@@ -272,20 +263,19 @@ def train_no_curriculum(
     schedule: StageSchedule,
     seed: int,
     *,
-    total_epochs: int | None = None,
-    vocab: Vocab | None = None,
-    model_config: ModelConfig | None = None,
+    total_epochs: int,
+    vocab: Vocab,
+    model_config: ModelConfig,
     log: list[dict] | None = None,
     stage_callback: Callable[[int, TokenClassifier], None] | None = None,
 ) -> TokenClassifier:
     """PU training on everything at once (the curriculum ablation).
 
     Equivalent to train_baby_step with a single curriculum; ``total_epochs``
-    (defaulting to schedule.stage_epochs) matches the epoch budget of a
-    staged run, e.g. eta * stage_epochs.
+    matches the epoch budget of a staged run, e.g. eta * stage_epochs.
     """
     plan = single_curriculum_plan(corpus)
-    sched = replace(schedule, stage_epochs=total_epochs or schedule.stage_epochs)
+    sched = replace(schedule, stage_epochs=total_epochs)
     return train_baby_step(
         corpus, plan, confidence, priors, sched, seed,
         vocab=vocab, model_config=model_config, log=log, stage_callback=stage_callback,
@@ -298,8 +288,8 @@ def train_no_confmpu(
     schedule: StageSchedule,
     seed: int,
     *,
-    vocab: Vocab | None = None,
-    model_config: ModelConfig | None = None,
+    vocab: Vocab,
+    model_config: ModelConfig,
     log: list[dict] | None = None,
     stage_callback: Callable[[int, TokenClassifier], None] | None = None,
 ) -> TokenClassifier:
@@ -320,8 +310,8 @@ def train_soft_label(
     schedule: StageSchedule,
     seed: int,
     *,
-    vocab: Vocab | None = None,
-    model_config: ModelConfig | None = None,
+    vocab: Vocab,
+    model_config: ModelConfig,
     log: list[dict] | None = None,
     stage_callback: Callable[[int, TokenClassifier], None] | None = None,
 ) -> TokenClassifier:

@@ -55,10 +55,10 @@ from .seeding import derive_seed
 from .voters import (
     DifficultyTable,
     VoterEnsemble,
+    confidence_table,
     difficulty_scores,
     dump_scores_tsv,
     train_voters,
-    voter_distributions,
 )
 
 
@@ -263,7 +263,7 @@ def _report(run: PipelineResult) -> None:
     if run.model is not None:
         run.report = evaluate(run.model, test, run.cfg.require_type_match)
     else:  # mode voter-ensemble: the argmax of the mean voter distribution
-        labels = np.argmax(voter_distributions(run.ensemble, test).mean(axis=0), axis=1)
+        labels = np.argmax(confidence_table(run.ensemble, test).distributions, axis=1)
         run.report = evaluate_labels(labels, test, run.cfg.require_type_match)
     write_text(run.record("report", "report.json"), run.report.to_json() + "\n")
 

@@ -17,7 +17,7 @@ from typing import IO
 
 import numpy as np
 
-from .corpus import Corpus, Vocab, build_vocab
+from .corpus import Corpus, Vocab
 from .model import AdamState, ModelConfig, TokenClassifier, train_epoch
 from .risk import PROB_FLOOR, LossKind, pn_risk, sample_negatives
 from .seeding import derive_seed, make_rng
@@ -78,9 +78,7 @@ def _train_one_voter(
     voter_idx: int,
 ) -> TokenClassifier:
     init_seed = derive_seed(seed, "voter-init", voter_idx)
-    model = TokenClassifier(
-        replace(model_config, vocab_size=vocab.size, seed=init_seed), vocab, corpus.label_set.names
-    )
+    model = TokenClassifier(replace(model_config, seed=init_seed), vocab, corpus.label_set.names)
     adam = AdamState.for_model(model, cfg.learning_rate)
     sample_rng = make_rng(seed, "voter-sample", voter_idx)
     # Shared stream: every voter sees the same batch order per epoch.
@@ -106,18 +104,17 @@ def train_voters(
     model_config: ModelConfig,
     voter_config: VoterConfig,
     seed: int,
-    vocab: Vocab | None = None,
+    vocab: Vocab,
 ) -> VoterEnsemble:
     """Train V independent voters on the distant labels.
 
     Voter v derives its initialization and sampling seeds from (seed, v), so
-    adding voters never perturbs existing ones. The voters share the
-    vocabulary and so one encoding of the corpus.
+    adding voters never perturbs existing ones. Every voter has the shape
+    of ``model_config`` and shares ``vocab``, and so one encoding of the
+    corpus.
     """
     if not np.any(corpus.distant_array() > 0):
         raise ValueError("corpus has no positive distant labels; voters cannot train")
-    if vocab is None:
-        vocab = build_vocab(corpus)
     return VoterEnsemble(
         [
             _train_one_voter(corpus, model_config, voter_config, vocab, seed, v)

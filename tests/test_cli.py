@@ -622,6 +622,22 @@ class TestConfig:
         assert f"bad config section 'model': {key} must be" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()  # no manifest: no input was hashed
 
+    @pytest.mark.parametrize("key", ["hidden_dim", "embed_dim", "window"])
+    def test_model_too_big_to_allocate_exits_2(self, synth_dir, tmp_path, key):
+        # 10**13 makes a parameter array larger than a 47-bit address space,
+        # so the allocation fails at once and no memory is ever committed.
+        cfg = small_config(synth_dir, tmp_path / "run")
+        cfg["model"][key] = 10**13
+        proc = subprocess.run(
+            [sys.executable, "-m", "pucl", "pipeline", "--config", write_config(cfg, tmp_path / "cfg.json")],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(Path(pucl.pipeline.__file__).parents[1]), "PATH": "/usr/bin:/bin"},
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+        assert {p.name for p in (tmp_path / "run").iterdir()} == {"manifest.json"}
+
     def test_top_level_values_of_the_right_type(self):
         cfg = config_from_dict(
             {"train": "x", "seed": 3, "threads": 2, "allow_same_split": True,

@@ -118,7 +118,7 @@ class TestWriteConll:
     def test_gold_column_written(self):
         corpus = parse("a\tO\tPER\n\n")
         out = io.StringIO()
-        write_conll(corpus, out, include_gold=True)
+        write_conll(corpus, out)
         assert out.getvalue().splitlines()[0] == "a\tO\tPER"
 
     def test_round_trip_fixed(self):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,9 +21,9 @@ from pucl.curriculum import (
     _run_stages,
 )
 from pucl.errors import NumericError
-from pucl.model import ModelConfig
+from pucl.model import ModelConfig, TokenClassifier
 from pucl.risk import ConfMpuConfig, Priors, estimate_priors
-from pucl.seeding import make_rng
+from pucl.seeding import derive_seed, make_rng
 from pucl.voters import ConfidenceTable, DifficultyTable, VoterConfig, confidence_table, train_voters
 from pucl.distant import SyntheticSpec, generate_synthetic, inject_noise
 from pucl.evaluation import evaluate
@@ -231,7 +232,6 @@ class TestReductionIdentity:
     def test_logged_risk_equals_direct_estimator_call(self):
         # the trainer's first logged risk must equal the risk estimator run
         # by hand on the fresh model's outputs over the same batch
-        from pucl.curriculum import _fresh_classifier
         from pucl.risk import conf_mpu_risk
 
         corpus, vocab, mc, conf, diff, priors = small_training_setup(n=12)
@@ -244,7 +244,8 @@ class TestReductionIdentity:
             corpus, conf, priors, schedule, 31, total_epochs=1,
             vocab=vocab, model_config=mc, log=log,
         )
-        model = _fresh_classifier(corpus, vocab, mc, 31)
+        # the trainer's fresh classifier: mc with the init seed derived from 31
+        model = TokenClassifier(replace(mc, seed=derive_seed(31, "classifier-init")), vocab, corpus.label_set.names)
         rows = np.concatenate(loop_sentence_rows(model, corpus), axis=0)
         # single whole-corpus batch: token order within it is corpus order
         probs, _ = model.forward_rows(rows)

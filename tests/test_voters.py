@@ -393,7 +393,9 @@ class TestTrainVoters:
         ls = LabelSet(["T"])
         corpus = Corpus([Sentence((Token("a", 0), Token("b", 0)))], ls)
         with pytest.raises(ValueError, match="no positive"):
-            train_voters(corpus, ModelConfig(vocab_size=4, n_classes=2), VoterConfig(count=2, epochs=1), 0)
+            train_voters(
+                corpus, ModelConfig(vocab_size=4, n_classes=2), VoterConfig(count=2, epochs=1), 0, build_vocab(corpus)
+            )
 
     def test_learns_separable_synthetic_corpus(self):
         corpus = synthetic_corpus(seed=3, n=150)
