@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Any, get_args, get_type_hints
 
 from .corpus import DEFAULT_MAX_SENTENCE_LEN
-from .curriculum import SelfTrainConfig, StageSchedule
+from .curriculum import SelfTrainConfig, StageSchedule, check_power_law
 from .errors import FormatError
 from .model import ModelConfig
 from .risk import ConfMpuConfig
@@ -55,10 +55,7 @@ class CurriculumSettings:
     batch_size: int = StageSchedule.batch_size
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.tau < 1.0:
-            raise ValueError(f"tau must be in (0, 1), got {self.tau}")
-        if self.eta < 1:
-            raise ValueError(f"eta must be >= 1, got {self.eta}")
+        check_power_law(self.tau, self.eta)
         self.schedule(ConfMpuConfig())  # StageSchedule checks the other fields
 
     def schedule(self, conf_mpu: ConfMpuConfig) -> StageSchedule:

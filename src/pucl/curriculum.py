@@ -69,6 +69,14 @@ class CurriculumPlan:
         return json.dumps(payload, sort_keys=True)
 
 
+def check_power_law(tau: float, eta: int) -> None:
+    """The power-law selector's range rule: tau in (0, 1), eta >= 1."""
+    if not 0.0 < tau < 1.0:
+        raise ValueError(f"tau must be in (0, 1), got {tau}")
+    if eta < 1:
+        raise ValueError(f"eta must be >= 1, got {eta}")
+
+
 def build_plan(
     difficulty: DifficultyTable, corpus: Corpus, tau: float, eta: int
 ) -> CurriculumPlan:
@@ -79,10 +87,7 @@ def build_plan(
     for j < eta and the last curriculum takes whatever remains. All
     unlabeled tokens join curriculum 1. eta == 1 puts every token there.
     """
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must be in (0,1), got {tau}")
-    if eta < 1:
-        raise ValueError(f"eta must be >= 1, got {eta}")
+    check_power_law(tau, eta)
     labels = corpus.distant_array()
     if difficulty.scores.shape[0] != len(labels):
         raise ValueError("difficulty table does not cover the corpus")

@@ -7,12 +7,19 @@ gradients can be checked against finite differences at tight tolerances.
 
 Exactness contract: a training step does the textbook float operations in
 the textbook order over the rows it is given, so a fixed seed gives the
-same bytes however the step is implemented. The embedding gradient sums
-each row's contributions in token order starting from 0.0. ``adam_step``
-does Adam's operations (Kingma & Ba, arXiv:1412.6980) in their usual
-order, in place on the dense layers and lazily on the embedding: only the
-rows the batch references step (lazy Adam, a different optimiser from
-dense Adam, not a rounding of it). Every trainer steps through one
+same bytes however the step is implemented. A step costs about what its
+batch touches: the embedding gradient is compact, one row per vocabulary
+row the batch references (no ``[V, d]`` array is built), and sums each
+row's contributions in token order starting from 0.0. The dense layers
+w1, b1, w2 and b2 are 64-byte aligned views of one flat buffer, and so
+are their gradient, Adam's moments and its scratch. ``adam_step`` does
+Adam's operations (Kingma & Ba, arXiv:1412.6980) in their usual order:
+once over the whole dense buffer in place, since they are elementwise,
+and lazily on the embedding: only the rows the batch references step
+(lazy Adam, a different optimiser from dense Adam, not a rounding of
+it). Each gradient bin sums in token order and Adam's operations are
+elementwise, so the step's bytes do not depend on either layout. Every
+trainer steps through one
 minibatch loop, ``train_epoch``, which selects a batch's rows before the
 forward pass. A voter draws its negative sample there and computes only
 the rows the sample keeps. Its step is the full-batch step with
@@ -80,25 +87,29 @@ class ModelConfig:
 
 @dataclass
 class Gradients:
-    """Dense gradients, plus the sorted vocabulary rows the batch references."""
+    """A batch's gradients, sized by what the batch touches. ``embedding``
+    is [n, d]: row i is the gradient of vocabulary row
+    ``embedding_rows[i]``, the sorted rows the batch references; every
+    other row's gradient is 0. ``dense`` is one flat buffer laid out like
+    the model's (``TokenClassifier.dense_views``), and w1, b1, w2 and b2
+    are views of it."""
 
+    embedding_rows: np.ndarray
     embedding: np.ndarray
+    dense: np.ndarray
     w1: np.ndarray
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
-    embedding_rows: np.ndarray
-
-    def arrays(self) -> list[tuple[str, np.ndarray]]:
-        return [(name, getattr(self, name)) for name in PARAMETER_NAMES]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction; finite for |logits| up to ~1e3
-    and beyond."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Row-wise softmax with max subtraction, in place on ``logits``, which
+    it returns; finite for |logits| up to ~1e3 and beyond."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
 class TokenClassifier:
@@ -106,13 +117,16 @@ class TokenClassifier:
 
     ``vocab`` and ``label_names`` travel with the parameters so a checkpoint
     is self-contained. Forward passes are pure functions of (parameters,
-    input); training mutates parameters only through ``adam_step``.
+    input); training mutates parameters only through ``adam_step``. The
+    dense layers w1, b1, w2 and b2 are views of one flat buffer, ``dense``
+    (``dense_views``).
     """
 
     def __init__(
         self, config: ModelConfig, vocab: Vocab, label_names: Sequence[str], params: dict | None = None
     ):
-        """Without ``params`` the weights are drawn from N(0, init_scale), the biases 0."""
+        """Without ``params`` the weights are drawn from N(0, init_scale), the
+        biases 0. The dense arrays of ``params`` are copied into ``dense``."""
         if config.vocab_size != vocab.size:
             raise ValueError(f"config vocab_size {config.vocab_size} != vocab size {vocab.size}")
         if config.n_classes != len(label_names) + 1:
@@ -120,23 +134,48 @@ class TokenClassifier:
         self.config = config
         self.vocab = vocab
         self.label_names = tuple(label_names)
+        shapes = config.parameter_shapes()
         if params is None:
             rng = np.random.Generator(np.random.PCG64(config.seed))
             params = {
                 name: rng.normal(0.0, config.init_scale, size=shape) if len(shape) == 2
                 else np.zeros(shape)
-                for name, shape in config.parameter_shapes().items()
+                for name, shape in shapes.items()
             }
-        for name in PARAMETER_NAMES:
-            setattr(self, name, params[name])
+        # Each segment of the flat buffer starts on a multiple of 8 floats
+        # (64 bytes): at 72 rows, x @ w1 with w1 16 to 48 bytes off that
+        # boundary measured 1.3-1.5x slower.
+        self._segments, offset = [], 0
+        for name in PARAMETER_NAMES[1:]:
+            self._segments.append((name, offset, shapes[name]))
+            offset += -(-math.prod(shapes[name]) // 8) * 8
+        self._dense_size = offset
+        self.dense = self.dense_buffer()
+        for name, view in self.dense_views(self.dense).items():
+            view[...] = params[name]
+            setattr(self, name, view)
+        self.embedding = params["embedding"]
 
     # -- parameter plumbing -------------------------------------------------
 
     def parameters(self) -> list[tuple[str, np.ndarray]]:
         return [(name, getattr(self, name)) for name in PARAMETER_NAMES]
 
+    def dense_buffer(self) -> np.ndarray:
+        """A zeroed flat buffer laid out like ``dense``, its data starting on
+        a 64-byte boundary."""
+        raw = np.zeros(self._dense_size + 7)
+        start = (-raw.ctypes.data % 64) // 8
+        return raw[start : start + self._dense_size]
+
+    def dense_views(self, buffer: np.ndarray) -> dict[str, np.ndarray]:
+        """The w1, b1, w2 and b2 views of a buffer from ``dense_buffer``;
+        each starts on a 64-byte boundary, and the padding between them
+        stays zero."""
+        return {name: buffer[lo : lo + math.prod(shape)].reshape(shape) for name, lo, shape in self._segments}
+
     def copy(self) -> "TokenClassifier":
-        params = {name: arr.copy() for name, arr in self.parameters()}
+        params = {**dict(self.parameters()), "embedding": self.embedding.copy()}
         return TokenClassifier(self.config, self.vocab, self.label_names, params)
 
     # -- forward / backward --------------------------------------------------
@@ -146,33 +185,46 @@ class TokenClassifier:
         plus the cache backward_rows needs."""
         n = rows.shape[0]
         flat = self.embedding[rows].reshape(n, -1)
-        hidden = np.tanh(flat @ self.w1 + self.b1)
-        probs = softmax(hidden @ self.w2 + self.b2)
+        hidden = flat @ self.w1
+        hidden += self.b1
+        np.tanh(hidden, out=hidden)
+        logits = hidden @ self.w2
+        logits += self.b2
+        probs = softmax(logits)
         return probs, (rows, flat, hidden, probs)
 
     def backward_rows(self, cache: tuple, dprobs: np.ndarray) -> Gradients:
         """Exact gradients of sum_tokens <dprobs_t, probs_t> chained through
-        softmax, hidden layer, and embeddings."""
+        softmax, hidden layer, and embeddings; the embedding's only over
+        the rows the batch references."""
         rows, flat, hidden, probs = cache
         if dprobs.shape != probs.shape:
             raise ValueError(f"gradient shape {dprobs.shape} != probs shape {probs.shape}")
+        dense = self.dense_buffer()
+        grads = self.dense_views(dense)
         inner = (dprobs * probs).sum(axis=1, keepdims=True)
         dlogits = probs * (dprobs - inner)
-        dw2 = hidden.T @ dlogits
-        db2 = dlogits.sum(axis=0)
+        np.matmul(hidden.T, dlogits, out=grads["w2"])
+        np.sum(dlogits, axis=0, out=grads["b2"])
         dhidden = dlogits @ self.w2.T
         dz1 = dhidden * (1.0 - hidden**2)
-        dw1 = flat.T @ dz1
-        db1 = dz1.sum(axis=0)
+        np.matmul(flat.T, dz1, out=grads["w1"])
+        np.sum(dz1, axis=0, out=grads["b1"])
         dflat = dz1 @ self.w1.T
-        # One flat bincount sums every (row, column) bin in token order,
+        # Each window cell's slot among the referenced rows; one flat
+        # bincount then sums every (slot, column) bin in token order,
         # starting from 0.0: bitwise what np.add.at gives, without its
-        # per-element overhead.
-        vocab_size, d = self.embedding.shape
-        bins = (rows.reshape(-1, 1) * d + np.arange(d)).ravel()
-        dembed = np.bincount(bins, weights=dflat.ravel(), minlength=vocab_size * d)
-        touched = np.flatnonzero(np.bincount(rows.ravel(), minlength=vocab_size))
-        return Gradients(dembed.reshape(vocab_size, d), dw1, db1, dw2, db2, touched)
+        # per-element overhead. Only the two index arrays have a vocabulary
+        # row each; no float array does.
+        vocab_size, d = self.config.vocab_size, self.config.embed_dim
+        referenced = np.zeros(vocab_size, dtype=bool)
+        referenced[rows] = True
+        touched = np.flatnonzero(referenced)
+        slot = np.empty(vocab_size, dtype=np.intp)
+        slot[touched] = np.arange(len(touched))
+        bins = (slot[rows].reshape(-1, 1) * d + np.arange(d)).ravel()
+        dembed = np.bincount(bins, weights=dflat.ravel(), minlength=len(touched) * d)
+        return Gradients(touched, dembed.reshape(-1, d), dense, **grads)
 
     # -- corpus helpers ------------------------------------------------------
 
@@ -195,13 +247,16 @@ class TokenClassifier:
 
 @dataclass
 class AdamState:
-    """Adam moment accumulators, one pair per parameter array, plus two
-    scratch arrays per dense parameter (all but the embedding)."""
+    """Adam's moments: the embedding's pair, stepped row by row, and the
+    dense layers' pair as flat buffers laid out like ``model.dense``, with
+    two flat scratch buffers of the same layout."""
 
     learning_rate: float
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-    scratch: dict[str, tuple[np.ndarray, np.ndarray]]
+    embedding_m: np.ndarray
+    embedding_v: np.ndarray
+    dense_m: np.ndarray
+    dense_v: np.ndarray
+    scratch: tuple[np.ndarray, np.ndarray]
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -212,40 +267,45 @@ class AdamState:
         if learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         return AdamState(
-            learning_rate=learning_rate,
-            m={name: np.zeros_like(p) for name, p in model.parameters()},
-            v={name: np.zeros_like(p) for name, p in model.parameters()},
-            scratch={n: (np.empty_like(p), np.empty_like(p)) for n, p in model.parameters()[1:]},
+            learning_rate,
+            np.zeros_like(model.embedding),
+            np.zeros_like(model.embedding),
+            model.dense_buffer(),
+            model.dense_buffer(),
+            (model.dense_buffer(), model.dense_buffer()),
         )
 
 
 def adam_step(model: TokenClassifier, grads: Gradients, state: AdamState) -> None:
-    """Adam with bias correction; fails fast on non-finite gradients.
+    """Adam with bias correction; a non-finite gradient raises NumericError
+    before anything changes.
 
-    Per parameter this computes, in this order and in place::
+    For the embedding rows in ``grads.embedding_rows`` and then for the flat
+    dense buffer this computes, in this order and in place::
 
         m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
         p -= (lr * (m/c1)) / (sqrt(v/c2) + eps)
 
     with c1 = 1 - b1**step and c2 = 1 - b2**step, ``step`` counting every
-    call. The embedding is lazy (TF Addons' LazyAdam): its rows in
-    ``grads.embedding_rows`` are gathered, stepped and scattered back, and
-    every other row keeps its parameter, m and v bitwise.
+    call. The embedding is lazy (TF Addons' LazyAdam): its referenced rows
+    are gathered, stepped and scattered back, and every other row keeps its
+    parameter, m and v bitwise. The dense buffer's zero padding stays zero.
     """
+    rows, d = grads.embedding_rows, model.config.embed_dim
+    if grads.dense.shape != model.dense.shape or grads.embedding.shape != (len(rows), d):
+        raise ValueError("gradient/parameter shape mismatch")
+    if not (np.isfinite(grads.embedding).all() and np.isfinite(grads.dense).all()):
+        bad = next(name for name in PARAMETER_NAMES if not np.isfinite(getattr(grads, name)).all())
+        raise NumericError(f"non-finite gradient in {bad} at step {state.step + 1}")
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     corr1 = 1.0 - b1**state.step
     corr2 = 1.0 - b2**state.step
-    rows = grads.embedding_rows
-    for (name, param), (gname, grad) in zip(model.parameters(), grads.arrays()):
-        if name != gname or param.shape != grad.shape:
-            raise ValueError(f"gradient/parameter mismatch at {name}")
-        lazy = name == "embedding"
-        arrays = (param, state.m[name], state.v[name], grad)
-        p, m, v, g = (a.take(rows, axis=0) for a in arrays) if lazy else arrays
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient in {name} at step {state.step}")
-        update, denom = (np.empty_like(p), np.empty_like(p)) if lazy else state.scratch[name]
+    lazy = tuple(a.take(rows, axis=0) for a in (model.embedding, state.embedding_m, state.embedding_v))
+    for (p, m, v), g, (update, denom) in (
+        (lazy, grads.embedding, (np.empty_like(grads.embedding), np.empty_like(grads.embedding))),
+        ((model.dense, state.dense_m, state.dense_v), grads.dense, state.scratch),
+    ):
         np.multiply(g, 1.0 - b1, out=update)
         m *= b1
         m += update
@@ -260,8 +320,7 @@ def adam_step(model: TokenClassifier, grads: Gradients, state: AdamState) -> Non
         denom += state.eps
         update /= denom
         p -= update
-        if lazy:
-            param[rows], state.m[name][rows], state.v[name][rows] = p, m, v
+    model.embedding[rows], state.embedding_m[rows], state.embedding_v[rows] = lazy
 
 
 #: (probs, flat token positions) -> (risk value, dprobs, clamped count)
@@ -291,10 +350,13 @@ def train_epoch(
     count.
     """
     rows = model.encode_corpus(corpus)
+    # The epoch's token positions, and where each sentence of it ends.
+    epoch_positions = corpus.token_positions(order)
+    ends = [0, *np.cumsum(np.diff(corpus.offsets)[order]).tolist()]
     values: list[float] = []
     clamped_total = 0
     for start in range(0, len(order), batch_size):
-        positions = corpus.token_positions(order[start : start + batch_size])
+        positions = epoch_positions[ends[start] : ends[min(start + batch_size, len(order))]]
         if select is not None:
             positions = select(positions)
         if len(positions) == 0:

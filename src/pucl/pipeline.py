@@ -156,21 +156,24 @@ def _voter_fingerprint(run: PipelineResult) -> str:
 def _voters(run: PipelineResult) -> None:
     """Train the voters, or, for a stage subcommand, load the saved ones if
     ``voters.sha256`` matches. The fingerprint is removed before any voter
-    is rewritten and recorded after the last one is in place, so a
-    recorded fingerprint always describes the voter files on disk."""
+    is rewritten and written after the last one is in place, so a
+    fingerprint on disk always describes the voter files there. A file
+    enters the manifest once it is in place."""
     cfg = run.cfg
+    count = cfg.voters.count
     fingerprint = _voter_fingerprint(run)
-    stamp = run.record("voters_fingerprint", "voters.sha256")
-    paths = [run.record(f"voter_{i}", f"voter_{i}.bin") for i in range(cfg.voters.count)]
+    stamp = run.out_dir / "voters.sha256"
     reuse = (
         run.until is not None
         and stamp.exists()
         and stamp.read_text(encoding="utf-8").strip() == fingerprint
-        and all(p.exists() for p in paths)
+        and all((run.out_dir / f"voter_{i}.bin").exists() for i in range(count))
     )
     run.manifest["voters_reused"] = reuse
     if reuse:
+        paths = (run.record(f"voter_{i}", f"voter_{i}.bin") for i in range(count))
         run.ensemble = VoterEnsemble([load_model(p) for p in paths])
+        run.record("voters_fingerprint", stamp.name)
         if run.ensemble.vocab != run.vocab or run.ensemble.voters[0].label_names != run.train.label_set.names:
             raise CompatibilityError("saved voters do not fit the training corpus; delete voters.sha256 to retrain")
         return
@@ -178,10 +181,13 @@ def _voters(run: PipelineResult) -> None:
     run.ensemble = train_voters(
         run.train, run.model_config, cfg.voters, derive_seed(cfg.seed, "voters"), vocab=run.vocab
     )
-    for path, voter in zip(paths, run.ensemble.voters):
+    for i, voter in enumerate(run.ensemble.voters):
+        path = run.out_dir / f"voter_{i}.bin"
         with atomic_open(path, "wb") as f:
             save_checkpoint(voter, f)
+        run.record(f"voter_{i}", path.name)
     write_text(stamp, fingerprint + "\n")
+    run.record("voters_fingerprint", stamp.name)
 
 
 def _difficulty(run: PipelineResult) -> None:

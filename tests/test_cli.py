@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 import pucl.pipeline
+import pucl.voters
 from pucl.benchmark import BENCHMARK_CONFIG, BenchmarkSpec, make_benchmark
 from pucl.cli import build_parser, main
 from pucl.config import config_from_dict, load_config
 from pucl.corpus import Token, Vocab, read_conll, write_conll
-from pucl.errors import FormatError
+from pucl.errors import FormatError, NumericError
 from pucl.model import load_checkpoint
 from pucl.pipeline import STAGES, run_pipeline, stages_up_to
 from pucl.seeding import derive_seed
@@ -827,6 +828,26 @@ class TestAtomicWrites:
         assert main(["score-difficulty", "--config", cfg_a]) == 0
         assert [(out / f"voter_{i}.bin").read_bytes() for i in range(2)] == voters_a
         assert json.loads((out / "manifest.json").read_text())["voters_reused"] is False
+
+    def test_failed_voter_training_lists_no_voter(self, synth_dir, tmp_path, monkeypatch, capsys):
+        train_one = pucl.voters._train_one_voter
+
+        def fail_second(*args):
+            if args[-1] == 1:  # the voter index
+                raise NumericError("non-finite risk (voter 1)")
+            return train_one(*args)
+
+        monkeypatch.setattr(pucl.voters, "_train_one_voter", fail_second)
+        out = tmp_path / "run"
+        cfg = small_config(synth_dir, out)
+        cfg["voters"]["count"] = 3
+        assert main(["pipeline", "--config", write_config(cfg, tmp_path / "cfg.json")]) == 4
+        assert "voter 1" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        assert not [name for name in manifest["artifacts"] if name.startswith("voter")]
+        assert all(Path(p).exists() for p in manifest["artifacts"].values())
 
 
 class TestStageList:

@@ -20,7 +20,8 @@ from pucl.curriculum import (
     train_soft_label,
     _run_stages,
 )
-from pucl.errors import NumericError
+from pucl.config import config_from_dict
+from pucl.errors import FormatError, NumericError
 from pucl.model import ModelConfig, TokenClassifier
 from pucl.risk import ConfMpuConfig, Priors, estimate_priors
 from pucl.seeding import derive_seed, make_rng
@@ -81,6 +82,16 @@ class TestBuildPlan:
             build_plan(table, corpus, tau=1.0, eta=3)
         with pytest.raises(ValueError):
             build_plan(table, corpus, tau=0.5, eta=0)
+
+    @pytest.mark.parametrize("tau,eta", [(1.5, 3), (0.0, 3), (0.5, 0)])
+    def test_config_and_plan_refuse_with_one_message(self, tau, eta):
+        corpus = corpus_with_counts(5, 5)
+        with pytest.raises(ValueError) as from_plan:
+            build_plan(table_for(corpus), corpus, tau=tau, eta=eta)
+        raw = {"train": "t.tsv", "curriculum": {"tau": tau, "eta": eta}}
+        with pytest.raises(FormatError) as from_config:
+            config_from_dict(raw)
+        assert str(from_config.value) == f"bad config section 'curriculum': {from_plan.value}"
 
     def test_difficulty_ordering_across_curricula(self):
         corpus = corpus_with_counts(t_p=37, t_u=13)

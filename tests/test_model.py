@@ -43,6 +43,7 @@ def small_model(seed=0, vocab_words=8, embed=4, window=1, hidden=5, classes=3):
 from oracles import (
     blocked_forward,
     count_forward_calls,
+    dense_gradients,
     fd_param_gradients,
     loop_sentence_rows,
     loop_window_rows,
@@ -113,7 +114,7 @@ class TestBackward:
         rows = loop_window_rows(np.array([2, 3, 4]), model.config.window)
         probs, cache = model.forward_rows(rows)
         grads = model.backward_rows(cache, np.zeros_like(probs))
-        for _, g in grads.arrays():
+        for _, g in dense_gradients(grads, model.config.vocab_size):
             assert np.all(g == 0)
 
     def test_batch_linearity(self):
@@ -129,7 +130,10 @@ class TestBackward:
         second = model.backward_rows(
             (cache[0][1:], cache[1][1:], cache[2][1:], cache[3][1:]), d[1:]
         )
-        for (name, g), (_, g1), (_, g2) in zip(both.arrays(), first.arrays(), second.arrays()):
+        v = model.config.vocab_size
+        for (name, g), (_, g1), (_, g2) in zip(
+            dense_gradients(both, v), dense_gradients(first, v), dense_gradients(second, v)
+        ):
             assert np.allclose(g, g1 + g2, atol=1e-12), name
 
     def test_ce_gradient_matches_finite_differences(self):
@@ -207,9 +211,12 @@ class TestExactStep:
         probs, cache = model.forward_rows(rows)
         dprobs = np.random.default_rng(1).normal(size=probs.shape)
         grads = model.backward_rows(cache, dprobs)
-        assert np.array_equal(grads.embedding, oracle_embedding_gradient(model, cache, dprobs))
+        # compact: one gradient row per referenced vocabulary row, in order
+        oracle = oracle_embedding_gradient(model, cache, dprobs)
+        assert np.array_equal(grads.embedding_rows, np.unique(rows))
+        assert np.array_equal(grads.embedding, oracle[grads.embedding_rows])
         unseen = np.setdiff1d(np.arange(model.config.vocab_size), rows)
-        assert len(unseen) > 0 and np.all(grads.embedding[unseen] == 0.0)
+        assert len(unseen) > 0 and np.all(oracle[unseen] == 0.0)
 
     def test_in_place_adam_matches_textbook(self):
         model = small_model(seed=8, vocab_words=10, window=1)
@@ -225,33 +232,38 @@ class TestExactStep:
             rows = loop_window_rows(ids, model.config.window)
             probs, cache = model.forward_rows(rows)
             grads = model.backward_rows(cache, rng.normal(size=probs.shape))
-            assert np.any(np.all(grads.embedding == 0.0, axis=1))
+            g = dict(dense_gradients(grads, model.config.vocab_size))
+            assert np.any(np.all(g["embedding"] == 0.0, axis=1))
             adam_step(model, grads, state)
             # dense parameters take textbook Adam, the embedding lazy Adam
             # over the rows the batch references
-            g = dict(grads.arrays())
             lazy = oracle_lazy_adam_step(
                 params["embedding"], g.pop("embedding"), m["embedding"], v["embedding"],
                 np.unique(rows), step, 3e-3,
             )
             dense = oracle_adam_step({n: params[n] for n in g}, g, m, v, step, 3e-3)
             params, m, v = ({**d, "embedding": e} for d, e in zip(dense, lazy))
+            state_m = {"embedding": state.embedding_m, **model.dense_views(state.dense_m)}
+            state_v = {"embedding": state.embedding_v, **model.dense_views(state.dense_v)}
             for name, p in model.parameters():
                 assert np.array_equal(p, params[name]), (step, name)
-                assert np.array_equal(state.m[name], m[name]), (step, name)
-                assert np.array_equal(state.v[name], v[name]), (step, name)
+                assert np.array_equal(state_m[name], m[name]), (step, name)
+                assert np.array_equal(state_v[name], v[name]), (step, name)
+            # the flat buffers' padding between the views stays zero
+            for buffer in (model.dense, state.dense_m, state.dense_v):
+                assert np.sum(buffer != 0.0) == sum(np.sum(x != 0.0) for x in model.dense_views(buffer).values())
 
     def test_untouched_embedding_rows_keep_their_state(self):
         model = small_model(seed=9, window=1)
         state = AdamState.for_model(model, 1e-2)
         for ids in ([2, 3], [4, 5]):
-            before = [a.copy() for a in (model.embedding, state.m["embedding"], state.v["embedding"])]
+            before = [a.copy() for a in (model.embedding, state.embedding_m, state.embedding_v)]
             probs, cache = model.forward_rows(loop_window_rows(np.array(ids), model.config.window))
             _, dprobs = ce_rows(probs, np.array([1, 2]))
             adam_step(model, model.backward_rows(cache, dprobs), state)
         # the second batch (rows 0, 4, 5) leaves rows 2 and 3 alone
         assert np.all(before[1][[2, 3]] != 0.0) and np.all(before[2][[2, 3]] != 0.0)
-        after = (model.embedding, state.m["embedding"], state.v["embedding"])
+        after = (model.embedding, state.embedding_m, state.embedding_v)
         for old, new in zip(before, after):
             assert np.array_equal(old[[2, 3]], new[[2, 3]])
             assert not np.array_equal(old[[4, 5]], new[[4, 5]])
@@ -323,9 +335,76 @@ class TestAdam:
         state = AdamState.for_model(model, 1e-3)
         probs, cache = model.forward_rows(loop_window_rows(np.array([2, 3]), model.config.window))
         grads = model.backward_rows(cache, np.ones_like(probs))
-        grads.embedding[3, 1] = np.inf
+        grads.embedding[1, 1] = np.inf
         with pytest.raises(NumericError, match="embedding"):
             adam_step(model, grads, state)
+
+    @pytest.mark.parametrize("name", ["embedding", "w1", "b2"])
+    def test_rejected_step_changes_nothing(self, name):
+        model = small_model(vocab_words=6, seed=5)
+        state = AdamState.for_model(model, 1e-2)
+        rng = np.random.default_rng(5)
+        rows = loop_window_rows(np.array([2, 3, 4, 5]), model.config.window)
+        probs, cache = model.forward_rows(rows)
+        adam_step(model, model.backward_rows(cache, rng.normal(size=probs.shape)), state)
+        probs, cache = model.forward_rows(rows)
+        grads = model.backward_rows(cache, rng.normal(size=probs.shape))
+        getattr(grads, name).flat[-1] = np.nan
+        before = [a.copy() for a in (model.embedding, model.dense, state.embedding_m, state.embedding_v,
+                                     state.dense_m, state.dense_v)]
+        assert all(np.any(a != 0.0) for a in before)
+        with pytest.raises(NumericError, match=f"in {name} at step 2"):
+            adam_step(model, grads, state)
+        after = (model.embedding, model.dense, state.embedding_m, state.embedding_v, state.dense_m, state.dense_v)
+        assert all(old.tobytes() == new.tobytes() for old, new in zip(before, after))
+        assert state.step == 1
+
+
+class TestCompactStep:
+    """A training step costs what its batch touches: nothing in it grows
+    with the vocabulary, and the dense layers are aligned views of one flat
+    buffer."""
+
+    @staticmethod
+    def assert_aligned(*arrays):
+        for a in arrays:
+            assert a.flags.c_contiguous and a.ctypes.data % 64 == 0
+
+    def test_dense_views_are_aligned(self):
+        model = small_model(seed=3, embed=3, hidden=5, classes=3)  # no segment a multiple of 8
+        state = AdamState.for_model(model, 1e-3)
+        probs, cache = model.forward_rows(loop_window_rows(np.array([2, 3]), model.config.window))
+        grads = model.backward_rows(cache, np.ones_like(probs))
+        buf = io.BytesIO()
+        save_checkpoint(model, buf)
+        loaded = load_checkpoint(io.BytesIO(buf.getvalue()))
+        for m in (model, model.copy(), loaded):
+            self.assert_aligned(m.dense, *m.dense_views(m.dense).values(), *(p for _, p in m.parameters()[1:]))
+            assert all(np.shares_memory(p, m.dense) for _, p in m.parameters()[1:])
+        for buffer in (state.dense_m, state.dense_v, *state.scratch, grads.dense):
+            self.assert_aligned(buffer, *model.dense_views(buffer).values())
+        self.assert_aligned(grads.w1, grads.b1, grads.w2, grads.b2)
+        assert np.array_equal(loaded.dense, model.dense)
+        assert not np.shares_memory(model.copy().dense, model.dense)
+
+    def test_step_allocates_no_vocabulary_sized_float_array(self):
+        # the step's only per-word arrays are the two index arrays that find
+        # the referenced rows: 9 bytes a word against 8 * d for a dense
+        # embedding gradient
+        vocab_words, d = 50_000, 32
+        model = small_model(vocab_words=vocab_words, embed=d, window=2, hidden=16)
+        state = AdamState.for_model(model, 1e-3)
+        rows = np.random.default_rng(0).integers(0, vocab_words, size=(10, 5))
+        probs, cache = model.forward_rows(rows)
+        dprobs = np.ones_like(probs)
+        tracemalloc.start()
+        try:
+            adam_step(model, model.backward_rows(cache, dprobs), state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert state.step == 1
+        assert peak < vocab_words * d * 8 / 10, peak
 
 
 class TestPredict:

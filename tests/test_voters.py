@@ -203,11 +203,13 @@ class TestSingleVoterPass:
         corpus = synthetic_corpus(seed=4, n=12)
         vocab = build_vocab(corpus)
         ens = train_voters(corpus, tiny_model_config(vocab), VoterConfig(count=2, epochs=1), 8, vocab=vocab)
-        full = difficulty_scores(ens, corpus).scores
         shorter = Corpus(corpus.sentences[1:], corpus.label_set)
+        rows = ens.voters[0].encode_corpus(shorter)
+        assert np.array_equal(rows, ens.voters[0].encode_corpus(corpus)[len(corpus.sentences[0]) :])
         scores = difficulty_scores(ens, shorter).scores
         assert len(scores) == shorter.n_tokens < corpus.n_tokens
-        assert np.array_equal(scores, full[len(corpus.sentences[0]) :])
+        # scored over its own rows, in its own blocks
+        assert np.array_equal(scores, two_pass_tables(ens, shorter)[1])
 
 
 def mostly_empty_batches_corpus():
