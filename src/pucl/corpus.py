@@ -404,8 +404,10 @@ class Vocab:
 
     def encode_sentence(self, surfaces: Sequence[str]) -> np.ndarray:
         """The ids of a sequence of token surfaces: one sentence's, or a
-        whole corpus's surfaces column."""
-        return np.array([self.encode(s) for s in surfaces], dtype=np.int64)
+        whole corpus's surfaces column. Each distinct surface is encoded
+        once."""
+        table = {s: self.encode(s) for s in set(surfaces)}
+        return np.fromiter(map(table.__getitem__, surfaces), np.int64, len(surfaces))
 
     def words(self) -> tuple[str, ...]:
         """Real words, in index order (reserved slots excluded)."""

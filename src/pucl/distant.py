@@ -11,8 +11,10 @@ i.e. leftmost-longest, then smallest type id.
 from __future__ import annotations
 
 import json
+import math
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -287,10 +289,26 @@ class SyntheticSpec:
             raise ValueError("n_sentences, k and dict_size must be positive")
         if not self.templates:
             raise ValueError("template pool must not be empty")
+        if not all(math.isfinite(p) and p >= 0 for p in self.entity_len_probs):
+            raise ValueError(f"entity_len_probs must be finite and non-negative, got {self.entity_len_probs}")
         if not self.entity_len_probs or abs(sum(self.entity_len_probs) - 1.0) > 1e-9:
             raise ValueError("entity_len_probs must sum to 1")
+        if not math.isfinite(self.zipf_exponent):
+            raise ValueError(f"zipf_exponent must be finite, got {self.zipf_exponent}")
         if self.filler_vocab < 1 or self.words_per_type < 1:
             raise ValueError("vocab sizes must be positive")
+
+
+def _weighted_sampler(p: Sequence[float] | np.ndarray, rng: np.random.Generator) -> Callable[[], int]:
+    """Draws of an index with probabilities ``p``: draw for draw, and state
+    for state, what ``rng.choice(len(p), p=p)`` gives, which scans and sums
+    all of ``p`` on every call. Like ``choice``, one ``rng.random()`` per
+    draw, looked up in the normalised cumulative sums (``bisect_right`` is
+    ``searchsorted(side="right")``)."""
+    cdf = np.asarray(p, dtype=np.float64).cumsum()
+    cdf /= cdf[-1]
+    cdf_list, random = cdf.tolist(), rng.random
+    return lambda: bisect_right(cdf_list, random())
 
 
 def generate_synthetic(
@@ -299,10 +317,12 @@ def generate_synthetic(
     """Gold-labeled corpus plus the dictionary it was generated from.
 
     Deterministic for a given generator state. Every entity token's surface
-    comes from a dictionary entry of the matching type.
+    comes from a dictionary entry of the matching type. Time and memory are
+    linear in the tokens written: each weighted draw is one lookup in a
+    precomputed cumulative table, and the corpus holds one shared ``Token``
+    per distinct (surface, label).
     """
     label_set = LabelSet([f"T{t}" for t in range(1, spec.k + 1)])
-    fillers = [f"w{i:03d}" for i in range(spec.filler_vocab)]
     weights = 1.0 / np.arange(1, spec.filler_vocab + 1, dtype=np.float64) ** spec.zipf_exponent
     weights /= weights.sum()
     pools = {
@@ -312,12 +332,12 @@ def generate_synthetic(
 
     entries: list[tuple[str, str]] = []
     seen: set[tuple[str, int]] = set()
-    lengths = np.arange(1, len(spec.entity_len_probs) + 1)
+    entity_length = _weighted_sampler(spec.entity_len_probs, rng)
     attempts = 0
     while len(entries) < spec.dict_size and attempts < spec.dict_size * 50:
         attempts += 1
         type_id = 1 + len(entries) % spec.k  # round-robin keeps every type populated
-        length = int(rng.choice(lengths, p=np.asarray(spec.entity_len_probs)))
+        length = 1 + entity_length()
         words = [pools[type_id][int(rng.integers(0, spec.words_per_type))] for _ in range(length)]
         surface = " ".join(words)
         if (surface, type_id) in seen:
@@ -326,20 +346,29 @@ def generate_synthetic(
         entries.append((surface, label_set.name_of(type_id)))
     dictionary = Dictionary.build(entries, label_set)
 
-    entry_tokens = [(tokens, label) for tokens, label in dictionary.entries]
+    shared: dict[tuple[str, int], Token] = {}
+
+    def token(surface: str, label: int) -> Token:
+        tok = shared.get((surface, label))
+        if tok is None:
+            tok = shared[surface, label] = Token(surface, label, label)
+        return tok
+
+    entry_tokens = [tuple(token(w, label) for w in tokens) for tokens, label in dictionary.entries]
+    # Each template slot becomes its literal's Token or one of two markers.
+    entity, filler = object(), object()
+    markers = {"{E}": entity, "{F}": filler}
+    slots = [[markers[s] if s in markers else token(s, 0) for s in template] for template in spec.templates]
+    filler_index = _weighted_sampler(weights, rng)
     sentences: list[Sentence] = []
     for _ in range(spec.n_sentences):
-        template = spec.templates[int(rng.integers(0, len(spec.templates)))]
         tokens: list[Token] = []
-        for slot in template:
-            if slot == "{E}":
-                e_tokens, e_label = entry_tokens[int(rng.integers(0, len(entry_tokens)))]
-                for w in e_tokens:
-                    tokens.append(Token(w, e_label, e_label))
-            elif slot == "{F}":
-                w = fillers[int(rng.choice(spec.filler_vocab, p=weights))]
-                tokens.append(Token(w, 0, 0))
+        for slot in slots[int(rng.integers(0, len(slots)))]:
+            if slot is entity:
+                tokens += entry_tokens[int(rng.integers(0, len(entry_tokens)))]
+            elif slot is filler:
+                tokens.append(token(f"w{filler_index():03d}", 0))
             else:
-                tokens.append(Token(slot, 0, 0))
+                tokens.append(slot)
         sentences.append(Sentence(tuple(tokens)))
     return Corpus(sentences, label_set), dictionary

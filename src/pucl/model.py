@@ -193,14 +193,18 @@ class TokenClassifier:
         probs = softmax(logits)
         return probs, (rows, flat, hidden, probs)
 
-    def backward_rows(self, cache: tuple, dprobs: np.ndarray) -> Gradients:
+    def backward_rows(self, cache: tuple, dprobs: np.ndarray, out: np.ndarray | None = None) -> Gradients:
         """Exact gradients of sum_tokens <dprobs_t, probs_t> chained through
         softmax, hidden layer, and embeddings; the embedding's only over
-        the rows the batch references."""
+        the rows the batch references. The dense gradient is written into
+        ``out``, a buffer from ``dense_buffer`` (its padding is never
+        written, so it stays zero), or into a new one."""
         rows, flat, hidden, probs = cache
         if dprobs.shape != probs.shape:
             raise ValueError(f"gradient shape {dprobs.shape} != probs shape {probs.shape}")
-        dense = self.dense_buffer()
+        if out is not None and out.shape != self.dense.shape:
+            raise ValueError(f"dense gradient buffer shape {out.shape} != {self.dense.shape}")
+        dense = self.dense_buffer() if out is None else out
         grads = self.dense_views(dense)
         inner = (dprobs * probs).sum(axis=1, keepdims=True)
         dlogits = probs * (dprobs - inner)
@@ -249,7 +253,9 @@ class TokenClassifier:
 class AdamState:
     """Adam's moments: the embedding's pair, stepped row by row, and the
     dense layers' pair as flat buffers laid out like ``model.dense``, with
-    two flat scratch buffers of the same layout."""
+    two flat scratch buffers of the same layout and the dense gradient
+    buffer that ``train_epoch`` has every step's ``backward_rows``
+    overwrite."""
 
     learning_rate: float
     embedding_m: np.ndarray
@@ -257,6 +263,7 @@ class AdamState:
     dense_m: np.ndarray
     dense_v: np.ndarray
     scratch: tuple[np.ndarray, np.ndarray]
+    dense_grad: np.ndarray
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -273,6 +280,7 @@ class AdamState:
             model.dense_buffer(),
             model.dense_buffer(),
             (model.dense_buffer(), model.dense_buffer()),
+            model.dense_buffer(),
         )
 
 
@@ -367,7 +375,7 @@ def train_epoch(
             raise NumericError(f"non-finite risk ({where})")
         values.append(value)
         clamped_total += clamped
-        adam_step(model, model.backward_rows(cache, dprobs), adam)
+        adam_step(model, model.backward_rows(cache, dprobs, out=adam.dense_grad), adam)
     return values, clamped_total
 
 

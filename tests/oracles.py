@@ -12,7 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-from pucl.corpus import Vocab
+from pucl.corpus import Corpus, LabelSet, Sentence, Token, Vocab
+from pucl.distant import Dictionary
 from pucl.evaluation import Metrics
 from pucl.model import TokenClassifier
 from pucl.risk import Priors
@@ -180,6 +181,51 @@ def oracle_inject_noise(gold_column, offsets, k, fn_rate, fp_rate, type_rate, rn
                 distant[start : start + length] = [int(rng.integers(1, k + 1))] * length
         noisy.extend(distant)
     return noisy
+
+
+# --- synthetic corpora: one numpy `choice` per weighted draw ---------------------
+
+
+def oracle_generate_synthetic(spec, rng):
+    """``generate_synthetic`` as it was written first: every weighted draw
+    is ``rng.choice`` over the whole probability vector, and every token a
+    new ``Token``."""
+    label_set = LabelSet([f"T{t}" for t in range(1, spec.k + 1)])
+    fillers = [f"w{i:03d}" for i in range(spec.filler_vocab)]
+    weights = 1.0 / np.arange(1, spec.filler_vocab + 1, dtype=np.float64) ** spec.zipf_exponent
+    weights /= weights.sum()
+    pools = {t: [f"x{t}{i:02d}" for i in range(spec.words_per_type)] for t in range(1, spec.k + 1)}
+
+    entries = []
+    seen = set()
+    lengths = np.arange(1, len(spec.entity_len_probs) + 1)
+    attempts = 0
+    while len(entries) < spec.dict_size and attempts < spec.dict_size * 50:
+        attempts += 1
+        type_id = 1 + len(entries) % spec.k
+        length = int(rng.choice(lengths, p=np.asarray(spec.entity_len_probs)))
+        words = [pools[type_id][int(rng.integers(0, spec.words_per_type))] for _ in range(length)]
+        surface = " ".join(words)
+        if (surface, type_id) in seen:
+            continue
+        seen.add((surface, type_id))
+        entries.append((surface, label_set.name_of(type_id)))
+    dictionary = Dictionary.build(entries, label_set)
+
+    sentences = []
+    for _ in range(spec.n_sentences):
+        template = spec.templates[int(rng.integers(0, len(spec.templates)))]
+        tokens = []
+        for slot in template:
+            if slot == "{E}":
+                e_tokens, e_label = dictionary.entries[int(rng.integers(0, len(dictionary.entries)))]
+                tokens.extend(Token(w, e_label, e_label) for w in e_tokens)
+            elif slot == "{F}":
+                tokens.append(Token(fillers[int(rng.choice(spec.filler_vocab, p=weights))], 0, 0))
+            else:
+                tokens.append(Token(slot, 0, 0))
+        sentences.append(Sentence(tuple(tokens)))
+    return Corpus(sentences, label_set), dictionary
 
 
 # --- span metrics: span-list references and token-at-a-time double loops --------------

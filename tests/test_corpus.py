@@ -323,6 +323,16 @@ class TestVocab:
         indices = sorted(vocab.word_to_index.values())
         assert indices == list(range(vocab.size))
 
+    @given(st.lists(st.sampled_from(["the", "The", "THE", "ß", "SS", "ss", "Milk", "fat", "<unk>", "zz"]), max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_encode_sentence_equals_per_token_encode(self, surfaces):
+        # mixed case, case folding that changes length, unknown words and
+        # repeats: the once-per-surface table gives what per-token encode does
+        vocab = Vocab(["the", "ss", "milk", "fat"])
+        ids = vocab.encode_sentence(surfaces)
+        assert ids.dtype == np.int64 and ids.shape == (len(surfaces),)
+        assert ids.tolist() == [vocab.encode(s) for s in surfaces]
+
 
 class TestCorpusStructure:
     def test_flat_indexing(self):

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import extract_spans, oracle_annotate, oracle_inject_noise
+from oracles import extract_spans, oracle_annotate, oracle_generate_synthetic, oracle_inject_noise
 from pucl.corpus import Corpus, LabelSet, Sentence, Token
 from pucl.distant import (
     Dictionary,
     SyntheticSpec,
+    _weighted_sampler,
     annotate,
     compile_dictionary,
     generate_synthetic,
@@ -281,6 +282,74 @@ class TestGenerateSynthetic:
     def test_empty_template_pool_rejected(self):
         with pytest.raises(ValueError):
             SyntheticSpec(n_sentences=5, templates=())
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"entity_len_probs": (1.5, -0.5, 0.0)},
+            {"entity_len_probs": (float("nan"), 0.5, 0.5)},
+            {"entity_len_probs": (float("inf"), 1.0)},
+            {"zipf_exponent": float("nan")},
+            {"zipf_exponent": float("inf")},
+            {"zipf_exponent": -float("inf")},
+        ],
+        ids=["negative", "nan-prob", "inf-prob", "nan-zipf", "inf-zipf", "-inf-zipf"],
+    )
+    def test_probabilities_checked_at_construction(self, knobs):
+        # a draw from a cumulative table checks nothing, so the spec must
+        with pytest.raises(ValueError):
+            SyntheticSpec(n_sentences=1, **knobs)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SyntheticSpec(n_sentences=120),
+            SyntheticSpec(n_sentences=150, filler_vocab=20_000, zipf_exponent=0.5),
+            SyntheticSpec(
+                n_sentences=80,
+                k=3,
+                dict_size=25,
+                entity_len_probs=(0.1, 0.0, 0.6, 0.3),
+                words_per_type=4,
+                templates=(("{F}", "{E}", "of", "{F}"), ("see", "{E}", "{E}")),
+            ),
+            SyntheticSpec(n_sentences=40, dict_size=200, words_per_type=3, entity_len_probs=(1.0,)),
+        ],
+        ids=["default", "wide-vocab", "custom", "dictionary-exhausted"],
+    )
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    def test_equals_the_choice_oracle(self, spec, seed):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        corpus, dictionary = generate_synthetic(spec, rng)
+        expected, expected_dictionary = oracle_generate_synthetic(spec, oracle_rng)
+        assert corpus.surfaces == expected.surfaces
+        assert corpus.distant_array().tolist() == expected.distant_array().tolist()
+        assert corpus.gold_array().tolist() == expected.gold_array().tolist()
+        assert corpus.offsets.tolist() == expected.offsets.tolist()
+        assert dictionary.entries == expected_dictionary.entries
+        assert rng.random() == oracle_rng.random()  # the same draws, in the same order
+
+    def test_one_token_object_per_surface_and_label(self):
+        spec = SyntheticSpec(n_sentences=200, k=3, filler_vocab=500, zipf_exponent=0.5)
+        corpus, _ = generate_synthetic(spec, np.random.default_rng(3))
+        tokens = [t for s in corpus.sentences for t in s.tokens]
+        distinct = {(t.surface, t.gold_label) for t in tokens}
+        assert len({id(t) for t in tokens}) == len(distinct) < len(tokens)
+        assert all(t.distant_label == t.gold_label for t in tokens)
+
+
+class TestWeightedSampler:
+    @given(
+        st.lists(st.floats(0.0, 10.0), min_size=1, max_size=12).filter(lambda w: sum(w) > 0),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_generator_choice_draw_for_draw(self, weights, seed):
+        p = np.asarray(weights) / np.sum(weights)
+        rng, choice_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        draw = _weighted_sampler(p, rng)
+        assert [draw() for _ in range(50)] == [int(choice_rng.choice(len(p), p=p)) for _ in range(50)]
+        assert rng.random() == choice_rng.random()
 
 
 class TestReadDictionary:

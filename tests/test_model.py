@@ -23,6 +23,7 @@ from pucl.model import (
     predict,
     save_checkpoint,
     softmax,
+    train_epoch,
 )
 from pucl.risk import ce_rows, kl_soft_rows, mae_rows
 
@@ -405,6 +406,50 @@ class TestCompactStep:
             tracemalloc.stop()
         assert state.step == 1
         assert peak < vocab_words * d * 8 / 10, peak
+
+    def test_steps_reuse_the_optimisers_dense_gradient_buffer(self):
+        # hidden = 2,000 makes the dense buffer (about 700 KB) dwarf every
+        # per-batch array of these one-sentence batches
+        model = small_model(seed=4, vocab_words=6, embed=8, window=2, hidden=2000)
+        reference = model.copy()
+        corpus = Corpus(
+            [Sentence(tuple(Token(f"w{i}", 0, 0) for i in ids)) for ids in ([1, 2, 3], [4, 5], [0, 2])],
+            LabelSet(["T1", "T2"]),
+        )
+        weight = np.array([0.3, -1.0, 0.7])
+
+        def risk(probs, positions):
+            return float((probs * weight).sum()), np.broadcast_to(weight, probs.shape).copy(), 0
+
+        state, ref_state = AdamState.for_model(model, 1e-3), AdamState.for_model(reference, 1e-3)
+        order = np.arange(len(corpus))
+        train_epoch(model, state, corpus, order, 1, risk, "first epoch")
+        model.encode_corpus(corpus)  # cached by the first epoch; built outside the trace
+        tracemalloc.start()
+        try:
+            train_epoch(model, state, corpus, order, 1, risk, "second epoch")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert state.step == 6
+        assert peak < model.dense.nbytes / 2, peak
+        # the same bytes as a fresh gradient buffer every step
+        rows = reference.encode_corpus(corpus)
+        for _ in range(2):
+            for sent in order:
+                probs, cache = reference.forward_rows(rows[corpus.offsets[sent] : corpus.offsets[sent + 1]])
+                adam_step(reference, reference.backward_rows(cache, risk(probs, None)[1]), ref_state)
+        for (name, p), (_, q) in zip(model.parameters(), reference.parameters()):
+            assert np.array_equal(p, q), name
+        # the reused buffer's padding between the views stays zero
+        grad = state.dense_grad
+        assert np.sum(grad != 0.0) == sum(np.sum(x != 0.0) for x in model.dense_views(grad).values())
+
+    def test_gradient_buffer_of_another_shape_rejected(self):
+        model = small_model()
+        probs, cache = model.forward_rows(loop_window_rows(np.array([2, 3]), model.config.window))
+        with pytest.raises(ValueError):
+            model.backward_rows(cache, np.ones_like(probs), out=np.zeros(model.dense.size + 1))
 
 
 class TestPredict:
