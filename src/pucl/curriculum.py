@@ -23,7 +23,7 @@ import numpy as np
 from .corpus import Corpus, Vocab
 from .errors import NumericError
 from .model import AdamState, BatchRisk, ModelConfig, TokenClassifier, train_epoch
-from .risk import ConfMpuConfig, Priors, conf_mpu_risk, kl_soft_rows, loss_rows
+from .risk import ConfMpuConfig, Priors, conf_mpu_risk, kl_soft_rows, pn_risk
 from .seeding import derive_seed, make_rng
 from .voters import ConfidenceTable, DifficultyTable
 
@@ -300,9 +300,11 @@ def train_no_confmpu(
 ) -> TokenClassifier:
     """Baby-step training with the plain mean loss (the PU ablation):
     unlabeled tokens are treated as class 0."""
-    batch_risk = _mean_risk(
-        lambda probs, labels: loss_rows(probs, labels, schedule.conf_mpu.loss), corpus.distant_array()
-    )
+    labels = corpus.distant_array()
+
+    def batch_risk(probs: np.ndarray, positions: np.ndarray):
+        return *pn_risk(probs, labels[positions], schedule.conf_mpu.loss), 0
+
     return _run_stages(
         corpus, plan, schedule, seed, vocab, model_config, batch_risk, log, stage_callback
     )

@@ -16,6 +16,11 @@ and the unlabeled term averages [lam_j <= eps] * l(f_j, 0) over the
 distant-0 tokens. The total is gamma * sum_i positive_term_i + unlabeled
 term. The max clamp is applied per token; gradients are subgradients (zero
 through clamped tokens) and the confidence lam is treated as a constant.
+
+The estimator makes one pass over the batch: two loss evaluations for every
+row, then masks. Per-class sums are ``np.sum`` over each class's masked rows,
+which sums pairwise in batch order as a per-class gather does;
+``np.bincount`` would sum sequentially and round differently.
 """
 
 from __future__ import annotations
@@ -187,12 +192,16 @@ def conf_mpu_risk(
     priors: Priors,
     cfg: ConfMpuConfig,
 ) -> tuple[RiskBreakdown, np.ndarray]:
-    """Confidence-weighted PU risk over one batch.
+    """Confidence-weighted PU risk over one batch, in one pass over its rows.
 
-    ``labels`` are distant labels (0 = unlabeled), ``lam`` the per-token
-    entity-confidence scores in [0, 1]. Class counts T_i are batch-local.
-    Classes absent from the batch contribute 0 and are reported in
-    ``empty_classes``; an all-clamped batch is legal.
+    ``labels`` are distant labels in 0..k (0 = unlabeled), ``lam`` the
+    per-token entity-confidence scores in [0, 1]. Class counts T_i are
+    batch-local. Classes absent from the batch contribute 0 and are reported
+    in ``empty_classes``; an all-clamped batch is legal.
+
+    One ``active`` mask picks the rows with a gradient: positive rows past
+    the clamp (per token, or per class with ``aggregate_clamp``) and
+    unlabeled rows at or below the gate.
     """
     labels = np.asarray(labels)
     lam = np.asarray(lam, dtype=np.float64)
@@ -201,64 +210,47 @@ def conf_mpu_risk(
     k = priors.k
     if probs.shape[1] != k + 1:
         raise ValueError(f"probs have {probs.shape[1]} classes, priors imply {k + 1}")
-    if np.any((lam < 0.0) | (lam > 1.0)):
+    if labels.dtype.kind not in "iu" or np.any((labels < 0) | (labels > k)):
+        raise ValueError(f"distant labels must be class ids in 0..{k}")
+    if not np.all((lam >= 0.0) & (lam <= 1.0)):
         raise ValueError("confidence scores must lie in [0, 1]")
 
-    grads = np.zeros_like(probs)
-    positive_terms = np.zeros(k)
-    clamped = 0
-    empty: list[int] = []
+    ly_val, ly_grad = loss_rows(probs, labels, cfg.loss)
+    l0_val, l0_grad = loss_rows(probs, np.zeros(len(labels), dtype=np.int64), cfg.loss)
+    positive = labels > 0
+    over = lam > cfg.epsilon
+    # coefficient of l(f,0): 1/lam above the threshold, minus the subtracted
+    # term on positive rows; 0 on gated-in unlabeled rows, where l(f,y) = l(f,0)
+    coeff = np.where(over, np.divide(1.0, lam, where=over, out=np.ones_like(lam)), 0.0) - positive
+    inner = ly_val + coeff * l0_val
 
-    for i in range(1, k + 1):
-        idx = np.flatnonzero(labels == i)
-        if len(idx) == 0:
-            empty.append(i)
-            continue
-        t_i = len(idx)
-        p = probs[idx]
-        li_val, li_grad = loss_rows(p, np.full(t_i, i), cfg.loss)
-        l0_val, l0_grad = loss_rows(p, np.zeros(t_i, dtype=np.int64), cfg.loss)
-        lam_i = lam[idx]
-        over = lam_i > cfg.epsilon
-        # coefficient of l(f,0): 1/lam above the threshold, minus the
-        # subtracted term everywhere
-        coeff = np.where(over, np.divide(1.0, lam_i, where=over, out=np.ones_like(lam_i)), 0.0) - 1.0
-        inner = li_val + coeff * l0_val
-        scale = priors.pi[i - 1] / t_i
-        if cfg.aggregate_clamp:
-            total_i = inner.sum()
-            if total_i > 0.0:
-                positive_terms[i - 1] = scale * total_i
-                grads[idx] += cfg.gamma * scale * (li_grad + coeff[:, None] * l0_grad)
-            else:
-                clamped += t_i
-        else:
-            active = inner > 0.0
-            clamped += int((~active).sum())
-            positive_terms[i - 1] = scale * inner[active].sum()
-            rows = idx[active]
-            grads[rows] += cfg.gamma * scale * (
-                li_grad[active] + coeff[active, None] * l0_grad[active]
-            )
+    counts = np.bincount(labels, minlength=k + 1)
+    t_0 = int(counts[0])
+    scale = np.divide(priors.pi, counts[1:], out=np.zeros(k), where=counts[1:] > 0)
+    of_class = [labels == i for i in range(1, k + 1)]
+    if cfg.aggregate_clamp:
+        kept = np.array([False] + [inner[rows].sum() > 0.0 for rows in of_class])[labels]
+    else:
+        kept = inner > 0.0
+    active = np.where(positive, kept, ~over)
+    positive_terms = scale * np.array([inner[rows & active].sum() for rows in of_class])
+    unlabeled_term = float(l0_val[active & ~positive].sum() / t_0) if t_0 else 0.0
 
-    unlabeled_term = 0.0
-    idx0 = np.flatnonzero(labels == 0)
-    if len(idx0) > 0:
-        t_0 = len(idx0)
-        low = lam[idx0] <= cfg.epsilon
-        rows = idx0[low]
-        if len(rows) > 0:
-            l0_val, l0_grad = loss_rows(probs[rows], np.zeros(len(rows), dtype=np.int64), cfg.loss)
-            unlabeled_term = float(l0_val.sum() / t_0)
-            grads[rows] += l0_grad / t_0
+    # gamma * pi_y / T_y times the inner term's gradient on active positive
+    # rows, l(f,0)'s gradient over t_0 on gated-in unlabeled rows, 0 elsewhere
+    grads = coeff[:, None] * l0_grad
+    grads += ly_grad
+    grads *= np.append(1.0, cfg.gamma * scale)[labels, None]
+    grads /= np.append(float(t_0), np.ones(k))[labels, None]
+    grads[~active] = 0.0
 
     total = cfg.gamma * float(positive_terms.sum()) + unlabeled_term
     breakdown = RiskBreakdown(
         total=total,
         positive_terms=positive_terms,
         unlabeled_term=unlabeled_term,
-        clamped_count=clamped,
-        empty_classes=tuple(empty),
+        clamped_count=int(np.sum(positive & ~active)),
+        empty_classes=tuple(int(i) + 1 for i in np.flatnonzero(counts[1:] == 0)),
         gamma=cfg.gamma,
     )
     return breakdown, grads

@@ -149,7 +149,6 @@ class ConfidenceTable:
     def __init__(self, corpus: Corpus, distributions: np.ndarray):
         if distributions.shape[0] != corpus.n_tokens:
             raise ValueError("distribution count does not match corpus tokens")
-        self.corpus = corpus
         self.distributions = distributions
         self.lam = distributions[:, 1:].sum(axis=1)
 
@@ -165,7 +164,6 @@ class DifficultyTable:
             raise ValueError("score count does not match corpus tokens")
         if np.any(~np.isfinite(scores)) or np.any(scores < 0):
             raise ValueError("difficulty scores must be finite and non-negative")
-        self.corpus = corpus
         self.scores = scores
         self.confidence = confidence
 

@@ -16,7 +16,7 @@ from pucl.corpus import Corpus, LabelSet, Sentence, Token, Vocab
 from pucl.distant import Dictionary
 from pucl.evaluation import Metrics
 from pucl.model import TokenClassifier
-from pucl.risk import Priors
+from pucl.risk import Priors, RiskBreakdown, loss_rows
 
 
 # --- dictionary matching: exhaustive non-overlapping subset search ------------
@@ -98,6 +98,63 @@ def naive_conf_mpu(dists, labels, lams, pi, eps, gamma, kind):
             naive_loss(dists[j], 0, kind) for j in unlabeled if lams[j] <= eps
         ) / len(unlabeled)
     return gamma * positive_total + u_term
+
+
+def oracle_conf_mpu_risk(probs, labels, lam, priors, cfg):
+    """``conf_mpu_risk`` class by class: gather each class's rows and
+    evaluate its losses on them, then the gated-in unlabeled rows. The
+    one-pass estimator must equal it bitwise."""
+    k = priors.k
+    grads = np.zeros_like(probs)
+    positive_terms = np.zeros(k)
+    clamped = 0
+    empty = []
+    for i in range(1, k + 1):
+        idx = np.flatnonzero(labels == i)
+        if len(idx) == 0:
+            empty.append(i)
+            continue
+        t_i = len(idx)
+        p = probs[idx]
+        li_val, li_grad = loss_rows(p, np.full(t_i, i), cfg.loss)
+        l0_val, l0_grad = loss_rows(p, np.zeros(t_i, dtype=np.int64), cfg.loss)
+        lam_i = lam[idx]
+        over = lam_i > cfg.epsilon
+        coeff = np.where(over, np.divide(1.0, lam_i, where=over, out=np.ones_like(lam_i)), 0.0) - 1.0
+        inner = li_val + coeff * l0_val
+        scale = priors.pi[i - 1] / t_i
+        if cfg.aggregate_clamp:
+            total_i = inner.sum()
+            if total_i > 0.0:
+                positive_terms[i - 1] = scale * total_i
+                grads[idx] += cfg.gamma * scale * (li_grad + coeff[:, None] * l0_grad)
+            else:
+                clamped += t_i
+        else:
+            active = inner > 0.0
+            clamped += int((~active).sum())
+            positive_terms[i - 1] = scale * inner[active].sum()
+            rows = idx[active]
+            grads[rows] += cfg.gamma * scale * (
+                li_grad[active] + coeff[active, None] * l0_grad[active]
+            )
+
+    unlabeled_term = 0.0
+    idx0 = np.flatnonzero(labels == 0)
+    if len(idx0) > 0:
+        t_0 = len(idx0)
+        rows = idx0[lam[idx0] <= cfg.epsilon]
+        if len(rows) > 0:
+            l0_val, l0_grad = loss_rows(probs[rows], np.zeros(len(rows), dtype=np.int64), cfg.loss)
+            unlabeled_term = float(l0_val.sum() / t_0)
+            grads[rows] += l0_grad / t_0
+
+    total = cfg.gamma * float(positive_terms.sum()) + unlabeled_term
+    breakdown = RiskBreakdown(
+        total=total, positive_terms=positive_terms, unlabeled_term=unlabeled_term,
+        clamped_count=clamped, empty_classes=tuple(empty), gamma=cfg.gamma,
+    )
+    return breakdown, grads
 
 
 def random_batch(rng, k, size):

@@ -416,7 +416,7 @@ class TestSharedTrainingLoop:
         "trainer, module, name, where",
         [
             ("train_voters", "pucl.voters", "pn_risk", "voter 0"),
-            ("train_no_confmpu", "pucl.curriculum", "loss_rows", "stage 1, epoch 1"),
+            ("train_no_confmpu", "pucl.curriculum", "pn_risk", "stage 1, epoch 1"),
             ("self_train", "pucl.curriculum", "kl_soft_rows", "self-training round 1"),
         ],
     )

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import loss_mae, naive_conf_mpu, random_batch
+from oracles import loss_mae, naive_conf_mpu, oracle_conf_mpu_risk, random_batch
 from pucl.corpus import Corpus, LabelSet, Sentence, Token
 from pucl.risk import (
     ConfMpuConfig,
@@ -365,3 +367,121 @@ class TestConfMpuProperties:
             probs, labels, lam, priors, ConfMpuConfig(epsilon=0.5, gamma=1.0, loss="mae")
         )
         assert agg.total <= per_token.total
+
+
+def assert_equals_oracle(probs, labels, lam, priors, cfg):
+    got, grads = conf_mpu_risk(probs, labels, lam, priors, cfg)
+    want, want_grads = oracle_conf_mpu_risk(probs, labels, lam, priors, cfg)
+    assert np.array_equal(grads, want_grads)
+    assert got.total == want.total
+    assert np.array_equal(got.positive_terms, want.positive_terms)
+    assert got.unlabeled_term == want.unlabeled_term
+    assert got.clamped_count == want.clamped_count
+    assert got.empty_classes == want.empty_classes
+    assert got.gamma == want.gamma
+    return got
+
+
+@st.composite
+def conf_mpu_batches(draw):
+    """A batch over k = 1..3 classes, some of them possibly absent, with
+    confidences drawn from uniforms and the boundary values 0, eps and 1."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    eps = draw(st.sampled_from([0.5, 0.25, 0.9]))
+    # a high power puts some probabilities below the CE floor
+    probs = rng.random((n, k + 1)) ** draw(st.sampled_from([1, 40]))
+    probs /= probs.sum(axis=1, keepdims=True)
+    present = draw(st.lists(st.integers(0, k), min_size=1, max_size=k + 1, unique=True))
+    labels = rng.choice(present, size=n)
+    lam = np.where(rng.random(n) < 0.5, rng.random(n), rng.choice([0.0, eps, 1.0], size=n))
+    cfg = ConfMpuConfig(
+        epsilon=eps,
+        gamma=draw(st.sampled_from([1.0, 0.3, 2.5])),
+        loss=draw(st.sampled_from(["ce", "mae"])),
+        aggregate_clamp=draw(st.booleans()),
+    )
+    priors = Priors(rng.random(k) * (0.8 / k) + 0.05 / k)
+    return probs, labels, lam, priors, cfg
+
+
+class TestOnePass:
+    """``conf_mpu_risk`` against the class-by-class oracle, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(conf_mpu_batches())
+    def test_equals_the_class_by_class_oracle(self, batch):
+        assert_equals_oracle(*batch)
+
+    EDGE_PROBS = np.array([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3], [0.1, 0.1, 0.8], [0.5, 0.25, 0.25]])
+
+    @pytest.mark.parametrize("loss", ["ce", "mae"])
+    @pytest.mark.parametrize("aggregate_clamp", [False, True])
+    @pytest.mark.parametrize(
+        "case, labels, lam",
+        [
+            ("empty-class", [1, 1, 0, 0], [0.9, 0.7, 0.1, 0.6]),
+            ("lam-at-eps", [1, 2, 0, 2], [0.5, 0.5, 0.5, 0.9]),
+            ("lam-zero-on-positive", [1, 2, 2, 0], [0.0, 0.0, 1.0, 0.2]),
+            ("all-gated", [0, 0, 1, 0], [0.8, 0.6, 0.9, 1.0]),
+            ("all-unlabeled", [0, 0, 0, 0], [0.1, 0.6, 0.5, 0.0]),
+        ],
+    )
+    def test_edge_batches(self, loss, aggregate_clamp, case, labels, lam):
+        cfg = ConfMpuConfig(epsilon=0.5, gamma=2.0, loss=loss, aggregate_clamp=aggregate_clamp)
+        priors = Priors(np.array([0.2, 0.1]))
+        got = assert_equals_oracle(self.EDGE_PROBS, np.array(labels), np.array(lam), priors, cfg)
+        if case == "all-gated":
+            assert got.unlabeled_term == 0.0
+        if case in ("empty-class", "all-unlabeled"):
+            assert 2 in got.empty_classes
+
+    @pytest.mark.parametrize("loss", ["ce", "mae"])
+    @pytest.mark.parametrize("label, lam", [(0, 0.3), (0, 0.7), (1, 0.5), (1, 1.0), (2, 0.9)])
+    def test_one_row_batch(self, loss, label, lam):
+        cfg = ConfMpuConfig(loss=loss)
+        priors = Priors(np.array([0.2, 0.1]))
+        assert_equals_oracle(self.EDGE_PROBS[:1], np.array([label]), np.array([lam]), priors, cfg)
+
+    @pytest.mark.parametrize("aggregate_clamp", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_two_loss_evaluations_per_batch(self, monkeypatch, k, aggregate_clamp):
+        import pucl.risk as risk_mod
+
+        calls = []
+        real = risk_mod.loss_rows
+
+        def counted(*args):
+            calls.append(len(args[1]))
+            return real(*args)
+
+        monkeypatch.setattr(risk_mod, "loss_rows", counted)
+        probs, labels, lam, priors = random_batch(np.random.default_rng(k), k, 90)
+        labels[: k + 1] = np.arange(k + 1)
+        cfg = ConfMpuConfig(loss="ce", aggregate_clamp=aggregate_clamp)
+        conf_mpu_risk(probs, labels, lam, priors, cfg)
+        assert calls == [90, 90]
+
+
+class TestConfMpuInputs:
+    PRIORS = Priors(np.array([0.2, 0.1]))
+    PROBS = np.full((3, 3), 1 / 3)
+
+    @pytest.mark.parametrize(
+        "labels", [[1, 5, -1], [1, 3, 0], [-1, 0, 2], [1.5, 0.0, 2.0]],
+        ids=["five-and-minus-one", "above-k", "negative", "float"],
+    )
+    def test_label_outside_the_classes_rejected(self, labels):
+        with pytest.raises(ValueError, match="distant labels"):
+            conf_mpu_risk(
+                self.PROBS, np.array(labels), np.array([0.9, 0.1, 0.9]), self.PRIORS, ConfMpuConfig()
+            )
+
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_nan_confidence_rejected(self, label):
+        with pytest.raises(ValueError, match="confidence scores"):
+            conf_mpu_risk(
+                self.PROBS, np.array([label, 2, 0]), np.array([np.nan, 0.9, 0.1]),
+                self.PRIORS, ConfMpuConfig(),
+            )
