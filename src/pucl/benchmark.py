@@ -1,6 +1,6 @@
 """The bundled synthetic noisy benchmark, defined once.
 
-``pucl gen-synthetic`` takes its option defaults from ``BenchmarkSpec``,
+``pucl gen-synthetic`` takes its options from ``BenchmarkSpec``'s fields,
 builds its files with ``make_benchmark`` and writes ``BENCHMARK_CONFIG``
 into its ``config.json``; the acceptance suite trains from the same three.
 By default: 2,000 training sentences over two entity types, with 40% of
@@ -16,7 +16,7 @@ cross-entropy with a positive-risk weight of 10.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .corpus import Corpus
 from .distant import Dictionary, SyntheticSpec, generate_synthetic, inject_noise
@@ -25,10 +25,13 @@ from .seeding import make_rng
 
 @dataclass(frozen=True)
 class BenchmarkSpec:
-    n_train: int = 2000
-    n_test: int = 500
-    n_valid: int = 50
-    k: int = 2
+    """``pucl gen-synthetic`` takes one option per field: its ``flag``
+    metadata, or else the field name with dashes."""
+
+    n_train: int = field(default=2000, metadata={"flag": "--sentences"})
+    n_test: int = field(default=500, metadata={"flag": "--test-sentences"})
+    n_valid: int = field(default=50, metadata={"flag": "--valid-sentences"})
+    k: int = field(default=2, metadata={"flag": "--types"})
     dict_size: int = 60
     fn_rate: float = 0.4
     fp_rate: float = 0.05

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ from .benchmark import BENCHMARK_CONFIG, BenchmarkSpec, make_benchmark
 from .config import MODES, PipelineConfig, load_config
 from .corpus import LabelSet, read_corpus, write_conll
 from .curriculum import self_train
-from .distant import Dictionary, annotate, compile_dictionary, noise_report, read_dictionary_pairs
+from .distant import Dictionary, annotate, compile_dictionary, noise_report, read_dictionary_pairs, write_dictionary
 from .errors import (
     CompatibilityError,
     FormatError,
@@ -148,16 +148,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_synthetic(args: argparse.Namespace) -> int:
-    spec = BenchmarkSpec(
-        n_train=args.sentences,
-        n_test=args.test_sentences,
-        n_valid=args.valid_sentences,
-        k=args.types,
-        dict_size=args.dict_size,
-        fn_rate=args.fn_rate,
-        fp_rate=args.fp_rate,
-        type_rate=args.type_rate,
-    )
+    spec = BenchmarkSpec(**{f.name: getattr(args, f.name) for f in fields(BenchmarkSpec)})
     train, test, valid, dictionary = make_benchmark(args.seed, spec)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -173,8 +164,7 @@ def cmd_gen_synthetic(args: argparse.Namespace) -> int:
                 write_conll(corpus, f)
             config[name] = str(out_dir / f"{name}.tsv")
     with atomic_open(out_dir / "dict.tsv") as f:
-        for tokens, label in dictionary.entries:
-            f.write(f"{' '.join(tokens)}\t{dictionary.label_set.name_of(label)}\n")
+        write_dictionary(dictionary, f)
     write_text(out_dir / "config.json", json.dumps(config, sort_keys=True, indent=2) + "\n")
     write_text(out_dir / "noise_report.json", noise_report(train).to_json() + "\n")
     print(f"wrote synthetic benchmark under {out_dir}")
@@ -246,15 +236,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-synthetic", help="generate a synthetic noisy benchmark")
     p.add_argument("--out", required=True)
-    spec = BenchmarkSpec()
-    p.add_argument("--sentences", type=int, default=spec.n_train)
-    p.add_argument("--test-sentences", type=int, default=spec.n_test)
-    p.add_argument("--valid-sentences", type=int, default=spec.n_valid)
-    p.add_argument("--types", type=int, default=spec.k)
-    p.add_argument("--dict-size", type=int, default=spec.dict_size)
-    p.add_argument("--fn-rate", type=float, default=spec.fn_rate)
-    p.add_argument("--fp-rate", type=float, default=spec.fp_rate)
-    p.add_argument("--type-rate", type=float, default=spec.type_rate)
+    for f in fields(BenchmarkSpec):
+        flag = f.metadata.get("flag", "--" + f.name.replace("_", "-"))
+        metavar = flag[2:].upper().replace("-", "_")
+        p.add_argument(flag, dest=f.name, metavar=metavar, type=type(f.default), default=f.default)
     p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=cmd_gen_synthetic)
 

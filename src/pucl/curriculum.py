@@ -15,7 +15,8 @@ models share the vocabulary encodes each corpus once.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+import math
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -58,15 +59,7 @@ class CurriculumPlan:
         for idx in self.curricula:
             sentence = np.searchsorted(offsets, idx, side="right") - 1
             curricula.append(np.stack([sentence, idx - offsets[sentence]], axis=1).tolist())
-        payload = {
-            "tau": self.tau,
-            "eta": self.eta,
-            "t_u": self.t_u,
-            "t_p": self.t_p,
-            "positive_counts": list(self.positive_counts),
-            "curricula": curricula,
-        }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps({**asdict(self), "curricula": curricula}, sort_keys=True)
 
 
 def check_power_law(tau: float, eta: int) -> None:
@@ -151,8 +144,8 @@ class StageSchedule:
     def __post_init__(self) -> None:
         if self.stage_epochs < 1 or self.batch_size < 1:
             raise ValueError("stage_epochs and batch_size must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -166,8 +159,8 @@ class SelfTrainConfig:
     def __post_init__(self) -> None:
         if self.rounds < 1 or self.epochs < 1 or self.batch_size < 1:
             raise ValueError("rounds, epochs and batch_size must be positive")
-        if self.sharpen <= 0 or self.learning_rate <= 0:
-            raise ValueError("sharpen and learning_rate must be positive")
+        if not (0 < self.sharpen < math.inf and 0 < self.learning_rate < math.inf):
+            raise ValueError("sharpen and learning_rate must be positive and finite")
 
 
 def _mean_risk(row_loss: Callable, targets: np.ndarray) -> BatchRisk:

@@ -79,6 +79,13 @@ def read_dictionary_pairs(
     return pairs, names
 
 
+def write_dictionary(dictionary: Dictionary, stream: IO[str]) -> None:
+    """Write one `surface<TAB>type_name` line per entry, in entry order:
+    the format ``read_dictionary_pairs`` reads."""
+    for tokens, label in dictionary.entries:
+        stream.write(f"{' '.join(tokens)}\t{dictionary.label_set.name_of(label)}\n")
+
+
 class MatcherIndex:
     """First-token lookup over dictionary entries.
 

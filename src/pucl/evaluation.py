@@ -12,7 +12,7 @@ with numpy; ``tests/oracles.py`` holds the span-list references.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import IO
 
 import numpy as np
@@ -26,13 +26,16 @@ from .voters import DifficultyTable
 
 @dataclass(frozen=True)
 class Metrics:
+    """Span precision, recall and F1 with their counts; ``report.json``
+    writes each field under its own name."""
+
     precision: float
     recall: float
     f1: float
     tp_precision: int
     tp_recall: int
-    pred_count: int
-    gold_count: int
+    pred_spans: int
+    gold_spans: int
 
     @staticmethod
     def from_counts(tp_precision: int, tp_recall: int, pred: int, gold: int) -> "Metrics":
@@ -40,17 +43,6 @@ class Metrics:
         r = tp_recall / gold if gold else 0.0
         f1 = 2 * p * r / (p + r) if p + r > 0 else 0.0
         return Metrics(p, r, f1, tp_precision, tp_recall, pred, gold)
-
-    def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "tp_precision": self.tp_precision,
-            "tp_recall": self.tp_recall,
-            "pred_spans": self.pred_count,
-            "gold_spans": self.gold_count,
-        }
 
 
 @dataclass(frozen=True)
@@ -60,16 +52,8 @@ class EvalReport:
     strict_per_type: dict[str, Metrics]
     relaxed_per_type: dict[str, Metrics]
 
-    def to_dict(self) -> dict:
-        return {
-            "strict": self.strict.to_dict(),
-            "relaxed": self.relaxed.to_dict(),
-            "strict_per_type": {t: m.to_dict() for t, m in self.strict_per_type.items()},
-            "relaxed_per_type": {t: m.to_dict() for t, m in self.relaxed_per_type.items()},
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
 
 def _any_marked(starts: np.ndarray, ends: np.ndarray, marked: np.ndarray) -> np.ndarray:

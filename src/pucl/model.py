@@ -75,8 +75,8 @@ class ModelConfig:
                 raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
         if self.n_classes < 2:
             raise ValueError("need at least two classes (unlabeled + one entity type)")
-        if self.init_scale <= 0:
-            raise ValueError(f"init_scale must be positive, got {self.init_scale}")
+        if not 0 < self.init_scale < math.inf:
+            raise ValueError(f"init_scale must be positive and finite, got {self.init_scale}")
 
     def parameter_shapes(self) -> dict[str, tuple[int, ...]]:
         """The shape of every parameter array, by name in PARAMETER_NAMES order."""
@@ -271,8 +271,8 @@ class AdamState:
 
     @staticmethod
     def for_model(model: TokenClassifier, learning_rate: float) -> "AdamState":
-        if learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
         return AdamState(
             learning_rate,
             np.zeros_like(model.embedding),

@@ -25,6 +25,7 @@ which sums pairwise in batch order as a per-class gather does;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -101,7 +102,7 @@ class Priors:
         object.__setattr__(self, "pi", pi)
         if pi.ndim != 1 or len(pi) < 1:
             raise ValueError("priors must be a non-empty vector")
-        if np.any(pi <= 0):
+        if not np.all(pi > 0):  # NaN fails this test; an infinity fails the sum's
             raise ValueError("every class prior must be positive")
         if pi.sum() >= 1.0:
             raise ValueError(f"priors must sum below 1, got {pi.sum():.6f}")
@@ -168,8 +169,8 @@ class ConfMpuConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must be in (0,1), got {self.epsilon}")
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         _check_loss_kind(self.loss)
 
 

@@ -12,6 +12,7 @@ ensemble.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import IO
 
@@ -44,8 +45,8 @@ class VoterConfig:
             raise ValueError("epochs and batch_size must be positive")
         if not 0.0 < self.keep_negative_ratio <= 1.0:
             raise ValueError("keep_negative_ratio must be in (0, 1]")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
 
 
 @dataclass

@@ -6,6 +6,7 @@ checks.
 """
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -357,6 +358,49 @@ def oracle_metrics(pred, gold, require_type=True):
         return precision, recall, f1
 
     return prf(strict_tp, strict_tp), prf(relaxed_tp_p, relaxed_tp_r)
+
+
+# --- output formats: every key written out by hand ---------------------------
+# The package dumps its dataclasses; these name each key, as the format
+# documents it, and must give the same bytes.
+
+
+def oracle_metrics_dict(m: Metrics) -> dict:
+    return {
+        "precision": m.precision,
+        "recall": m.recall,
+        "f1": m.f1,
+        "tp_precision": m.tp_precision,
+        "tp_recall": m.tp_recall,
+        "pred_spans": m.pred_spans,
+        "gold_spans": m.gold_spans,
+    }
+
+
+def oracle_report_json(report) -> str:
+    """``report.json``: the four metric families, keys sorted, indent 2."""
+    payload = {
+        "strict": oracle_metrics_dict(report.strict),
+        "relaxed": oracle_metrics_dict(report.relaxed),
+        "strict_per_type": {t: oracle_metrics_dict(m) for t, m in report.strict_per_type.items()},
+        "relaxed_per_type": {t: oracle_metrics_dict(m) for t, m in report.relaxed_per_type.items()},
+    }
+    return json.dumps(payload, sort_keys=True, indent=2)
+
+
+def oracle_plan_json(plan, corpus: Corpus) -> str:
+    """``plan.json``: each curriculum's tokens as [sentence, token] pairs,
+    found by walking the sentences."""
+    where = [[s, t] for s, sentence in enumerate(corpus.sentences) for t in range(len(sentence))]
+    payload = {
+        "tau": plan.tau,
+        "eta": plan.eta,
+        "t_u": plan.t_u,
+        "t_p": plan.t_p,
+        "positive_counts": list(plan.positive_counts),
+        "curricula": [[where[i] for i in idx.tolist()] for idx in plan.curricula],
+    }
+    return json.dumps(payload, sort_keys=True)
 
 
 # --- context windows: one token at a time -------------------------------------------

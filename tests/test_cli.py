@@ -6,6 +6,7 @@ import shutil
 import struct
 import subprocess
 import sys
+from dataclasses import asdict, fields
 from fnmatch import fnmatch
 from pathlib import Path
 
@@ -919,6 +920,17 @@ class TestCliSurface:
         }
         assert len(surface) == 11
         assert surface == CLI_SURFACE
+
+    def test_every_benchmark_spec_field_is_one_gen_synthetic_flag(self):
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        actions = [a for a in sub.choices["gen-synthetic"]._actions if a.dest not in ("help", "out", "seed")]
+        assert sorted(a.dest for a in actions) == sorted(f.name for f in fields(BenchmarkSpec))
+        assert all(len(a.option_strings) == 1 for a in actions)
+        args = parser.parse_args(["gen-synthetic", "--out", "bench"])
+        parsed = {f.name: getattr(args, f.name) for f in fields(BenchmarkSpec)}
+        assert parsed == asdict(BenchmarkSpec())
+        assert all(type(parsed[f.name]) is type(f.default) for f in fields(BenchmarkSpec))
 
     def test_train_in_voter_ensemble_mode_exit_3(self, synth_dir, tmp_path):
         cfg_path = write_config(small_config(synth_dir, tmp_path / "run"), tmp_path / "cfg.json")

@@ -11,10 +11,15 @@ import dataclasses
 import math
 import typing
 
+import numpy as np
 import pytest
 
 from pucl.config import PipelineConfig, config_from_dict
+from pucl.corpus import Vocab
+from pucl.curriculum import StageSchedule
 from pucl.errors import FormatError
+from pucl.model import AdamState, ModelConfig, TokenClassifier
+from pucl.risk import Priors
 
 MINIMAL = {"train": "train.tsv"}
 # The JSON key of every top-level field that is not named as its key.
@@ -84,3 +89,45 @@ def test_every_default_round_trips(section, key, f):
     if dataclasses.is_dataclass(default):  # a whole section, written out field by field
         default = dataclasses.asdict(default)
     assert _config(section, key, default) == config_from_dict(MINIMAL)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+SECTIONS = typing.get_type_hints(PipelineConfig)
+
+
+@pytest.mark.parametrize(
+    "section, f, value",
+    [
+        pytest.param(section, f, value, id=f"{_name(section, key)}={value!r}")
+        for section, key, kind, f in FIELDS
+        if kind is float
+        for value in NON_FINITE
+    ],
+)
+def test_a_section_refuses_a_non_finite_float_at_construction(section, f, value):
+    # Load refuses these before any section is built; a library caller
+    # building the section itself gets a ValueError.
+    with pytest.raises(ValueError):
+        SECTIONS[section](**{f.name: value})
+
+
+def _model():
+    vocab = Vocab(["a"])
+    return TokenClassifier(ModelConfig(vocab.size, 2, embed_dim=2, hidden_dim=2), vocab, ["T"])
+
+
+# The library values behind the sections, and the two that no section holds.
+BEHIND_THE_SECTIONS = {
+    "StageSchedule.learning_rate": lambda v: StageSchedule(learning_rate=v),
+    "ModelConfig.init_scale": lambda v: ModelConfig(3, 2, init_scale=v),
+    "Priors": lambda v: Priors(np.array([v])),
+    "AdamState.for_model": lambda v: AdamState.for_model(_model(), v),
+}
+
+
+@pytest.mark.parametrize(
+    "name, value", [pytest.param(name, v, id=f"{name}={v!r}") for name in BEHIND_THE_SECTIONS for v in NON_FINITE]
+)
+def test_a_library_value_refuses_non_finite_at_construction(name, value):
+    with pytest.raises(ValueError):
+        BEHIND_THE_SECTIONS[name](value)

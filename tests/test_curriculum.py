@@ -29,7 +29,7 @@ from pucl.voters import ConfidenceTable, DifficultyTable, VoterConfig, confidenc
 from pucl.distant import SyntheticSpec, generate_synthetic, inject_noise
 from pucl.evaluation import evaluate
 
-from oracles import loop_sentence_rows
+from oracles import loop_sentence_rows, oracle_plan_json
 
 
 def corpus_with_counts(t_p, t_u, k=1):
@@ -141,6 +141,23 @@ class TestBuildPlan:
         where = [[s, t] for s, sent in enumerate(corpus.sentences) for t in range(len(sent))]
         for pairs, flat in zip(payload["curricula"], plan.curricula):
             assert pairs == [where[i] for i in flat]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(1, 6), min_size=1, max_size=6),
+        positive_share=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+        tau=st.floats(0.05, 0.9),
+        eta=st.integers(1, 5),
+        seed=st.integers(0, 100),
+    )
+    def test_json_equals_the_hand_written_payload(self, lengths, positive_share, tau, eta, seed):
+        rng = np.random.default_rng(seed)
+        labels = (rng.random(sum(lengths)) < positive_share).astype(int).tolist()
+        cuts = np.cumsum([0, *lengths]).tolist()
+        sentences = [Sentence(tuple(Token(f"w{i}", labels[i]) for i in range(a, b))) for a, b in zip(cuts, cuts[1:])]
+        corpus = Corpus(sentences, LabelSet(["T1"]))
+        for plan in (build_plan(table_for(corpus, seed=seed), corpus, tau, eta), single_curriculum_plan(corpus, tau)):
+            assert plan.to_json(corpus) == oracle_plan_json(plan, corpus)
 
 
 # --- staged training --------------------------------------------------------

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from pucl.distant import (
     inject_noise,
     noise_report,
     read_dictionary_pairs,
+    write_dictionary,
 )
 from pucl.errors import FormatError
 
@@ -364,3 +367,25 @@ class TestReadDictionary:
     def test_bad_columns(self):
         with pytest.raises(FormatError):
             read_dictionary_pairs(["a\tT\tX\n"])
+
+
+class TestWriteDictionary:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.text("abcxyzß", min_size=1, max_size=4), min_size=1, max_size=3),
+                st.sampled_from(["PER", "LOC", "ORG"]),
+            ),
+            max_size=12,
+        )
+    )
+    def test_round_trips_through_the_reader(self, entries):
+        label_set = LabelSet(["PER", "LOC", "ORG"])
+        dictionary = Dictionary.build([(" ".join(words), name) for words, name in entries], label_set)
+        stream = io.StringIO()
+        write_dictionary(dictionary, stream)
+        pairs, names = read_dictionary_pairs(io.StringIO(stream.getvalue()))
+        assert Dictionary.build(pairs, label_set) == dictionary
+        assert names == list(dict.fromkeys(label_set.name_of(label) for _, label in dictionary.entries))
+        assert len(stream.getvalue().splitlines()) == len(dictionary)

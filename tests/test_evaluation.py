@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pucl.corpus import Corpus, LabelSet, Sentence, Token, build_vocab
 from pucl.curriculum import build_plan
@@ -16,7 +18,7 @@ from pucl.model import ModelConfig, TokenClassifier
 from pucl.voters import DifficultyTable
 
 
-from oracles import Span, extract_spans, oracle_metrics, relaxed_prf, strict_prf
+from oracles import Span, extract_spans, oracle_metrics, oracle_report_json, relaxed_prf, strict_prf
 
 
 def random_micro_corpus(rng, k=2):
@@ -148,6 +150,31 @@ class TestOracleEquivalence:
         other = evaluate_labels(shuffled_pred, shuffled)
         assert other.strict.f1 == report.strict.f1
         assert other.relaxed.f1 == report.relaxed.f1
+
+
+@st.composite
+def labelled_corpora(draw):
+    """(corpus, flat prediction): k types, gold labels drawn from 0..used
+    (so types above ``used`` have no gold span) and a prediction that may be
+    all O."""
+    k = draw(st.integers(1, 3))
+    lengths = draw(st.lists(st.integers(1, 8), min_size=1, max_size=5))
+    n = sum(lengths)
+    used = draw(st.integers(0, k))
+    gold = draw(st.lists(st.integers(0, used), min_size=n, max_size=n))
+    pred = draw(st.one_of(st.just([0] * n), st.lists(st.integers(0, k), min_size=n, max_size=n)))
+    cuts = np.cumsum([0, *lengths]).tolist()
+    sentences = [Sentence(tuple(Token(f"w{i}", 0, gold[i]) for i in range(a, b))) for a, b in zip(cuts, cuts[1:])]
+    return Corpus(sentences, LabelSet([f"T{i}" for i in range(1, k + 1)])), np.array(pred)
+
+
+class TestReportJson:
+    @settings(max_examples=150, deadline=None)
+    @given(labelled_corpora(), st.booleans())
+    def test_equals_the_hand_written_payload(self, case, require_type):
+        corpus, pred = case
+        report = evaluate_labels(pred, corpus, require_type)
+        assert report.to_json() == oracle_report_json(report)
 
 
 class TestEvaluateModel:

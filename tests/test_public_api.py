@@ -15,7 +15,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "pucl"
 # Names kept although nothing in src/pucl calls them, each with its reason.
 EXCEPTIONS = {
     # The one-pair form of the difficulty criterion: the reference that the
-    # vectorised `difficulty_scores` is checked against.
+    # vectorised `difficulty_scores` is checked against. Acceptance
+    # criterion 4 imports it from `pucl.voters`.
     "pairwise_disagreement",
 }
 
