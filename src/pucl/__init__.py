@@ -10,7 +10,7 @@ risk, optionally followed by soft-label self-training; strict and relaxed
 span metrics evaluate the result.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .corpus import (
     Corpus,

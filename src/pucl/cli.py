@@ -152,17 +152,21 @@ def cmd_gen_synthetic(args: argparse.Namespace) -> int:
     train, test, valid, dictionary = make_benchmark(args.seed, spec)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # Config paths are relative to the config's directory: bare names for a
+    # relative --out, so that the directory can move; absolute paths for an
+    # absolute one, so that a copy of the config elsewhere finds the files.
+    base = out_dir if out_dir.is_absolute() else Path()
     config = {
         **BENCHMARK_CONFIG,
-        "dict": str(out_dir / "dict.tsv"),
-        "out": str(out_dir / "run"),
+        "dict": str(base / "dict.tsv"),
+        "out": str(base / "run"),
         "seed": args.seed,
     }
     for name, corpus in (("train", train), ("test", test), ("valid", valid)):
         if corpus is not None:
             with atomic_open(out_dir / f"{name}.tsv") as f:
                 write_conll(corpus, f)
-            config[name] = str(out_dir / f"{name}.tsv")
+            config[name] = str(base / f"{name}.tsv")
     with atomic_open(out_dir / "dict.tsv") as f:
         write_dictionary(dictionary, f)
     write_text(out_dir / "config.json", json.dumps(config, sort_keys=True, indent=2) + "\n")

@@ -42,8 +42,11 @@ class ModelSettings:
         self.model_config(vocab_size=1, n_classes=2)  # ModelConfig checks the other fields
 
     def model_config(self, vocab_size: int, n_classes: int) -> ModelConfig:
-        """The classifier architecture these settings describe."""
-        return ModelConfig(vocab_size, n_classes, self.embed_dim, self.window, self.hidden_dim, self.init_scale)
+        """The classifier architecture these settings describe, in float32:
+        every model the pipeline builds trains and scores in float32."""
+        return ModelConfig(
+            vocab_size, n_classes, self.embed_dim, self.window, self.hidden_dim, self.init_scale, dtype="float32"
+        )
 
 
 @dataclass(frozen=True)
@@ -65,11 +68,12 @@ class CurriculumSettings:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    train: str
-    dict_path: str | None = field(default=None, metadata={"key": "dict"})
-    test: str | None = None
-    valid: str | None = None
-    out: str = "out"
+    # "path" fields: load_config reads them relative to the config file
+    train: str = field(metadata={"path": True})
+    dict_path: str | None = field(default=None, metadata={"key": "dict", "path": True})
+    test: str | None = field(default=None, metadata={"path": True})
+    valid: str | None = field(default=None, metadata={"path": True})
+    out: str = field(default="out", metadata={"path": True})
     mode: str = "full"
     seed: int = 42
     threads: int = 1
@@ -154,10 +158,15 @@ def config_from_dict(raw: dict) -> PipelineConfig:
 
 
 def load_config(path: str | Path) -> PipelineConfig:
+    """The config file at ``path``. Its paths (train, dict, test, valid and
+    out, the default ``out`` too) are relative to the file's own directory,
+    not to the working directory."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"config {path} is not valid JSON: {exc}") from exc
     except OSError as exc:
         raise FormatError(f"cannot read config {path}: {exc}") from exc
-    return config_from_dict(raw)
+    config = config_from_dict(raw)
+    paths = {f.name: getattr(config, f.name) for f in fields(PipelineConfig) if f.metadata.get("path")}
+    return replace(config, **{name: str(Path(path).parent / p) for name, p in paths.items() if p})

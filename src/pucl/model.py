@@ -2,8 +2,12 @@
 
 Architecture: per-token context window of embeddings (padding positions use
 a dedicated learned embedding), concatenated and passed through one tanh
-hidden layer and a softmax output. All parameters are float64 so analytic
-gradients can be checked against finite differences at tight tolerances.
+hidden layer and a softmax output. Parameters, gradients and Adam's state
+take ``ModelConfig.dtype``. The library default is float64, so that
+analytic gradients can be checked against finite differences at tight
+tolerances; the pipeline trains and scores in float32, which makes every
+step kernel faster. Either way the risks and every scored distribution
+are float64, and the embedding gradient sums in float64 and rounds once.
 
 Exactness contract: a training step does the textbook float operations in
 the textbook order over the rows it is given, so a fixed seed gives the
@@ -65,6 +69,7 @@ class ModelConfig:
     hidden_dim: int = 64
     init_scale: float = 0.1
     seed: int = 0
+    dtype: str = "float64"  # or "float32": parameters, gradients and Adam's state
 
     def __post_init__(self) -> None:
         ints = (self.vocab_size, self.n_classes, self.embed_dim, self.window, self.hidden_dim, self.seed)
@@ -77,6 +82,8 @@ class ModelConfig:
             raise ValueError("need at least two classes (unlabeled + one entity type)")
         if not 0 < self.init_scale < math.inf:
             raise ValueError(f"init_scale must be positive and finite, got {self.init_scale}")
+        if self.dtype not in ("float64", "float32"):
+            raise ValueError(f"dtype must be 'float64' or 'float32', got {self.dtype!r}")
 
     def parameter_shapes(self) -> dict[str, tuple[int, ...]]:
         """The shape of every parameter array, by name in PARAMETER_NAMES order."""
@@ -126,7 +133,8 @@ class TokenClassifier:
         self, config: ModelConfig, vocab: Vocab, label_names: Sequence[str], params: dict | None = None
     ):
         """Without ``params`` the weights are drawn from N(0, init_scale), the
-        biases 0. The dense arrays of ``params`` are copied into ``dense``."""
+        biases 0. The dense arrays of ``params`` are copied into ``dense``;
+        every array takes the config's dtype."""
         if config.vocab_size != vocab.size:
             raise ValueError(f"config vocab_size {config.vocab_size} != vocab size {vocab.size}")
         if config.n_classes != len(label_names) + 1:
@@ -142,19 +150,21 @@ class TokenClassifier:
                 else np.zeros(shape)
                 for name, shape in shapes.items()
             }
-        # Each segment of the flat buffer starts on a multiple of 8 floats
-        # (64 bytes): at 72 rows, x @ w1 with w1 16 to 48 bytes off that
-        # boundary measured 1.3-1.5x slower.
+        # Each segment of the flat buffer starts on a multiple of 64 bytes
+        # (8 float64s or 16 float32s): at 72 rows, x @ w1 with w1 16 to 48
+        # bytes off that boundary measured 1.3-1.5x slower.
+        self.dtype = np.dtype(config.dtype)
+        self._align = 64 // self.dtype.itemsize
         self._segments, offset = [], 0
         for name in PARAMETER_NAMES[1:]:
             self._segments.append((name, offset, shapes[name]))
-            offset += -(-math.prod(shapes[name]) // 8) * 8
+            offset += -(-math.prod(shapes[name]) // self._align) * self._align
         self._dense_size = offset
         self.dense = self.dense_buffer()
         for name, view in self.dense_views(self.dense).items():
             view[...] = params[name]
             setattr(self, name, view)
-        self.embedding = params["embedding"]
+        self.embedding = np.asarray(params["embedding"], dtype=self.dtype)
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -164,8 +174,8 @@ class TokenClassifier:
     def dense_buffer(self) -> np.ndarray:
         """A zeroed flat buffer laid out like ``dense``, its data starting on
         a 64-byte boundary."""
-        raw = np.zeros(self._dense_size + 7)
-        start = (-raw.ctypes.data % 64) // 8
+        raw = np.zeros(self._dense_size + self._align - 1, dtype=self.dtype)
+        start = (-raw.ctypes.data % 64) // self.dtype.itemsize
         return raw[start : start + self._dense_size]
 
     def dense_views(self, buffer: np.ndarray) -> dict[str, np.ndarray]:
@@ -196,12 +206,14 @@ class TokenClassifier:
     def backward_rows(self, cache: tuple, dprobs: np.ndarray, out: np.ndarray | None = None) -> Gradients:
         """Exact gradients of sum_tokens <dprobs_t, probs_t> chained through
         softmax, hidden layer, and embeddings; the embedding's only over
-        the rows the batch references. The dense gradient is written into
-        ``out``, a buffer from ``dense_buffer`` (its padding is never
-        written, so it stays zero), or into a new one."""
+        the rows the batch references. ``dprobs`` is cast to the model's
+        dtype. The dense gradient is written into ``out``, a buffer from
+        ``dense_buffer`` (its padding is never written, so it stays zero),
+        or into a new one."""
         rows, flat, hidden, probs = cache
         if dprobs.shape != probs.shape:
             raise ValueError(f"gradient shape {dprobs.shape} != probs shape {probs.shape}")
+        dprobs = dprobs.astype(self.dtype, copy=False)
         if out is not None and out.shape != self.dense.shape:
             raise ValueError(f"dense gradient buffer shape {out.shape} != {self.dense.shape}")
         dense = self.dense_buffer() if out is None else out
@@ -216,10 +228,11 @@ class TokenClassifier:
         np.sum(dz1, axis=0, out=grads["b1"])
         dflat = dz1 @ self.w1.T
         # Each window cell's slot among the referenced rows; one flat
-        # bincount then sums every (slot, column) bin in token order,
-        # starting from 0.0: bitwise what np.add.at gives, without its
-        # per-element overhead. Only the two index arrays have a vocabulary
-        # row each; no float array does.
+        # bincount then sums every (slot, column) bin in token order, in
+        # float64 starting from 0.0: bitwise what np.add.at into float64
+        # gives, without its per-element overhead, rounded once to the
+        # model's dtype. Only the two index arrays have a vocabulary row
+        # each; no float array does.
         vocab_size, d = self.config.vocab_size, self.config.embed_dim
         referenced = np.zeros(vocab_size, dtype=bool)
         referenced[rows] = True
@@ -228,7 +241,7 @@ class TokenClassifier:
         slot[touched] = np.arange(len(touched))
         bins = (slot[rows].reshape(-1, 1) * d + np.arange(d)).ravel()
         dembed = np.bincount(bins, weights=dflat.ravel(), minlength=len(touched) * d)
-        return Gradients(touched, dembed.reshape(-1, d), dense, **grads)
+        return Gradients(touched, dembed.astype(self.dtype, copy=False).reshape(-1, d), dense, **grads)
 
     # -- corpus helpers ------------------------------------------------------
 
@@ -331,7 +344,7 @@ def adam_step(model: TokenClassifier, grads: Gradients, state: AdamState) -> Non
     model.embedding[rows], state.embedding_m[rows], state.embedding_v[rows] = lazy
 
 
-#: (probs, flat token positions) -> (risk value, dprobs, clamped count)
+#: (float64 probs, flat token positions) -> (risk value, dprobs, clamped count)
 BatchRisk = Callable[[np.ndarray, np.ndarray], tuple[float, np.ndarray, int]]
 
 
@@ -370,7 +383,7 @@ def train_epoch(
         if len(positions) == 0:
             continue
         probs, cache = model.forward_rows(rows[positions])
-        value, dprobs, clamped = batch_risk(probs, positions)
+        value, dprobs, clamped = batch_risk(probs.astype(np.float64, copy=False), positions)
         if not np.isfinite(value):
             raise NumericError(f"non-finite risk ({where})")
         values.append(value)
@@ -395,7 +408,9 @@ def predict(model: TokenClassifier, corpus: Corpus) -> np.ndarray:
 # magic "PUCLCKPT1\n", then an 8-byte little-endian header length, then a
 # UTF-8 JSON header {config, labels, vocab, arrays: [[name, shape], ...]},
 # then each array's raw bytes as little-endian float64 in header order; the
-# file ends there.
+# file ends there. The arrays are float64 whatever ``config.dtype`` says:
+# float32 -> float64 -> float32 is exact. A config without ``dtype`` (an
+# older checkpoint) is float64.
 
 
 def save_checkpoint(model: TokenClassifier, stream: BinaryIO) -> None:
@@ -430,8 +445,9 @@ def _read_exact(stream: BinaryIO, size: int, what: str) -> bytearray:
 
 def load_checkpoint(stream: BinaryIO) -> TokenClassifier:
     """Read a checkpoint written by ``save_checkpoint``; anything else (a
-    truncated file, bytes after the last array, a non-finite parameter)
-    raises FormatError. An array's bytes are read before anything is
+    truncated file, bytes after the last array, a parameter that is
+    non-finite or that the config's dtype cannot hold exactly) raises
+    FormatError. An array's bytes are read before anything is
     allocated for it."""
     magic = stream.read(len(_CHECKPOINT_MAGIC))
     if magic != _CHECKPOINT_MAGIC:
@@ -472,9 +488,15 @@ def load_checkpoint(stream: BinaryIO) -> TokenClassifier:
     }
     if stream.read(1):
         raise FormatError("checkpoint has bytes after its last array")
-    non_finite = [name for name, arr in params.items() if not np.isfinite(arr).all()]
+    with np.errstate(over="ignore"):  # a value beyond the dtype's range casts to inf, caught below
+        cast = {name: arr.astype(config.dtype, copy=False) for name, arr in params.items()}
+    non_finite = [name for name, arr in cast.items() if not np.isfinite(arr).all()]
     if non_finite:
         raise FormatError(f"checkpoint has non-finite values in {', '.join(non_finite)}")
+    inexact = [name for name in params if not np.array_equal(cast[name], params[name])]
+    if inexact:
+        raise FormatError(f"checkpoint has values in {', '.join(inexact)} that {config.dtype} cannot hold")
+    params = cast
     try:
         return TokenClassifier(config, Vocab(words), labels, params)
     except ValueError as exc:

@@ -470,8 +470,8 @@ def fd_param_gradients(model, risk_fn, step=1e-6):
 def dense_gradients(grads, vocab_size):
     """(name, gradient) of every parameter of a ``Gradients``, each the
     parameter's full shape: the compact embedding gradient is put back into
-    its rows of a [vocab_size, d] array of zeros."""
-    embedding = np.zeros((vocab_size, grads.embedding.shape[1]))
+    its rows of a [vocab_size, d] array of zeros of its dtype."""
+    embedding = np.zeros((vocab_size, grads.embedding.shape[1]), dtype=grads.embedding.dtype)
     embedding[grads.embedding_rows] = grads.embedding
     return [("embedding", embedding)] + [(name, getattr(grads, name)) for name in ("w1", "b1", "w2", "b2")]
 
@@ -521,16 +521,18 @@ def oracle_lazy_adam_step(param, grad, m, v, rows, step, lr, b1=0.9, b2=0.999, e
 
 def oracle_embedding_gradient(model, cache, dprobs):
     """Embedding gradient of sum_t <dprobs_t, probs_t>: the chain rule down
-    to the window inputs, then np.add.at of each window position's slice
-    into its vocabulary row."""
+    to the window inputs in the model's dtype, then np.add.at of each
+    window position's slice into its vocabulary row of a float64
+    accumulator, rounded once to the model's dtype."""
     rows, _, hidden, probs = cache
+    dprobs = dprobs.astype(probs.dtype)
     inner = (dprobs * probs).sum(axis=1, keepdims=True)
     dlogits = probs * (dprobs - inner)
     dz1 = (dlogits @ model.w2.T) * (1.0 - hidden**2)
     dflat = dz1 @ model.w1.T
-    out = np.zeros_like(model.embedding)
+    out = np.zeros(model.embedding.shape)
     np.add.at(out, rows.ravel(), dflat.reshape(-1, model.embedding.shape[1]))
-    return out
+    return out.astype(model.embedding.dtype)
 
 
 # --- voter step: the full-batch form -------------------------------------------------

@@ -107,6 +107,34 @@ class TestGenSynthetic:
             **BENCHMARK_CONFIG, **paths, "out": str(synth_dir / "run"), "seed": 5
         }
 
+    def test_config_runs_from_a_sibling_directory(self, tmp_path, monkeypatch):
+        # paths in a config are relative to its directory, and a relative
+        # --out gives names relative to it
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        monkeypatch.chdir(tmp_path / "a")
+        assert main([
+            "gen-synthetic", "--out", "bench", "--sentences", "40", "--test-sentences", "10",
+            "--valid-sentences", "5", "--dict-size", "10", "--seed", "3",
+        ]) == 0
+        config = json.loads(Path("bench/config.json").read_text(encoding="utf-8"))
+        assert {key: config[key] for key in ("train", "test", "valid", "dict", "out")} == {
+            "train": "train.tsv", "test": "test.tsv", "valid": "valid.tsv", "dict": "dict.tsv", "out": "run"
+        }
+        monkeypatch.chdir(tmp_path / "b")
+        assert main(["pipeline", "--config", "../a/bench/config.json"]) == 0
+        assert (tmp_path / "a" / "bench" / "run" / "report.json").exists()
+        assert list((tmp_path / "b").iterdir()) == []
+
+    def test_default_out_is_beside_the_config(self, tmp_path):
+        # an omitted out reads like an explicit "out": "out"; absolute paths stay
+        (tmp_path / "c").mkdir()
+        (tmp_path / "c" / "config.json").write_text(json.dumps({"train": "t.tsv", "dict": str(tmp_path / "d.tsv")}))
+        cfg = load_config(tmp_path / "c" / "config.json")
+        assert (cfg.train, cfg.dict_path, cfg.out, cfg.test) == (
+            str(tmp_path / "c" / "t.tsv"), str(tmp_path / "d.tsv"), str(tmp_path / "c" / "out"), None
+        )
+
     @pytest.mark.parametrize("option,value", [
         ("--sentences", "-5"), ("--test-sentences", "-20"), ("--valid-sentences", "-1"),
     ])
@@ -181,6 +209,14 @@ class TestPipeline:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["status"] == "ok"
         assert "train" in manifest["inputs"]
+
+    def test_checkpoints_are_float32(self, trained):
+        for name in ("model.bin", "voter_0.bin"):
+            header, arrays = _split_checkpoint((trained / name).read_bytes())
+            assert header["config"]["dtype"] == "float32", name
+            # stored as float64 all the same
+            assert len(arrays) == 8 * sum(math.prod(shape) for _, shape in header["arrays"])
+            assert load_checkpoint(io.BytesIO((trained / name).read_bytes())).embedding.dtype == np.float32
 
     def test_deterministic_artifacts(self, synth_dir, tmp_path):
         outs = []

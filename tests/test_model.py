@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pucl.cli import main as cli_main
 from pucl.corpus import LabelSet, Sentence, Token, Corpus, Vocab, build_vocab
 from pucl.distant import SyntheticSpec, generate_synthetic
 from pucl.errors import CompatibilityError, FormatError, NumericError
@@ -28,7 +29,7 @@ from pucl.model import (
 from pucl.risk import ce_rows, kl_soft_rows, mae_rows
 
 
-def small_model(seed=0, vocab_words=8, embed=4, window=1, hidden=5, classes=3):
+def small_model(seed=0, vocab_words=8, embed=4, window=1, hidden=5, classes=3, dtype="float64"):
     vocab = Vocab([f"w{i}" for i in range(vocab_words)])
     cfg = ModelConfig(
         vocab_size=vocab.size,
@@ -37,6 +38,7 @@ def small_model(seed=0, vocab_words=8, embed=4, window=1, hidden=5, classes=3):
         window=window,
         hidden_dim=hidden,
         seed=seed,
+        dtype=dtype,
     )
     return TokenClassifier(cfg, vocab, [f"T{i}" for i in range(1, classes)])
 
@@ -196,11 +198,16 @@ class TestBackward:
         assert_close_grads(analytic, fd_param_gradients(model, risk))
 
 
-class TestExactStep:
-    """The training step must give the bytes of the textbook computation."""
+DTYPES = ["float64", "float32"]
 
-    def test_embedding_scatter_matches_add_at(self):
-        model = small_model(seed=6, vocab_words=6, window=2)
+
+class TestExactStep:
+    """The training step must give the bytes of the textbook computation,
+    done in the model's dtype."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_embedding_scatter_matches_add_at(self, dtype):
+        model = small_model(seed=6, vocab_words=6, window=2, dtype=dtype)
         # ids repeat within a row and across rows; 0 is PAD, 1 is UNK
         rows = np.concatenate(
             [
@@ -214,13 +221,15 @@ class TestExactStep:
         grads = model.backward_rows(cache, dprobs)
         # compact: one gradient row per referenced vocabulary row, in order
         oracle = oracle_embedding_gradient(model, cache, dprobs)
+        assert grads.embedding.dtype == oracle.dtype == np.dtype(dtype)
         assert np.array_equal(grads.embedding_rows, np.unique(rows))
         assert np.array_equal(grads.embedding, oracle[grads.embedding_rows])
         unseen = np.setdiff1d(np.arange(model.config.vocab_size), rows)
         assert len(unseen) > 0 and np.all(oracle[unseen] == 0.0)
 
-    def test_in_place_adam_matches_textbook(self):
-        model = small_model(seed=8, vocab_words=10, window=1)
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_in_place_adam_matches_textbook(self, dtype):
+        model = small_model(seed=8, vocab_words=10, window=1, dtype=dtype)
         state = AdamState.for_model(model, 3e-3)
         params = {n: p.copy() for n, p in model.parameters()}
         m = {n: np.zeros_like(p) for n, p in params.items()}
@@ -247,6 +256,7 @@ class TestExactStep:
             state_m = {"embedding": state.embedding_m, **model.dense_views(state.dense_m)}
             state_v = {"embedding": state.embedding_v, **model.dense_views(state.dense_v)}
             for name, p in model.parameters():
+                assert p.dtype == params[name].dtype == np.dtype(dtype), (step, name)
                 assert np.array_equal(p, params[name]), (step, name)
                 assert np.array_equal(state_m[name], m[name]), (step, name)
                 assert np.array_equal(state_v[name], v[name]), (step, name)
@@ -371,8 +381,14 @@ class TestCompactStep:
         for a in arrays:
             assert a.flags.c_contiguous and a.ctypes.data % 64 == 0
 
-    def test_dense_views_are_aligned(self):
-        model = small_model(seed=3, embed=3, hidden=5, classes=3)  # no segment a multiple of 8
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_dense_views_are_aligned(self, dtype):
+        # no segment is a multiple of 8 floats; each is padded to 64 bytes,
+        # 8 float64s or 16 float32s
+        model = small_model(seed=3, embed=3, hidden=5, classes=3, dtype=dtype)
+        align = 64 // np.dtype(dtype).itemsize
+        shapes = model.config.parameter_shapes()
+        assert model.dense.size == sum(-(-math.prod(shapes[n]) // align) * align for n in ("w1", "b1", "w2", "b2"))
         state = AdamState.for_model(model, 1e-3)
         probs, cache = model.forward_rows(loop_window_rows(np.array([2, 3]), model.config.window))
         grads = model.backward_rows(cache, np.ones_like(probs))
@@ -385,6 +401,9 @@ class TestCompactStep:
         for buffer in (state.dense_m, state.dense_v, *state.scratch, grads.dense):
             self.assert_aligned(buffer, *model.dense_views(buffer).values())
         self.assert_aligned(grads.w1, grads.b1, grads.w2, grads.b2)
+        assert {a.dtype for a in (model.copy().dense, loaded.dense, state.dense_m, *state.scratch, grads.dense)} == {
+            np.dtype(dtype)
+        }
         assert np.array_equal(loaded.dense, model.dense)
         assert not np.shares_memory(model.copy().dense, model.dense)
 
@@ -407,10 +426,11 @@ class TestCompactStep:
         assert state.step == 1
         assert peak < vocab_words * d * 8 / 10, peak
 
-    def test_steps_reuse_the_optimisers_dense_gradient_buffer(self):
-        # hidden = 2,000 makes the dense buffer (about 700 KB) dwarf every
-        # per-batch array of these one-sentence batches
-        model = small_model(seed=4, vocab_words=6, embed=8, window=2, hidden=2000)
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_steps_reuse_the_optimisers_dense_gradient_buffer(self, dtype):
+        # hidden = 2,000 makes the dense buffer (about 700 KB in float64)
+        # dwarf every per-batch array of these one-sentence batches
+        model = small_model(seed=4, vocab_words=6, embed=8, window=2, hidden=2000, dtype=dtype)
         reference = model.copy()
         corpus = Corpus(
             [Sentence(tuple(Token(f"w{i}", 0, 0) for i in ids)) for ids in ([1, 2, 3], [4, 5], [0, 2])],
@@ -444,6 +464,31 @@ class TestCompactStep:
         # the reused buffer's padding between the views stays zero
         grad = state.dense_grad
         assert np.sum(grad != 0.0) == sum(np.sum(x != 0.0) for x in model.dense_views(grad).values())
+
+    def test_float32_training_stays_float32(self):
+        # a silent upcast anywhere in the step would leave every other test
+        # green and give up float32's speed
+        model = small_model(seed=4, vocab_words=6, embed=8, window=2, hidden=16, dtype="float32")
+        corpus = Corpus(
+            [Sentence(tuple(Token(f"w{i}", label, 0) for i, label in zip(ids, labels)))
+             for ids, labels in (([1, 2, 3], [0, 1, 0]), ([4, 5], [2, 0]), ([0, 2], [0, 0]))],
+            LabelSet(["T1", "T2"]),
+        )
+        labels = corpus.distant_array()
+
+        def risk(probs, positions):
+            assert probs.dtype == np.float64
+            values, dprobs = ce_rows(probs, labels[positions])
+            return float(values.mean()), dprobs / len(positions), 0
+
+        state = AdamState.for_model(model, 1e-2)
+        before = model.copy()
+        train_epoch(model, state, corpus, np.arange(len(corpus)), 2, risk, "float32 epoch")
+        assert state.step == 2
+        arrays = [p for _, p in model.parameters()] + [model.dense, state.embedding_m, state.embedding_v,
+                                                       state.dense_m, state.dense_v, *state.scratch, state.dense_grad]
+        assert all(a.dtype == np.float32 for a in arrays)
+        assert not np.array_equal(model.dense, before.dense)
 
     def test_gradient_buffer_of_another_shape_rejected(self):
         model = small_model()
@@ -555,6 +600,19 @@ def cycled_corpus(n_tokens, lengths, rng):
     return Corpus(sentences, LabelSet(["T1", "T2"]))
 
 
+def edit_header(model, edit):
+    """The checkpoint bytes of ``model`` with ``edit`` applied to the parsed
+    header, re-encoded as ``save_checkpoint`` encodes it."""
+    buf = io.BytesIO()
+    save_checkpoint(model, buf)
+    raw = buf.getvalue()
+    (length,) = struct.unpack("<Q", raw[10:18])
+    header = json.loads(raw[18 : 18 + length])
+    edit(header)
+    encoded = json.dumps(header, sort_keys=True).encode("utf-8")
+    return raw[:10] + struct.pack("<Q", len(encoded)) + encoded + raw[18 + length :]
+
+
 class TestCheckpoint:
     def test_round_trip(self):
         model = small_model(seed=13)
@@ -582,6 +640,50 @@ class TestCheckpoint:
         save_checkpoint(small_model(seed=5), a)
         save_checkpoint(small_model(seed=5), b)
         assert a.getvalue() == b.getvalue()
+
+    def test_float32_round_trip_is_bitwise(self):
+        model = small_model(seed=13, dtype="float32")
+        buf = io.BytesIO()
+        save_checkpoint(model, buf)
+        loaded = load_checkpoint(io.BytesIO(buf.getvalue()))
+        assert loaded.config == model.config and loaded.config.dtype == "float32"
+        for (n, a), (_, b) in zip(model.parameters(), loaded.parameters()):
+            assert b.dtype == np.float32 and a.tobytes() == b.tobytes(), n
+        again = io.BytesIO()
+        save_checkpoint(loaded, again)
+        assert again.getvalue() == buf.getvalue()
+
+    def test_header_without_dtype_loads_as_float64(self):
+        # the format written before ModelConfig had a dtype
+        model = small_model(seed=13)
+        loaded = load_checkpoint(io.BytesIO(edit_header(model, lambda h: h["config"].pop("dtype"))))
+        assert loaded.config == model.config and loaded.config.dtype == "float64"
+        for (n, a), (_, b) in zip(model.parameters(), loaded.parameters()):
+            assert b.dtype == np.float64 and np.array_equal(a, b), n
+
+    @pytest.mark.parametrize("dtype", ["float16", 32, None, ["float32"]])
+    def test_unknown_dtype_is_a_format_error(self, tmp_path, capsys, dtype):
+        raw = edit_header(small_model(seed=13), lambda h: h["config"].update(dtype=dtype))
+        with pytest.raises(FormatError, match="dtype"):
+            load_checkpoint(io.BytesIO(raw))
+        (tmp_path / "model.bin").write_bytes(raw)
+        assert cli_main(["evaluate", "--model", str(tmp_path / "model.bin"), "--test", str(tmp_path / "t.tsv")]) == 2
+        assert "dtype" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [1e300, -1e300, 0.1, 1e-300])
+    def test_value_float32_cannot_hold_is_a_format_error(self, tmp_path, capsys, value):
+        # a finite float64 that casts to inf, or rounds, in a float32 model
+        buf = io.BytesIO()
+        save_checkpoint(small_model(seed=13, dtype="float32"), buf)
+        raw = buf.getvalue()
+        (length,) = struct.unpack("<Q", raw[10:18])
+        first = 18 + length  # the embedding's first value
+        raw = raw[:first] + struct.pack("<d", value) + raw[first + 8 :]
+        with pytest.raises(FormatError, match="embedding"):
+            load_checkpoint(io.BytesIO(raw))
+        (tmp_path / "model.bin").write_bytes(raw)
+        assert cli_main(["evaluate", "--model", str(tmp_path / "model.bin"), "--test", str(tmp_path / "t.tsv")]) == 2
+        assert "embedding" in capsys.readouterr().err
 
     def test_bad_magic(self):
         with pytest.raises(FormatError):
