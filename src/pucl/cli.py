@@ -3,10 +3,11 @@
 Subcommands cover single pipeline stages (annotate, train-voters,
 score-difficulty, build-plan, train, self-train, evaluate, analyze) and
 whole experiments (pipeline, sweep, gen-synthetic). train-voters,
-score-difficulty, build-plan, train and analyze each run the pipeline up to
-their stage (see ``pipeline.py``). Exit codes: 0 ok, 2 input format error
-(a path that cannot be opened, or a size that needs more memory than
-there is, included), 3 compatibility error, 4 numeric failure.
+score-difficulty, build-plan, train, self-train and analyze each run the
+pipeline up to their stage (see ``pipeline.py``). Exit codes: 0 ok, 2
+input format error (a path that cannot be opened, or a size that needs
+more memory than there is, included), 3 compatibility error, 4 numeric
+failure.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import numpy as np
 from .benchmark import BENCHMARK_CONFIG, BenchmarkSpec, make_benchmark
 from .config import MODES, PipelineConfig, load_config
 from .corpus import LabelSet, read_corpus, write_conll
-from .curriculum import self_train
 from .distant import Dictionary, annotate, compile_dictionary, noise_report, read_dictionary_pairs, write_dictionary
 from .errors import (
     CompatibilityError,
@@ -32,7 +32,7 @@ from .errors import (
     UnknownLabelError,
 )
 from .evaluation import evaluate
-from .model import load_model, save_checkpoint
+from .model import load_model
 from .pipeline import atomic_open, run_pipeline, write_text
 from .seeding import derive_seed
 
@@ -60,7 +60,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     with open(dict_path, encoding="utf-8") as f:
         pairs, dict_names = read_dictionary_pairs(f)
 
-    corpus = read_corpus(args.input)
+    corpus = read_corpus(args.input, max_sentence_len=sys.maxsize)  # sentences stay whole
     # The input's types keep their ids; the dictionary's new types follow.
     names = list(corpus.label_set.names)
     label_set = LabelSet(names + [name for name in dict_names if name not in names])
@@ -72,21 +72,6 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     distant = [label for surfaces in corpus.sentence_surfaces() for label in annotate(surfaces, matcher)]
     with atomic_open(args.out) as f:
         write_conll(corpus.with_distant(np.array(distant, dtype=np.int64), label_set), f)
-    return 0
-
-
-def cmd_self_train(args: argparse.Namespace) -> int:
-    cfg = _load_cfg(args)
-    corpus = read_corpus(cfg.train, max_sentence_len=cfg.model.max_sentence_len)
-    model = load_model(args.model or Path(cfg.out) / "model.bin")
-    if model.label_names != corpus.label_set.names:
-        raise CompatibilityError("checkpoint label set does not match the corpus")
-    student = self_train(model, corpus, cfg.self_train, derive_seed(cfg.seed, "selftrain"))
-    out_path = Path(args.out_model or (Path(cfg.out) / "model_selftrained.bin"))
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with atomic_open(out_path, "wb") as f:
-        save_checkpoint(student, f)
-    print(f"wrote {out_path}")
     return 0
 
 
@@ -213,18 +198,13 @@ def build_parser() -> argparse.ArgumentParser:
         ("score-difficulty", "difficulty", "dump per-token difficulty and confidence"),
         ("build-plan", "plan", "build the curriculum plan"),
         ("train", "train", "train the classifier, reusing matching saved voters"),
+        ("self-train", "self-train", "self-train the saved model.bin (mode full-st)"),
         ("analyze", "analysis", "curriculum noise analysis and histograms"),
         ("pipeline", None, "run the full pipeline"),
     ):
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
-        p.set_defaults(func=cmd_pipeline, until=until)
-
-    p = sub.add_parser("self-train", help="self-train an existing checkpoint")
-    _add_common(p)
-    p.add_argument("--model", default=None, help="checkpoint to start from")
-    p.add_argument("--out-model", default=None, help="where to write the student checkpoint")
-    p.set_defaults(func=cmd_self_train)
+        p.set_defaults(func=cmd_pipeline, until=until, mode="full-st" if until == "self-train" else None)
 
     p = sub.add_parser("evaluate", help="evaluate a checkpoint on a gold corpus")
     p.add_argument("--model", required=True, help="model checkpoint")

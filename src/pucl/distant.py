@@ -133,7 +133,7 @@ def annotate(surfaces: Sequence[str], matcher: MatcherIndex) -> list[int]:
     best: list[tuple[int, tuple[int, int] | None]] = [(0, None)] * (n + 1)
     for i in range(n - 1, -1, -1):
         cov, choice = best[i + 1][0], None
-        for length, label in matcher.candidates_at(folded, i):
+        for length, label in matcher.candidates_at(folded, i) if folded[i] in matcher.buckets else ():
             cand_cov = length + best[i + length][0]
             # candidates_at yields longest-first, ties by smallest label,
             # so strict improvement keeps the preferred option

@@ -3,8 +3,9 @@ every artifact written under the output directory and a run manifest
 recorded on both success and failure.
 
 ``pucl pipeline`` runs every stage and reuses nothing. A stage subcommand
-runs its stage and the stages it needs, and reuses only the voters, when
+runs its stage and the stages it needs, and reuses the voters only when
 ``voters.sha256`` matches (see ``_voters``); the plan is always rebuilt.
+``self-train`` needs no stage: it starts from the saved ``model.bin``.
 Artifacts are written to a temporary file and moved into place with
 ``os.replace``, so a killed run leaves the old file or the new one.
 
@@ -251,9 +252,14 @@ def _train(run: PipelineResult) -> None:
 
 
 def _self_train(run: PipelineResult) -> None:
-    """Mode full-st only: the student replaces the staged model."""
+    """Mode full-st only: the student replaces the model this run trained,
+    or else the one saved as ``model.bin``."""
     if run.cfg.mode != "full-st":
         return
+    if run.model is None:
+        run.model = load_model(run.out_dir / "model.bin")
+        if run.model.label_names != run.train.label_set.names:
+            raise CompatibilityError("model.bin's label set does not match the training corpus")
     log: list[dict] = []
     seed = derive_seed(run.cfg.seed, "selftrain")
     run.model = self_train(run.model, run.train, run.cfg.self_train, seed, log=log)
@@ -301,8 +307,8 @@ STAGES: tuple[Stage, ...] = (
     Stage("difficulty", ("voters",), ("difficulty.tsv",), _difficulty),
     Stage("plan", ("difficulty",), ("plan.json",), _plan),
     Stage("train", ("plan",), ("risk_log.jsonl", "valid_metrics.jsonl", "model.bin"), _train),
-    Stage("self-train", ("train",), ("selftrain_log.jsonl", "model.bin"), _self_train),
-    Stage("report", ("self-train",), ("report.json",), _report),
+    Stage("self-train", (), ("selftrain_log.jsonl", "model.bin"), _self_train),
+    Stage("report", ("train", "self-train"), ("report.json",), _report),
     Stage(
         "analysis", ("plan",),
         ("curriculum_analysis.csv", "noise_report.json", "difficulty_hist_*.csv"), _analysis,
@@ -383,6 +389,8 @@ def _read_inputs(cfg: PipelineConfig, until: str | None, out_dir: Path, manifest
     train = read_corpus(cfg.train, max_sentence_len=max_len)
     if until == "train" and cfg.mode == "voter-ensemble":
         raise CompatibilityError("mode voter-ensemble trains no classifier; use pipeline")
+    if until == "self-train" and cfg.mode != "full-st":
+        raise CompatibilityError(f"mode {cfg.mode} has no self-training; use mode full-st")
     if until == "analysis" and not train.has_gold():
         raise CompatibilityError("analysis needs gold labels in the training corpus")
 

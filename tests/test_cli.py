@@ -188,6 +188,19 @@ class TestAnnotate:
         assert "dictionary line 1: 'a b' has no entity type" in capsys.readouterr().err
         assert not out_file.exists()
 
+    def test_a_long_sentence_stays_whole(self, tmp_path):
+        # The input was read with the 256-token training cap: a 300-token
+        # sentence came back as two, and `w255 w256` across the cut was missed.
+        dictionary = tmp_path / "dict.tsv"
+        dictionary.write_text("w255 w256\tT\n", encoding="utf-8")
+        corpus = tmp_path / "in.tsv"
+        corpus.write_text("".join(f"w{i}\tO\n" for i in range(300)) + "\n", encoding="utf-8")
+        out_file = tmp_path / "out.tsv"
+        assert main(["annotate", "--dict", str(dictionary), "--in", str(corpus), "--out", str(out_file)]) == 0
+        lines = out_file.read_text(encoding="utf-8").split("\n")
+        assert lines[-2:] == ["", ""] and "" not in lines[:-2]  # one sentence, one blank line
+        assert [i for i, line in enumerate(lines[:-2]) if line.endswith("\tT")] == [255, 256]
+
     def test_missing_dictionary_exit_2(self, synth_dir, tmp_path):
         code = main(
             ["annotate", "--dict", str(tmp_path / "nope.tsv"), "--in", str(synth_dir / "test.tsv"), "--out", str(tmp_path / "x.tsv")]
@@ -424,6 +437,10 @@ def _rename_array(header: dict) -> None:
     header["arrays"][1][0] = "__class__"
 
 
+def _rename_first_label(header: dict) -> None:
+    header["labels"][0] = "ZZZ"  # same class count, another label set
+
+
 def _transpose_embedding(header: dict) -> None:
     header["arrays"][0][1].reverse()  # same byte count, wrong shape
 
@@ -462,12 +479,26 @@ class TestMalformedCheckpoint:
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_self_train_on_a_non_finite_checkpoint_exits_2(self, synth_dir, tmp_path, trained, capsys):
-        bad = tmp_path / "model.bin"
-        bad.write_bytes(_nan_weight((trained / "model.bin").read_bytes()))
-        cfg_path = write_config(small_config(synth_dir, tmp_path / "run"), tmp_path / "cfg.json")
-        assert main(["self-train", "--config", cfg_path, "--model", str(bad)]) == 2
+        out = tmp_path / "run"
+        out.mkdir()
+        bad = _nan_weight((trained / "model.bin").read_bytes())
+        (out / "model.bin").write_bytes(bad)
+        cfg_path = write_config(small_config(synth_dir, out), tmp_path / "cfg.json")
+        assert main(["self-train", "--config", cfg_path]) == 2
         assert "non-finite values in w2" in capsys.readouterr().err
-        assert not (tmp_path / "run" / "model_selftrained.bin").exists()
+        assert (out / "model.bin").read_bytes() == bad
+        assert not (out / "selftrain_log.jsonl").exists()
+
+    def test_self_train_on_another_label_set_exits_3(self, synth_dir, tmp_path, trained, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        renamed = _edited_header((trained / "model.bin").read_bytes(), _rename_first_label)
+        (out / "model.bin").write_bytes(renamed)
+        cfg_path = write_config(small_config(synth_dir, out), tmp_path / "cfg.json")
+        assert main(["self-train", "--config", cfg_path]) == 3
+        assert "label set" in capsys.readouterr().err
+        assert (out / "model.bin").read_bytes() == renamed
+        assert not (out / "selftrain_log.jsonl").exists()
 
 
 class TestSweep:
@@ -514,14 +545,49 @@ class TestStagedCommands:
         assert plan["eta"] == 2
 
     def test_self_train_command(self, synth_dir, tmp_path):
+        # self-train starts from model.bin, whatever the config's mode, and
+        # writes the student there with its log and a manifest
         out_dir = tmp_path / "st"
         cfg_path = write_config(small_config(synth_dir, out_dir), tmp_path / "cfg.json")
         assert main(["pipeline", "--config", cfg_path]) == 0
+        teacher = (out_dir / "model.bin").read_bytes()
         assert main(["self-train", "--config", cfg_path]) == 0
-        student_path = out_dir / "model_selftrained.bin"
-        assert student_path.exists()
-        with open(student_path, "rb") as f:
+        student = (out_dir / "model.bin").read_bytes()
+        assert student != teacher
+        with open(out_dir / "model.bin", "rb") as f:
             load_checkpoint(f)
+        assert len((out_dir / "selftrain_log.jsonl").read_text().splitlines()) == 1
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert (manifest["status"], manifest["stages"], manifest["config"]["mode"]) == ("ok", ["self-train"], "full-st")
+        assert sorted(manifest["artifacts"]) == ["model", "selftrain_log"]
+        assert main(["self-train", "--config", cfg_path]) == 0  # a second run self-trains the student
+        assert (out_dir / "model.bin").read_bytes() not in (teacher, student)
+
+    def test_self_train_without_a_model_exits_3(self, synth_dir, tmp_path, capsys):
+        out_dir = tmp_path / "empty"
+        cfg_path = write_config(small_config(synth_dir, out_dir), tmp_path / "cfg.json")
+        assert main(["self-train", "--config", cfg_path]) == 3
+        assert str(out_dir / "model.bin") in capsys.readouterr().err
+        assert json.loads((out_dir / "manifest.json").read_text())["status"] == "error"
+
+    def test_self_train_in_another_mode_exits_3(self, synth_dir, tmp_path, trained, capsys):
+        out_dir = tmp_path / "run"
+        out_dir.mkdir()
+        shutil.copy(trained / "model.bin", out_dir / "model.bin")
+        cfg_path = write_config(small_config(synth_dir, out_dir), tmp_path / "cfg.json")
+        assert main(["self-train", "--config", cfg_path, "--mode", "full"]) == 3
+        assert "mode full has no self-training" in capsys.readouterr().err
+        assert (out_dir / "model.bin").read_bytes() == (trained / "model.bin").read_bytes()
+
+    def test_train_then_self_train_matches_pipeline_full_st(self, synth_dir, tmp_path):
+        staged_out, pipe_out = tmp_path / "staged", tmp_path / "pipe"
+        staged_cfg = write_config(small_config(synth_dir, staged_out), tmp_path / "s.json")
+        assert main(["train", "--config", staged_cfg]) == 0
+        assert main(["self-train", "--config", staged_cfg]) == 0
+        pipe_cfg = write_config(small_config(synth_dir, pipe_out), tmp_path / "p.json")
+        assert main(["pipeline", "--config", pipe_cfg, "--mode", "full-st"]) == 0
+        for name in ("model.bin", "selftrain_log.jsonl"):
+            assert (staged_out / name).read_bytes() == (pipe_out / name).read_bytes()
 
     def test_analyze_command(self, synth_dir, tmp_path):
         out_dir = tmp_path / "analyze"
@@ -889,10 +955,13 @@ class TestAtomicWrites:
 
 class TestStageList:
     def test_subcommand_stages(self):
-        names = {until: [s.name for s in stages_up_to(until)] for until in ("voters", "train", "analysis")}
+        names = {
+            until: [s.name for s in stages_up_to(until)] for until in ("voters", "train", "self-train", "analysis")
+        }
         assert names == {
             "voters": ["voters"],
             "train": ["voters", "difficulty", "plan", "train"],
+            "self-train": ["self-train"],
             "analysis": ["voters", "difficulty", "plan", "analysis"],
         }
         assert [s.name for s in stages_up_to(None)] == [s.name for s in STAGES]
@@ -934,7 +1003,7 @@ CLI_SURFACE = {
     "score-difficulty": COMMON_OPTIONS,
     "build-plan": COMMON_OPTIONS,
     "train": COMMON_OPTIONS,
-    "self-train": COMMON_OPTIONS | {"--model", "--out-model"},
+    "self-train": COMMON_OPTIONS,
     "evaluate": {"--model", "--test", "--out"},
     "analyze": COMMON_OPTIONS,
     "pipeline": COMMON_OPTIONS,
