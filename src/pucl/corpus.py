@@ -292,19 +292,20 @@ def read_conll(
         ids.update((name, label_set.id_of(name)) for name in label_set.names)
 
     def new_label(name: str, lineno: int) -> int:
-        if label_set is None:
-            ids[name] = len(ids)
-            return ids[name]
         try:
-            return label_set.id_of(name)
-        except UnknownLabelError as exc:
-            raise UnknownLabelError(f"line {lineno}: {exc}") from None
+            if label_set is not None:
+                return label_set.id_of(name)
+            LabelSet([name])  # the rule every inferred name must pass
+        except FormatError as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from None
+        ids[name] = len(ids)
+        return ids[name]
 
     surfaces: list[str] = []
     distant: list[int] = []
     gold: list[int] = []
     offsets = [0]
-    checked: set[str] = set()  # surfaces known to be one non-empty run of non-whitespace
+    checked: dict[str, str] = {}  # a surface known to be one run of non-whitespace -> the one object kept
     n = 0
     for lineno, line in enumerate(stream, 1):
         line = line.rstrip("\n").rstrip("\r")
@@ -324,8 +325,8 @@ def read_conll(
             # The same test as `not s or any(c.isspace() for c in s)`, and faster.
             if surface.split() != [surface]:
                 raise FormatError(f"line {lineno}: bad token surface: {surface!r}")
-            checked.add(surface)
-        surfaces.append(surface)
+            checked[surface] = surface
+        surfaces.append(checked[surface])
         n += 1
         if n - offsets[-1] == max_sentence_len:
             offsets.append(n)

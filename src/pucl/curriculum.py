@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
 
 from .corpus import Corpus, Vocab
 from .errors import NumericError
-from .model import AdamState, BatchRisk, ModelConfig, TokenClassifier, train_epoch
+from .model import TOKEN_BLOCK_ROWS, AdamState, BatchRisk, ModelConfig, TokenClassifier, train_epoch
 from .risk import ConfMpuConfig, Priors, conf_mpu_risk, kl_soft_rows, pn_risk
 from .seeding import derive_seed, make_rng
 from .voters import ConfidenceTable, DifficultyTable
@@ -53,13 +53,21 @@ class CurriculumPlan:
         return out
 
     def to_json(self, corpus: Corpus) -> str:
-        """The plan with every token as its [sentence, token-in-sentence] pair."""
+        """The plan with every token as its [sentence, token-in-sentence]
+        pair, keys sorted. Each curriculum is dumped ``TOKEN_BLOCK_ROWS``
+        pairs at a time, so no whole-corpus list of pairs is built."""
         offsets = corpus.offsets
         curricula = []
         for idx in self.curricula:
-            sentence = np.searchsorted(offsets, idx, side="right") - 1
-            curricula.append(np.stack([sentence, idx - offsets[sentence]], axis=1).tolist())
-        return json.dumps({**asdict(self), "curricula": curricula}, sort_keys=True)
+            chunks = []
+            for lo in range(0, len(idx), TOKEN_BLOCK_ROWS):
+                block = idx[lo : lo + TOKEN_BLOCK_ROWS]
+                sentence = np.searchsorted(offsets, block, side="right") - 1
+                chunks.append(json.dumps(np.stack([sentence, block - offsets[sentence]], axis=1).tolist())[1:-1])
+            curricula.append("[" + ", ".join(chunks) + "]")
+        rest = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "curricula"}
+        # "curricula" sorts before every other field name
+        return '{"curricula": [' + ", ".join(curricula) + "], " + json.dumps(rest, sort_keys=True)[1:]
 
 
 def check_power_law(tau: float, eta: int) -> None:
@@ -332,7 +340,7 @@ def sharpen(dist: np.ndarray, exponent: float) -> np.ndarray:
     """Raise probabilities to a power and renormalize; exponent 1 is the
     identity, larger exponents concentrate mass on the argmax."""
     powered = np.asarray(dist, dtype=np.float64) ** exponent
-    return powered / powered.sum(axis=-1, keepdims=True)
+    return np.divide(powered, powered.sum(axis=-1, keepdims=True), out=powered)
 
 
 def self_train(

@@ -58,6 +58,9 @@ _CHECKPOINT_MAGIC = b"PUCLCKPT1\n"
 PARAMETER_NAMES = ("embedding", "w1", "b1", "w2", "b2")
 #: Window rows per forward pass when a corpus is scored (module docstring).
 SCORE_BLOCK_ROWS = 256
+#: Tokens per block of a pass that keeps only per-token outputs (difficulty,
+#: ``difficulty.tsv``, ``plan.json``); whole scoring blocks, as in ``corpus_probs``.
+TOKEN_BLOCK_ROWS = 16 * SCORE_BLOCK_ROWS
 
 
 @dataclass(frozen=True)
@@ -253,10 +256,13 @@ class TokenClassifier:
 
     def corpus_probs(self, corpus: Corpus) -> np.ndarray:
         """[n_tokens, n_classes] class distributions of every token of the
-        corpus, in flat token order, one forward pass per consecutive
-        block of ``SCORE_BLOCK_ROWS`` window rows."""
-        rows = self.encode_corpus(corpus)
-        out = np.empty((corpus.n_tokens, self.config.n_classes))
+        corpus, in flat token order (``rows_probs`` of its window rows)."""
+        return self.rows_probs(self.encode_corpus(corpus))
+
+    def rows_probs(self, rows: np.ndarray) -> np.ndarray:
+        """[len(rows), n_classes] class distributions of window rows, one
+        forward pass per consecutive block of ``SCORE_BLOCK_ROWS`` rows."""
+        out = np.empty((len(rows), self.config.n_classes))
         for lo in range(0, len(rows), SCORE_BLOCK_ROWS):
             out[lo : lo + SCORE_BLOCK_ROWS] = self.forward_rows(rows[lo : lo + SCORE_BLOCK_ROWS])[0]
         return out
@@ -428,7 +434,7 @@ def save_checkpoint(model: TokenClassifier, stream: BinaryIO) -> None:
     stream.write(struct.pack("<Q", len(header)))
     stream.write(header)
     for _, arr in arrays:
-        stream.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        stream.write(np.ascontiguousarray(arr, dtype="<f8").data)
 
 
 def _read_exact(stream: BinaryIO, size: int, what: str) -> bytearray:

@@ -6,8 +6,9 @@ recorded on both success and failure.
 runs its stage and the stages it needs, and reuses the voters only when
 ``voters.sha256`` matches (see ``_voters``); the plan is always rebuilt.
 ``self-train`` needs no stage: it starts from the saved ``model.bin``.
-Artifacts are written to a temporary file and moved into place with
-``os.replace``, so a killed run leaves the old file or the new one.
+Before its stages run, a stage subcommand removes the files of the stages
+after its own. Artifacts are written to a temporary file and moved into
+place with ``os.replace``, so a killed run leaves the old file or the new one.
 
 With a fixed seed two runs produce byte-identical artifacts; the
 manifest, which records the wall-clock time of the run and the wall and
@@ -330,6 +331,15 @@ def stages_up_to(until: str | None) -> list[Stage]:
     return [s for s in STAGES if s.name in wanted]
 
 
+def _remove_later_artifacts(out_dir: Path, stages: list[Stage]) -> None:
+    """Remove the files of every stage after ``stages[-1]`` in ``STAGES``
+    that no stage in ``stages`` writes: they describe an earlier run."""
+    ours = {path for stage in stages for pattern in stage.writes for path in out_dir.glob(pattern)}
+    later = [pattern for stage in STAGES[STAGES.index(stages[-1]) + 1 :] for pattern in stage.writes]
+    for path in {path for pattern in later for path in out_dir.glob(pattern)} - ours:
+        path.unlink()
+
+
 def run_pipeline(cfg: PipelineConfig, until: str | None = None) -> PipelineResult:
     """Run stage ``until`` and the stages it needs (every stage, reusing
     nothing, when ``until`` is None)."""
@@ -353,6 +363,7 @@ def run_pipeline(cfg: PipelineConfig, until: str | None = None) -> PipelineResul
 
     try:
         run = _read_inputs(cfg, until, out_dir, manifest)
+        _remove_later_artifacts(out_dir, stages)  # none after a whole pipeline
         for stage in stages:
             wall, cpu = time.perf_counter(), time.process_time()
             stage.run(run)

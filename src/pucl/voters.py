@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import IO
+from typing import IO, Iterator
 
 import numpy as np
 
 from .corpus import Corpus, Vocab
-from .model import AdamState, ModelConfig, TokenClassifier, train_epoch
+from .model import TOKEN_BLOCK_ROWS, AdamState, ModelConfig, TokenClassifier, train_epoch
 from .risk import PROB_FLOOR, LossKind, pn_risk, sample_negatives
 from .seeding import derive_seed, make_rng
 
@@ -136,12 +136,13 @@ def pairwise_disagreement(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * float((p * logratio).sum() + (q * -logratio).sum())
 
 
-def voter_distributions(ensemble: VoterEnsemble, corpus: Corpus) -> np.ndarray:
-    """[V, n_tokens, n_classes] stack of the voters' ``corpus_probs``."""
-    out = np.empty((ensemble.size, corpus.n_tokens, corpus.label_set.n_classes))
-    for v, voter in enumerate(ensemble.voters):
-        out[v] = voter.corpus_probs(corpus)
-    return out
+def _voter_blocks(ensemble: VoterEnsemble, corpus: Corpus) -> Iterator[tuple[slice, np.ndarray]]:
+    """Each block of ``TOKEN_BLOCK_ROWS`` tokens, in order: its slice of the
+    flat token order and the [V, block tokens, n_classes] stack of the
+    voters' distributions (``rows_probs``: the bytes of ``corpus_probs``)."""
+    rows = [voter.encode_corpus(corpus) for voter in ensemble.voters]
+    for block in (slice(lo, lo + TOKEN_BLOCK_ROWS) for lo in range(0, corpus.n_tokens, TOKEN_BLOCK_ROWS)):
+        yield block, np.stack([voter.rows_probs(r[block]) for voter, r in zip(ensemble.voters, rows)])
 
 
 class ConfidenceTable:
@@ -170,52 +171,52 @@ class DifficultyTable:
 
 
 def confidence_table(ensemble: VoterEnsemble, corpus: Corpus) -> ConfidenceTable:
-    dists = voter_distributions(ensemble, corpus).mean(axis=0)
-    return ConfidenceTable(corpus, dists)
+    mean = np.empty((corpus.n_tokens, corpus.label_set.n_classes))
+    for block, dists in _voter_blocks(ensemble, corpus):
+        mean[block] = dists.mean(axis=0)
+    return ConfidenceTable(corpus, mean)
 
 
 def difficulty_scores(ensemble: VoterEnsemble, corpus: Corpus) -> DifficultyTable:
     """Mean symmetric KL disagreement over all unordered voter pairs, per
     token.
 
-    The voters run over the corpus once. The same pass gives the ensemble
-    mean, returned as the table's ``confidence`` (equal to
-    ``confidence_table``), so a caller that needs both scores the corpus
-    once.
+    The voters run over the corpus once, one block of ``TOKEN_BLOCK_ROWS``
+    tokens at a time, so only the per-token outputs span the corpus. The
+    same pass gives the ensemble mean, returned as the table's
+    ``confidence`` (equal to ``confidence_table``), so a caller that needs
+    both scores the corpus once.
     """
     if ensemble.size < 2:
         raise ValueError("difficulty scores need at least two voters")
-    dists = voter_distributions(ensemble, corpus)
-    confidence = ConfidenceTable(corpus, dists.mean(axis=0))
-    floored = np.maximum(dists, PROB_FLOOR, out=dists)
-    logs = np.log(floored)
     v = ensemble.size
-    total = np.zeros(dists.shape[1])
-    for i in range(v):
-        for j in range(i + 1, v):
-            logratio = logs[i] - logs[j]
-            kl_ij = (floored[i] * logratio).sum(axis=1)
-            kl_ji = (floored[j] * -logratio).sum(axis=1)
-            total += 0.5 * (kl_ij + kl_ji)
-    scores = total / (v * (v - 1) / 2)
+    mean = np.empty((corpus.n_tokens, corpus.label_set.n_classes))
+    total = np.zeros(corpus.n_tokens)
+    for block, dists in _voter_blocks(ensemble, corpus):
+        mean[block] = dists.mean(axis=0)
+        floored = np.maximum(dists, PROB_FLOOR, out=dists)
+        logs = np.log(floored)
+        for i in range(v):
+            for j in range(i + 1, v):
+                logratio = logs[i] - logs[j]  # KL(i || j) + KL(j || i), halved:
+                total[block] += 0.5 * ((floored[i] * logratio).sum(axis=1) + (floored[j] * -logratio).sum(axis=1))
+    total /= v * (v - 1) / 2
     # floors can leave tiny negatives behind; difficulty is non-negative
-    return DifficultyTable(corpus, np.maximum(scores, 0.0), confidence)
+    return DifficultyTable(corpus, np.maximum(total, 0.0, out=total), ConfidenceTable(corpus, mean))
 
 
-def dump_scores_tsv(
-    corpus: Corpus,
-    conf: ConfidenceTable,
-    diff: DifficultyTable,
-    stream: IO[str],
-) -> None:
+def dump_scores_tsv(corpus: Corpus, conf: ConfidenceTable, diff: DifficultyTable, stream: IO[str]) -> None:
     """One row per token: sentence_idx, token_idx, surface, distant label
-    name, lambda, difficulty."""
+    name, lambda, difficulty; one ``write`` per block of ``TOKEN_BLOCK_ROWS``."""
     name_of = corpus.label_set.name_of
-    offsets = corpus.offsets
-    sentence = np.repeat(np.arange(len(corpus)), np.diff(offsets))
-    position = np.arange(corpus.n_tokens) - offsets[sentence]
-    for s_idx, t_idx, surface, label, lam, h in zip(
-        sentence.tolist(), position.tolist(), corpus.surfaces,
-        corpus.distant_array().tolist(), conf.lam.tolist(), diff.scores.tolist(),
-    ):
-        stream.write(f"{s_idx}\t{t_idx}\t{surface}\t{name_of(label)}\t{lam:.17g}\t{h:.17g}\n")
+    offsets, distant = corpus.offsets, corpus.distant_array()
+    for lo in range(0, corpus.n_tokens, TOKEN_BLOCK_ROWS):
+        flat = np.arange(lo, min(lo + TOKEN_BLOCK_ROWS, corpus.n_tokens))
+        sentence = np.searchsorted(offsets, flat, side="right") - 1
+        stream.write("".join([
+            f"{s_idx}\t{t_idx}\t{surface}\t{name_of(label)}\t{lam:.17g}\t{h:.17g}\n"
+            for s_idx, t_idx, surface, label, lam, h in zip(
+                sentence.tolist(), (flat - offsets[sentence]).tolist(), corpus.surfaces[lo : lo + TOKEN_BLOCK_ROWS],
+                distant[flat].tolist(), conf.lam[flat].tolist(), diff.scores[flat].tolist(),
+            )
+        ]))

@@ -403,6 +403,49 @@ def oracle_plan_json(plan, corpus: Corpus) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
+# --- voter scoring: the whole-corpus stack ------------------------------------------
+
+
+def oracle_voter_distributions(ensemble, corpus: Corpus) -> np.ndarray:
+    """[V, n_tokens, n_classes] stack of the voters' ``corpus_probs``."""
+    out = np.empty((ensemble.size, corpus.n_tokens, corpus.label_set.n_classes))
+    for v, voter in enumerate(ensemble.voters):
+        out[v] = voter.corpus_probs(corpus)
+    return out
+
+
+def oracle_difficulty_scores(ensemble, corpus: Corpus):
+    """(ensemble mean, lambda, difficulty) from the whole [V, n, c] stack
+    of every voter's distributions at once."""
+    dists = oracle_voter_distributions(ensemble, corpus)
+    mean = dists.mean(axis=0)
+    floored = np.maximum(dists, 1e-12, out=dists)
+    logs = np.log(floored)
+    v = ensemble.size
+    total = np.zeros(dists.shape[1])
+    for i in range(v):
+        for j in range(i + 1, v):
+            logratio = logs[i] - logs[j]
+            kl_ij = (floored[i] * logratio).sum(axis=1)
+            kl_ji = (floored[j] * -logratio).sum(axis=1)
+            total += 0.5 * (kl_ij + kl_ji)
+    return mean, mean[:, 1:].sum(axis=1), np.maximum(total / (v * (v - 1) / 2), 0.0)
+
+
+def oracle_scores_tsv(corpus: Corpus, lam, scores) -> str:
+    """``difficulty.tsv`` from whole-corpus columns of every field."""
+    offsets = corpus.offsets
+    sentence = np.repeat(np.arange(len(corpus)), np.diff(offsets))
+    position = np.arange(corpus.n_tokens) - offsets[sentence]
+    return "".join(
+        f"{s}\t{t}\t{surface}\t{corpus.label_set.name_of(label)}\t{lam_t:.17g}\t{h:.17g}\n"
+        for s, t, surface, label, lam_t, h in zip(
+            sentence.tolist(), position.tolist(), corpus.surfaces,
+            corpus.distant_array().tolist(), np.asarray(lam).tolist(), np.asarray(scores).tolist(),
+        )
+    )
+
+
 # --- context windows: one token at a time -------------------------------------------
 
 

@@ -188,6 +188,17 @@ class TestAnnotate:
         assert "dictionary line 1: 'a b' has no entity type" in capsys.readouterr().err
         assert not out_file.exists()
 
+    def test_empty_label_name_exits_2_at_its_line(self, tmp_path, capsys):
+        # The empty gold name on line 1 was reported without a line number.
+        dictionary = tmp_path / "dict.tsv"
+        dictionary.write_text("a\tT\n", encoding="utf-8")
+        corpus = tmp_path / "in.tsv"
+        corpus.write_text("a\tO\t\nb\tO\tO\n\n", encoding="utf-8")
+        out_file = tmp_path / "out.tsv"
+        assert main(["annotate", "--dict", str(dictionary), "--in", str(corpus), "--out", str(out_file)]) == 2
+        assert "line 1: invalid entity type name: ''" in capsys.readouterr().err
+        assert not out_file.exists()
+
     def test_a_long_sentence_stays_whole(self, tmp_path):
         # The input was read with the 256-token training cap: a 300-token
         # sentence came back as two, and `w255 w256` across the cut was missed.
@@ -588,6 +599,36 @@ class TestStagedCommands:
         assert main(["pipeline", "--config", pipe_cfg, "--mode", "full-st"]) == 0
         for name in ("model.bin", "selftrain_log.jsonl"):
             assert (staged_out / name).read_bytes() == (pipe_out / name).read_bytes()
+
+    LATER = {
+        "train": ("selftrain_log.jsonl", "report.json", "curriculum_analysis.csv", "noise_report.json",
+                  "difficulty_hist_all.csv", "difficulty_hist_positive.csv"),
+        "self-train": ("report.json", "curriculum_analysis.csv", "noise_report.json",
+                       "difficulty_hist_all.csv", "difficulty_hist_positive.csv"),
+    }
+
+    @pytest.mark.parametrize("command", ["train", "self-train"])
+    def test_later_stages_files_are_removed(self, synth_dir, tmp_path, command):
+        # After `pipeline`, `train` left the student's log and the teacher's
+        # report beside the new model.bin, and `self-train` left the
+        # teacher's report; the new manifest listed neither.
+        out_dir = tmp_path / "run"
+        cfg = small_config(synth_dir, out_dir, mode="full-st")
+        cfg["valid"] = str(synth_dir / "valid.tsv")
+        cfg_path = write_config(cfg, tmp_path / "cfg.json")
+        assert main(["pipeline", "--config", cfg_path]) == 0
+        assert all((out_dir / name).exists() for name in self.LATER[command])
+        assert main([command, "--config", cfg_path]) == 0
+        assert not [name for name in self.LATER[command] if (out_dir / name).exists()]
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        listed = {Path(p).name for p in manifest["artifacts"].values()}
+        # the files of the stages from this command's on, as on disk
+        first = [s.name for s in STAGES].index(manifest["stages"][0])
+        patterns = [pattern for stage in STAGES[first:] for pattern in stage.writes]
+        on_disk = {p.name for p in out_dir.iterdir() if any(fnmatch(p.name, pat) for pat in patterns)}
+        assert listed == on_disk
+        if command == "train":  # it ran from the first stage: every file is listed
+            assert listed == {p.name for p in out_dir.iterdir()} - {"manifest.json"}
 
     def test_analyze_command(self, synth_dir, tmp_path):
         out_dir = tmp_path / "analyze"

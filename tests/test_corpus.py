@@ -106,6 +106,21 @@ class TestReadConll:
         with pytest.raises(UnknownLabelError, match="line 1: .*LOC"):
             parse("b c\tLOC\n", label_set=LabelSet(["PER"]))
 
+    def test_empty_inferred_label_name_reported_at_its_line(self):
+        # An empty gold column on line 1 is an invalid type name, found
+        # there, before the bad surface on line 4.
+        with pytest.raises(FormatError, match="^line 1: invalid entity type name: ''$"):
+            parse("a\tO\t\nb\tO\tO\n\nc d\tO\tO\n")
+        with pytest.raises(FormatError, match="^line 2: invalid entity type name: ''$"):
+            parse("a\tPER\tPER\nb\t\tO\n")
+
+    def test_one_string_object_per_distinct_surface(self):
+        words = ["alpha", "beta", "gamma", "Alpha", "delta-x"]
+        text = "".join(f"{words[i % 5]}{'' if i % 3 else 'ok'}\tO\n" + ("\n" if i % 4 == 3 else "") for i in range(60))
+        c = parse(text, label_set=LabelSet(["PER"]))
+        assert len(set(c.surfaces)) == 10 < c.n_tokens
+        assert len({id(s) for s in c.surfaces}) == len(set(c.surfaces))
+
 
 class TestWriteConll:
     def test_ends_with_single_blank_line(self):

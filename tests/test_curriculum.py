@@ -22,7 +22,7 @@ from pucl.curriculum import (
 )
 from pucl.config import config_from_dict
 from pucl.errors import FormatError, NumericError
-from pucl.model import ModelConfig, TokenClassifier
+from pucl.model import TOKEN_BLOCK_ROWS, ModelConfig, TokenClassifier
 from pucl.risk import ConfMpuConfig, Priors, estimate_priors
 from pucl.seeding import derive_seed, make_rng
 from pucl.voters import ConfidenceTable, DifficultyTable, VoterConfig, confidence_table, train_voters
@@ -158,6 +158,18 @@ class TestBuildPlan:
         corpus = Corpus(sentences, LabelSet(["T1"]))
         for plan in (build_plan(table_for(corpus, seed=seed), corpus, tau, eta), single_curriculum_plan(corpus, tau)):
             assert plan.to_json(corpus) == oracle_plan_json(plan, corpus)
+
+    def test_json_of_a_plan_longer_than_a_block(self):
+        # curriculum 1 spans several blocks; curricula 2 and 3 fewer than one
+        rng = np.random.default_rng(3)
+        labels = (rng.random(3 * TOKEN_BLOCK_ROWS + 5) < 0.2).astype(int).tolist()
+        cuts = list(range(0, len(labels), 7)) + [len(labels)]
+        sentences = [Sentence(tuple(Token(f"w{i % 50}", labels[i]) for i in range(a, b))) for a, b in zip(cuts, cuts[1:])]
+        corpus = Corpus(sentences, LabelSet(["T1"]))
+        plan = build_plan(table_for(corpus, seed=3), corpus, 0.5, 3)
+        assert len(plan.curricula[0]) > 2 * TOKEN_BLOCK_ROWS > len(plan.curricula[1])
+        for p in (plan, single_curriculum_plan(corpus)):
+            assert p.to_json(corpus) == oracle_plan_json(p, corpus)
 
 
 # --- staged training --------------------------------------------------------
@@ -334,6 +346,14 @@ class TestSelfTrain:
     def test_sharpen_reference_values(self):
         out = sharpen(np.array([0.7, 0.3]), 2.0)
         assert out == pytest.approx([0.49 / 0.58, 0.09 / 0.58], abs=1e-12)
+
+    def test_sharpen_normalizes_a_new_array(self):
+        p = np.array([[0.7, 0.2, 0.1], [0.25, 0.25, 0.5]], dtype=np.float32)
+        before = p.copy()
+        out = sharpen(p, 3.0)
+        powered = p.astype(np.float64) ** 3.0
+        assert np.array_equal(out, powered / powered.sum(axis=-1, keepdims=True))
+        assert out.dtype == np.float64 and np.array_equal(p, before)
 
     def test_sharpen_exponent_one_is_identity(self):
         p = np.array([0.2, 0.5, 0.3])

@@ -1,16 +1,24 @@
 import io
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oracles import blocked_forward, count_forward_calls, loop_sentence_rows, oracle_full_batch_voter_step
+from oracles import (
+    blocked_forward,
+    count_forward_calls,
+    loop_sentence_rows,
+    oracle_difficulty_scores,
+    oracle_full_batch_voter_step,
+    oracle_scores_tsv,
+)
 from pucl.cli import main
 from pucl.corpus import Corpus, LabelSet, Sentence, Token, build_vocab
 from pucl.distant import SyntheticSpec, generate_synthetic, inject_noise
-from pucl.model import SCORE_BLOCK_ROWS, AdamState, ModelConfig, TokenClassifier, train_epoch
+from pucl.model import SCORE_BLOCK_ROWS, TOKEN_BLOCK_ROWS, AdamState, ModelConfig, TokenClassifier, train_epoch
 from pucl.risk import PROB_FLOOR
 from pucl.seeding import derive_seed, make_rng
 from pucl.voters import (
@@ -210,6 +218,95 @@ class TestSingleVoterPass:
         assert len(scores) == shorter.n_tokens < corpus.n_tokens
         # scored over its own rows, in its own blocks
         assert np.array_equal(scores, two_pass_tables(ens, shorter)[1])
+
+
+def block_corpus(n_tokens, sentence_len=10, seed=0):
+    """Sentences of ``sentence_len`` tokens (the last one shorter) over
+    multi-character surfaces, with random distant labels in 0..2."""
+    rng = np.random.default_rng(seed)
+    words = [f"word{i}" for i in range(40)]
+    labels = rng.integers(0, 3, n_tokens).tolist()
+    tokens = [Token(words[int(w)], lab) for w, lab in zip(rng.integers(0, 40, n_tokens), labels)]
+    cuts = list(range(0, n_tokens, sentence_len)) + [n_tokens]
+    return Corpus([Sentence(tuple(tokens[a:b])) for a, b in zip(cuts, cuts[1:])], LabelSet(["T1", "T2"]))
+
+
+def random_ensemble(corpus, count, dtype="float64"):
+    """Untrained voters with distinct seeds and a wide init, so that their
+    distributions differ from token to token and from each other."""
+    vocab = build_vocab(corpus)
+    return VoterEnsemble([
+        TokenClassifier(
+            ModelConfig(vocab.size, 3, embed_dim=8, hidden_dim=8, init_scale=1.0, seed=v, dtype=dtype),
+            vocab, corpus.label_set.names,
+        )
+        for v in range(count)
+    ])
+
+
+class TestBlockedScoring:
+    # Below one block; exactly one block; one block and a sentence that
+    # crosses its end (tokens 4090..4099).
+    SIZES = (TOKEN_BLOCK_ROWS - 1000, TOKEN_BLOCK_ROWS, TOKEN_BLOCK_ROWS + 4)
+
+    @pytest.mark.parametrize("count", [2, 5])
+    @pytest.mark.parametrize("n_tokens", SIZES)
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_equals_the_whole_corpus_stack(self, count, n_tokens, dtype):
+        corpus = block_corpus(n_tokens)
+        assert corpus.n_tokens == n_tokens
+        if n_tokens > TOKEN_BLOCK_ROWS:
+            assert TOKEN_BLOCK_ROWS not in corpus.offsets
+        ens = random_ensemble(corpus, count, dtype)
+        mean, lam, scores = oracle_difficulty_scores(ens, corpus)
+        table = difficulty_scores(ens, corpus)
+        assert np.array_equal(table.scores, scores)
+        assert np.array_equal(table.confidence.distributions, mean)
+        assert np.array_equal(table.confidence.lam, lam)
+        conf = confidence_table(ens, corpus)
+        assert np.array_equal(conf.distributions, mean) and np.array_equal(conf.lam, lam)
+        out = io.StringIO()
+        dump_scores_tsv(corpus, table.confidence, table, out)
+        assert out.getvalue() == oracle_scores_tsv(corpus, lam, scores)
+
+    def test_tsv_is_written_one_block_per_write(self):
+        corpus = block_corpus(2 * TOKEN_BLOCK_ROWS + 7)
+        table = difficulty_scores(random_ensemble(corpus, 2), corpus)
+
+        class Writes(list):
+            write = list.append
+
+        out = Writes()
+        dump_scores_tsv(corpus, table.confidence, table, out)
+        assert [chunk.count("\n") for chunk in out] == [TOKEN_BLOCK_ROWS, TOKEN_BLOCK_ROWS, 7]
+
+    def test_memory_beyond_the_outputs_does_not_grow_with_the_corpus(self):
+        # The whole-corpus [V, n_tokens, n_classes] stack, its floor and its
+        # logs (and the TSV's whole-corpus lists) grew with the corpus.
+
+        class Sink:
+            def write(self, text):
+                pass
+
+        def working_memory(corpus, ens):
+            ens.voters[0].encode_corpus(corpus)  # cached; built outside the trace
+            corpus.distant_array()
+            tracemalloc.start()
+            try:
+                table = difficulty_scores(ens, corpus)
+                dump_scores_tsv(corpus, table.confidence, table, Sink())
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return peak - current  # beyond the per-token tables it returns
+
+        one = block_corpus(2 * TOKEN_BLOCK_ROWS)
+        four = block_corpus(8 * TOKEN_BLOCK_ROWS)
+        small = working_memory(one, random_ensemble(one, 5))
+        large = working_memory(four, random_ensemble(four, 5))
+        # the 4x corpus has 24,576 more tokens; the stack alone held 240 bytes
+        # of each, about 5.9 MB
+        assert large < small + 128 * 1024, (small, large)
 
 
 def mostly_empty_batches_corpus():
