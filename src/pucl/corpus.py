@@ -240,7 +240,9 @@ class Corpus:
         ``Vocab.PAD``. The one encoded form of the corpus: the surfaces
         column goes through ``encode_sentence`` once, and the read-only array
         is kept until another vocabulary (compared with ``==``) or window
-        asks."""
+        asks. Its cells are int32; a larger vocabulary raises ``ValueError``."""
+        if vocab.size > np.iinfo(np.int32).max:
+            raise ValueError(f"a vocabulary of {vocab.size} words does not fit int32 window cells")
         cached = self._windows
         if cached is not None and cached[1] == window and cached[0] == vocab:
             return cached[2]
@@ -249,9 +251,9 @@ class Corpus:
         # Lay the sentences out with `window` padding slots before, between and
         # after them, so that no window reaches into a neighbouring sentence.
         start = np.arange(len(ids)) + np.repeat(np.arange(len(lengths)) * window, lengths)
-        padded = np.full(len(ids) + (len(lengths) + 1) * window, Vocab.PAD, dtype=np.int64)
+        padded = np.full(len(ids) + (len(lengths) + 1) * window, Vocab.PAD, dtype=np.int32)
         padded[start + window] = ids
-        out = np.empty((len(ids), 2 * window + 1), dtype=np.int64)
+        out = np.empty((len(ids), 2 * window + 1), dtype=np.int32)
         for j in range(2 * window + 1):
             out[:, j] = padded[start + j]
         out.flags.writeable = False

@@ -60,7 +60,7 @@ PARAMETER_NAMES = ("embedding", "w1", "b1", "w2", "b2")
 SCORE_BLOCK_ROWS = 256
 #: Tokens per block of a pass that keeps only per-token outputs (difficulty,
 #: ``difficulty.tsv``, ``plan.json``); whole scoring blocks, as in ``corpus_probs``.
-TOKEN_BLOCK_ROWS = 16 * SCORE_BLOCK_ROWS
+TOKEN_BLOCK_ROWS = 4 * SCORE_BLOCK_ROWS
 
 
 @dataclass(frozen=True)
@@ -237,6 +237,7 @@ class TokenClassifier:
         # model's dtype. Only the two index arrays have a vocabulary row
         # each; no float array does.
         vocab_size, d = self.config.vocab_size, self.config.embed_dim
+        rows = rows.astype(np.intp, copy=False)  # fancy indexing by int32 cells took 2.6-3.7x as long
         referenced = np.zeros(vocab_size, dtype=bool)
         referenced[rows] = True
         touched = np.flatnonzero(referenced)

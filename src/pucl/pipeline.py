@@ -6,9 +6,11 @@ recorded on both success and failure.
 runs its stage and the stages it needs, and reuses the voters only when
 ``voters.sha256`` matches (see ``_voters``); the plan is always rebuilt.
 ``self-train`` needs no stage: it starts from the saved ``model.bin``.
-Before its stages run, a stage subcommand removes the files of the stages
-after its own. Artifacts are written to a temporary file and moved into
-place with ``os.replace``, so a killed run leaves the old file or the new one.
+Once its inputs are read, a run ends, ok or not, by removing every file of
+a stage's ``writes`` that its manifest does not list, so the directory holds
+what the manifest describes. Artifacts are written to a temporary file and
+moved into place with ``os.replace``, so a killed run leaves the old file or
+the new one.
 
 With a fixed seed two runs produce byte-identical artifacts; the
 manifest, which records the wall-clock time of the run and the wall and
@@ -107,7 +109,7 @@ class PipelineResult:
     valid: Corpus | None
     vocab: Vocab
     model_config: ModelConfig
-    ensemble: VoterEnsemble | None = None
+    ensemble: VoterEnsemble | None = None  # dropped once difficulty has scored the corpus
     difficulty: DifficultyTable | None = None
     plan: CurriculumPlan | None = None
     model: TokenClassifier | None = None
@@ -173,8 +175,9 @@ def _voters(run: PipelineResult) -> None:
     )
     run.manifest["voters_reused"] = reuse
     if reuse:
-        paths = (run.record(f"voter_{i}", f"voter_{i}.bin") for i in range(count))
-        run.ensemble = VoterEnsemble([load_model(p) for p in paths])
+        for i in range(count):
+            run.record(f"voter_{i}", f"voter_{i}.bin")
+        run.ensemble = _load_voters(run)
         run.record("voters_fingerprint", stamp.name)
         if run.ensemble.vocab != run.vocab or run.ensemble.voters[0].label_names != run.train.label_set.names:
             raise CompatibilityError("saved voters do not fit the training corpus; delete voters.sha256 to retrain")
@@ -192,8 +195,15 @@ def _voters(run: PipelineResult) -> None:
     run.record("voters_fingerprint", stamp.name)
 
 
+def _load_voters(run: PipelineResult) -> VoterEnsemble:
+    """The voters that the manifest lists, read from their files."""
+    artifacts = run.manifest["artifacts"]
+    return VoterEnsemble([load_model(artifacts[f"voter_{i}"]) for i in range(run.cfg.voters.count)])
+
+
 def _difficulty(run: PipelineResult) -> None:
     run.difficulty = difficulty_scores(run.ensemble, run.train)
+    run.ensemble = None  # the voters' last reader; voter-ensemble's report loads their files
     with run.write("difficulty_tsv", "difficulty.tsv") as f:
         dump_scores_tsv(run.train, run.difficulty.confidence, run.difficulty, f)
 
@@ -258,7 +268,7 @@ def _self_train(run: PipelineResult) -> None:
     if run.cfg.mode != "full-st":
         return
     if run.model is None:
-        run.model = load_model(run.out_dir / "model.bin")
+        run.model = load_model(run.record("model", "model.bin"))
         if run.model.label_names != run.train.label_set.names:
             raise CompatibilityError("model.bin's label set does not match the training corpus")
     log: list[dict] = []
@@ -276,7 +286,7 @@ def _report(run: PipelineResult) -> None:
     if run.model is not None:
         run.report = evaluate(run.model, test, run.cfg.require_type_match)
     else:  # mode voter-ensemble: the argmax of the mean voter distribution
-        labels = np.argmax(confidence_table(run.ensemble, test).distributions, axis=1)
+        labels = np.argmax(confidence_table(_load_voters(run), test).distributions, axis=1)
         run.report = evaluate_labels(labels, test, run.cfg.require_type_match)
     write_text(run.record("report", "report.json"), run.report.to_json() + "\n")
 
@@ -331,12 +341,11 @@ def stages_up_to(until: str | None) -> list[Stage]:
     return [s for s in STAGES if s.name in wanted]
 
 
-def _remove_later_artifacts(out_dir: Path, stages: list[Stage]) -> None:
-    """Remove the files of every stage after ``stages[-1]`` in ``STAGES``
-    that no stage in ``stages`` writes: they describe an earlier run."""
-    ours = {path for stage in stages for pattern in stage.writes for path in out_dir.glob(pattern)}
-    later = [pattern for stage in STAGES[STAGES.index(stages[-1]) + 1 :] for pattern in stage.writes]
-    for path in {path for pattern in later for path in out_dir.glob(pattern)} - ours:
+def _remove_unlisted_artifacts(out_dir: Path, manifest: dict) -> None:
+    """Remove every file of a stage's ``writes`` that the manifest does not
+    list: it describes an earlier run."""
+    listed = {Path(path) for path in manifest["artifacts"].values()}
+    for path in {path for stage in STAGES for pattern in stage.writes for path in out_dir.glob(pattern)} - listed:
         path.unlink()
 
 
@@ -361,9 +370,9 @@ def run_pipeline(cfg: PipelineConfig, until: str | None = None) -> PipelineResul
         "status": "running",
     }
 
+    run = None
     try:
         run = _read_inputs(cfg, until, out_dir, manifest)
-        _remove_later_artifacts(out_dir, stages)  # none after a whole pipeline
         for stage in stages:
             wall, cpu = time.perf_counter(), time.process_time()
             stage.run(run)
@@ -377,6 +386,8 @@ def run_pipeline(cfg: PipelineConfig, until: str | None = None) -> PipelineResul
         manifest["error"] = f"{type(exc).__name__}: {exc}"
         raise
     finally:
+        if run is not None:  # a run that failed to read its inputs removes nothing
+            _remove_unlisted_artifacts(out_dir, manifest)
         manifest["wall_clock_seconds"] = time.time() - started
         write_text(out_dir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import io
 import json
 import math
@@ -6,6 +7,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import weakref
 from dataclasses import asdict, fields
 from fnmatch import fnmatch
 from pathlib import Path
@@ -20,9 +22,11 @@ from pucl.cli import build_parser, main
 from pucl.config import config_from_dict, load_config
 from pucl.corpus import Token, Vocab, read_conll, write_conll
 from pucl.errors import FormatError, NumericError
+from pucl.evaluation import evaluate_labels
 from pucl.model import load_checkpoint
 from pucl.pipeline import STAGES, run_pipeline, stages_up_to
 from pucl.seeding import derive_seed
+from pucl.voters import confidence_table
 
 
 def read(path):
@@ -67,6 +71,13 @@ def small_config(synth_dir, out_dir, mode="full", seed=11):
 def write_config(cfg: dict, path: Path) -> str:
     path.write_text(json.dumps(cfg), encoding="utf-8")
     return str(path)
+
+
+def listed_and_on_disk(out_dir: Path) -> tuple[set[str], set[str]]:
+    """The file names the manifest lists, and those in ``out_dir`` besides the manifest."""
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    listed = {Path(p).name for p in manifest["artifacts"].values()}
+    return listed, {p.name for p in out_dir.iterdir()} - {"manifest.json"}
 
 
 class TestSeedDerivation:
@@ -233,6 +244,42 @@ class TestPipeline:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["status"] == "ok"
         assert "train" in manifest["inputs"]
+
+    @pytest.mark.parametrize("mode", ["full", "voter-ensemble"])
+    def test_voters_are_freed_once_the_corpus_is_scored(self, synth_dir, tmp_path, monkeypatch, mode):
+        refs = []
+        train = pucl.pipeline.train_voters
+
+        def spy(*args, **kwargs):
+            ensemble = train(*args, **kwargs)
+            refs.extend(weakref.ref(voter) for voter in ensemble.voters)
+            return ensemble
+
+        monkeypatch.setattr(pucl.pipeline, "train_voters", spy)
+        result = run_pipeline(config_from_dict(small_config(synth_dir, tmp_path / "run", mode=mode)))
+        gc.collect()
+        assert len(refs) == 2 and all(ref() is None for ref in refs)
+        assert result.report is not None
+
+    def test_voter_ensemble_report_is_the_in_memory_ensembles(self, synth_dir, tmp_path, monkeypatch):
+        # the report stage loads the voter files the voters stage recorded;
+        # the checkpoint round trip is exact, so the report keeps its bytes
+        ensembles, loaded = [], []
+        train, load = pucl.pipeline.train_voters, pucl.pipeline.load_model
+
+        def keep(*args, **kwargs):
+            ensembles.append(train(*args, **kwargs))
+            return ensembles[-1]
+
+        monkeypatch.setattr(pucl.pipeline, "train_voters", keep)
+        monkeypatch.setattr(pucl.pipeline, "load_model", lambda path: loaded.append(Path(path).name) or load(path))
+        out = tmp_path / "run"
+        cfg = config_from_dict(small_config(synth_dir, out, mode="voter-ensemble"))
+        result = run_pipeline(cfg)
+        assert loaded == ["voter_0.bin", "voter_1.bin"]
+        labels = np.argmax(confidence_table(ensembles[0], result.test).distributions, axis=1)
+        oracle = evaluate_labels(labels, result.test, cfg.require_type_match)
+        assert (out / "report.json").read_text() == oracle.to_json() + "\n"
 
     def test_checkpoints_are_float32(self, trained):
         for name in ("model.bin", "voter_0.bin"):
@@ -629,6 +676,46 @@ class TestStagedCommands:
         assert listed == on_disk
         if command == "train":  # it ran from the first stage: every file is listed
             assert listed == {p.name for p in out_dir.iterdir()} - {"manifest.json"}
+
+    def test_another_mode_leaves_only_what_its_manifest_lists(self, synth_dir, tmp_path):
+        # A voter-ensemble pipeline left the full-st run's model, self-training
+        # log and validation metrics beside its own files, unlisted.
+        out_dir = tmp_path / "run"
+        cfg = small_config(synth_dir, out_dir, mode="full-st")
+        cfg["valid"] = str(synth_dir / "valid.tsv")
+        cfg_path = write_config(cfg, tmp_path / "cfg.json")
+        stale = ("model.bin", "selftrain_log.jsonl", "valid_metrics.jsonl")
+        assert main(["pipeline", "--config", cfg_path]) == 0
+        assert all((out_dir / name).exists() for name in stale)
+        assert main(["pipeline", "--config", cfg_path, "--mode", "voter-ensemble"]) == 0
+        assert not [name for name in stale if (out_dir / name).exists()]
+        listed, on_disk = listed_and_on_disk(out_dir)
+        assert listed == on_disk and "report.json" in listed
+
+    def test_fewer_voters_leave_no_stale_voter(self, synth_dir, tmp_path):
+        out_dir = tmp_path / "run"
+        cfg = small_config(synth_dir, out_dir)
+        cfg["voters"]["count"] = 7
+        assert main(["train-voters", "--config", write_config(cfg, tmp_path / "seven.json")]) == 0
+        assert (out_dir / "voter_6.bin").exists()
+        cfg["voters"]["count"] = 5
+        assert main(["train-voters", "--config", write_config(cfg, tmp_path / "five.json")]) == 0
+        assert sorted(p.name for p in out_dir.glob("voter_*.bin")) == [f"voter_{i}.bin" for i in range(5)]
+        listed, on_disk = listed_and_on_disk(out_dir)
+        assert listed == on_disk
+
+    def test_a_bad_test_path_leaves_the_previous_run_alone(self, synth_dir, tmp_path, capsys):
+        # a run that fails before its inputs are read removes nothing
+        out_dir = tmp_path / "run"
+        cfg = small_config(synth_dir, out_dir, mode="full-st")
+        assert main(["pipeline", "--config", write_config(cfg, tmp_path / "a.json")]) == 0
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir() if p.name != "manifest.json"}
+        cfg["test"] = str(tmp_path / "missing.tsv")
+        cfg_path = write_config(cfg, tmp_path / "b.json")
+        assert main(["pipeline", "--config", cfg_path, "--mode", "voter-ensemble"]) == 2
+        assert "test file not found" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir() if p.name != "manifest.json"} == before
+        assert json.loads((out_dir / "manifest.json").read_text())["status"] == "error"
 
     def test_analyze_command(self, synth_dir, tmp_path):
         out_dir = tmp_path / "analyze"

@@ -396,6 +396,26 @@ class TestEncodedCorpus:
         with pytest.raises(ValueError):
             rows[0, 0] = 5
 
+    def test_windows_are_int32_views_of_the_int64_rows(self):
+        corpus = parse("a\tX\nb\tO\nzz\tO\n\nc\tX\n\nb\tO\na\tX\n\n")
+        vocab = Vocab(["a", "b", "c"])
+        rows = corpus.windows(vocab, 2)
+        expected = np.concatenate(
+            [loop_window_rows(vocab.encode_sentence(s), 2) for s in corpus.sentence_surfaces()]
+        )
+        assert expected.dtype == np.int64
+        assert rows.dtype == np.int32 and not rows.flags.writeable
+        assert np.array_equal(rows, expected)
+
+    def test_a_vocabulary_beyond_int32_is_rejected_before_any_allocation(self):
+        class HugeVocab:  # only a size: encoding or allocating would fail otherwise
+            size = np.iinfo(np.int32).max + 1
+
+        corpus = parse("a\tX\nb\tO\n\n")
+        with pytest.raises(ValueError, match="int32"):
+            corpus.windows(HugeVocab(), 1)
+        assert corpus._windows is None
+
     def test_windows_built_once_per_vocab_and_window(self, monkeypatch):
         corpus = parse("a\tX\nb\tO\n\nc\tX\n\n")
         encoded = []

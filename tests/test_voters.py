@@ -15,8 +15,11 @@ from oracles import (
     oracle_full_batch_voter_step,
     oracle_scores_tsv,
 )
+import pucl.curriculum
+import pucl.voters
 from pucl.cli import main
 from pucl.corpus import Corpus, LabelSet, Sentence, Token, build_vocab
+from pucl.curriculum import build_plan
 from pucl.distant import SyntheticSpec, generate_synthetic, inject_noise
 from pucl.model import SCORE_BLOCK_ROWS, TOKEN_BLOCK_ROWS, AdamState, ModelConfig, TokenClassifier, train_epoch
 from pucl.risk import PROB_FLOOR
@@ -245,18 +248,19 @@ def random_ensemble(corpus, count, dtype="float64"):
 
 
 class TestBlockedScoring:
-    # Below one block; exactly one block; one block and a sentence that
-    # crosses its end (tokens 4090..4099).
-    SIZES = (TOKEN_BLOCK_ROWS - 1000, TOKEN_BLOCK_ROWS, TOKEN_BLOCK_ROWS + 4)
+    # Whole blocks and a short one; whole blocks only; whole blocks and a
+    # sentence across the last block end (tokens 4090..4099). Both short
+    # last blocks start inside a sentence.
+    SIZES = (3096, 4096, 4100)
 
     @pytest.mark.parametrize("count", [2, 5])
     @pytest.mark.parametrize("n_tokens", SIZES)
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_equals_the_whole_corpus_stack(self, count, n_tokens, dtype):
         corpus = block_corpus(n_tokens)
-        assert corpus.n_tokens == n_tokens
-        if n_tokens > TOKEN_BLOCK_ROWS:
-            assert TOKEN_BLOCK_ROWS not in corpus.offsets
+        assert corpus.n_tokens == n_tokens and 4096 % TOKEN_BLOCK_ROWS == 0
+        if n_tokens % TOKEN_BLOCK_ROWS:
+            assert n_tokens - n_tokens % TOKEN_BLOCK_ROWS not in corpus.offsets
         ens = random_ensemble(corpus, count, dtype)
         mean, lam, scores = oracle_difficulty_scores(ens, corpus)
         table = difficulty_scores(ens, corpus)
@@ -304,9 +308,31 @@ class TestBlockedScoring:
         four = block_corpus(8 * TOKEN_BLOCK_ROWS)
         small = working_memory(one, random_ensemble(one, 5))
         large = working_memory(four, random_ensemble(four, 5))
-        # the 4x corpus has 24,576 more tokens; the stack alone held 240 bytes
-        # of each, about 5.9 MB
+        # the 4x corpus has 6,144 more tokens; the stack alone held 240 bytes
+        # of each, about 1.5 MB
         assert large < small + 128 * 1024, (small, large)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_outputs_do_not_depend_on_the_token_block(self, monkeypatch, dtype):
+        corpus = block_corpus(5099)  # a multiple of none of the block sizes
+        ens = random_ensemble(corpus, 3, dtype)
+
+        class Writes(list):
+            write = list.append
+
+        outputs = []
+        for rows in (256, 1024, 4096):
+            monkeypatch.setattr(pucl.voters, "TOKEN_BLOCK_ROWS", rows)
+            monkeypatch.setattr(pucl.curriculum, "TOKEN_BLOCK_ROWS", rows)
+            table = difficulty_scores(ens, corpus)
+            tsv = Writes()
+            dump_scores_tsv(corpus, table.confidence, table, tsv)
+            assert len(tsv) == -(-corpus.n_tokens // rows)
+            plan = build_plan(table, corpus, 0.5, 3)
+            outputs.append((table.scores, table.confidence.lam, "".join(tsv), plan.to_json(corpus)))
+        for scores, lam, tsv, plan in outputs[1:]:
+            assert np.array_equal(scores, outputs[0][0]) and np.array_equal(lam, outputs[0][1])
+            assert (tsv, plan) == outputs[0][2:]
 
 
 def mostly_empty_batches_corpus():
