@@ -197,7 +197,7 @@ class TokenClassifier:
         """Probabilities [N, n_classes] for window-index rows [N, 2w+1],
         plus the cache backward_rows needs."""
         n = rows.shape[0]
-        flat = self.embedding[rows].reshape(n, -1)
+        flat = self.embedding.take(rows, axis=0).reshape(n, -1)
         hidden = flat @ self.w1
         hidden += self.b1
         np.tanh(hidden, out=hidden)

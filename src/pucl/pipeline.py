@@ -6,11 +6,10 @@ recorded on both success and failure.
 runs its stage and the stages it needs, and reuses the voters only when
 ``voters.sha256`` matches (see ``_voters``); the plan is always rebuilt.
 ``self-train`` needs no stage: it starts from the saved ``model.bin``.
-Once its inputs are read, a run ends, ok or not, by removing every file of
-a stage's ``writes`` that its manifest does not list, so the directory holds
-what the manifest describes. Artifacts are written to a temporary file and
-moved into place with ``os.replace``, so a killed run leaves the old file or
-the new one.
+An artifact is written to a temporary file, moved into place with
+``os.replace`` and only then listed in the manifest. Once its inputs are
+read, a run ends, ok or not, by removing every stage artifact and temporary
+file that its manifest does not list, so the directory holds what it lists.
 
 With a fixed seed two runs produce byte-identical artifacts; the
 manifest, which records the wall-clock time of the run and the wall and
@@ -116,19 +115,24 @@ class PipelineResult:
     report: EvalReport | None = None
 
     def record(self, name: str, filename: str) -> Path:
-        """Record artifact ``name`` in the manifest; returns its path."""
+        """List artifact ``name`` in the manifest. A stage calls it only for a file it reads and keeps."""
         path = self.out_dir / filename
         self.manifest["artifacts"][name] = str(path)
         return path
 
-    def write(self, name: str, filename: str, mode: str = "w"):
-        """Record artifact ``name`` and open it with ``atomic_open``."""
-        return atomic_open(self.record(name, filename), mode)
+    @contextmanager
+    def write(self, name: str, filename: str, mode: str = "w") -> Iterator[IO]:
+        """Write ``filename`` with ``atomic_open``; ``name`` enters the manifest once its bytes are in place."""
+        with atomic_open(self.out_dir / filename, mode) as f:
+            yield f
+        self.record(name, filename)
+
+    def write_text(self, name: str, filename: str, text: str) -> None:
+        with self.write(name, filename) as f:
+            f.write(text)
 
     def write_jsonl(self, name: str, filename: str, records: list[dict]) -> None:
-        with self.write(name, filename) as f:
-            for rec in records:
-                f.write(json.dumps(rec, sort_keys=True) + "\n")
+        self.write_text(name, filename, "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records))
 
 
 # --- stages ---------------------------------------------------------------------
@@ -161,8 +165,7 @@ def _voters(run: PipelineResult) -> None:
     """Train the voters, or, for a stage subcommand, load the saved ones if
     ``voters.sha256`` matches. The fingerprint is removed before any voter
     is rewritten and written after the last one is in place, so a
-    fingerprint on disk always describes the voter files there. A file
-    enters the manifest once it is in place."""
+    fingerprint on disk always describes the voter files there."""
     cfg = run.cfg
     count = cfg.voters.count
     fingerprint = _voter_fingerprint(run)
@@ -187,12 +190,9 @@ def _voters(run: PipelineResult) -> None:
         run.train, run.model_config, cfg.voters, derive_seed(cfg.seed, "voters"), vocab=run.vocab
     )
     for i, voter in enumerate(run.ensemble.voters):
-        path = run.out_dir / f"voter_{i}.bin"
-        with atomic_open(path, "wb") as f:
+        with run.write(f"voter_{i}", f"voter_{i}.bin", "wb") as f:
             save_checkpoint(voter, f)
-        run.record(f"voter_{i}", path.name)
-    write_text(stamp, fingerprint + "\n")
-    run.record("voters_fingerprint", stamp.name)
+    run.write_text("voters_fingerprint", stamp.name, fingerprint + "\n")
 
 
 def _load_voters(run: PipelineResult) -> VoterEnsemble:
@@ -214,7 +214,7 @@ def _plan(run: PipelineResult) -> None:
         run.plan = single_curriculum_plan(run.train, tau)
     else:
         run.plan = build_plan(run.difficulty, run.train, tau, run.cfg.curriculum.eta)
-    write_text(run.record("plan", "plan.json"), run.plan.to_json(run.train) + "\n")
+    run.write_text("plan", "plan.json", run.plan.to_json(run.train) + "\n")
 
 
 # Mode -> classifier trainer; mode voter-ensemble trains none. The lambdas
@@ -288,7 +288,7 @@ def _report(run: PipelineResult) -> None:
     else:  # mode voter-ensemble: the argmax of the mean voter distribution
         labels = np.argmax(confidence_table(_load_voters(run), test).distributions, axis=1)
         run.report = evaluate_labels(labels, test, run.cfg.require_type_match)
-    write_text(run.record("report", "report.json"), run.report.to_json() + "\n")
+    run.write_text("report", "report.json", run.report.to_json() + "\n")
 
 
 def _analysis(run: PipelineResult) -> None:
@@ -296,7 +296,7 @@ def _analysis(run: PipelineResult) -> None:
     if train.has_gold():
         with run.write("curriculum_analysis", "curriculum_analysis.csv") as f:
             curriculum_error_analysis(run.plan, train, run.difficulty).to_csv(f)
-        write_text(run.record("noise_report", "noise_report.json"), noise_report(train).to_json() + "\n")
+        run.write_text("noise_report", "noise_report.json", noise_report(train).to_json() + "\n")
     positives = train.distant_array() > 0
     with run.write("difficulty_hist_all", "difficulty_hist_all.csv") as f:
         difficulty_histogram(scores, 30).to_csv(f)
@@ -343,9 +343,11 @@ def stages_up_to(until: str | None) -> list[Stage]:
 
 def _remove_unlisted_artifacts(out_dir: Path, manifest: dict) -> None:
     """Remove every file of a stage's ``writes`` that the manifest does not
-    list: it describes an earlier run."""
+    list, and the temporary files a killed run left: they are an earlier run's."""
     listed = {Path(path) for path in manifest["artifacts"].values()}
-    for path in {path for stage in STAGES for pattern in stage.writes for path in out_dir.glob(pattern)} - listed:
+    writes = [pattern for stage in STAGES for pattern in stage.writes]
+    temps = [f".{pattern}.*.tmp" for pattern in writes + ["manifest.json"]]
+    for path in {path for pattern in writes + temps for path in out_dir.glob(pattern)} - listed:
         path.unlink()
 
 

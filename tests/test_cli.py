@@ -8,6 +8,7 @@ import struct
 import subprocess
 import sys
 import weakref
+from contextlib import contextmanager
 from dataclasses import asdict, fields
 from fnmatch import fnmatch
 from pathlib import Path
@@ -19,7 +20,7 @@ import pucl.pipeline
 import pucl.voters
 from pucl.benchmark import BENCHMARK_CONFIG, BenchmarkSpec, make_benchmark
 from pucl.cli import build_parser, main
-from pucl.config import config_from_dict, load_config
+from pucl.config import MODES, config_from_dict, load_config
 from pucl.corpus import Token, Vocab, read_conll, write_conll
 from pucl.errors import FormatError, NumericError
 from pucl.evaluation import evaluate_labels
@@ -1011,8 +1012,23 @@ class TestStageReuse:
         assert plan["t_u"] + plan["t_p"] == read(tmp_path / "small" / "train.tsv").n_tokens
 
 
+def failing_write(filename: str):
+    """``pipeline.atomic_open`` with a write of ``filename`` that raises
+    once its bytes are written, before they are moved into place."""
+    real = pucl.pipeline.atomic_open
+
+    @contextmanager
+    def atomic_open(path, mode="w"):
+        with real(path, mode) as f:
+            yield f
+            if Path(path).name == filename:
+                raise OSError(f"no space left writing {filename}")
+
+    return atomic_open
+
+
 class TestAtomicWrites:
-    def test_killed_checkpoint_write_keeps_the_old_model(self, synth_dir, tmp_path, monkeypatch, capsys):
+    def test_failed_checkpoint_write_lists_no_model(self, synth_dir, tmp_path, monkeypatch, capsys):
         out = tmp_path / "run"
         assert main(["pipeline", "--config", write_config(small_config(synth_dir, out), tmp_path / "a.json")]) == 0
         before = (out / "model.bin").read_bytes()
@@ -1028,9 +1044,48 @@ class TestAtomicWrites:
         cfg_path = write_config(small_config(synth_dir, out, seed=12), tmp_path / "b.json")
         assert main(["pipeline", "--config", cfg_path]) == 2  # an OSError is exit 2
         assert "killed while writing" in capsys.readouterr().err
-        assert (out / "model.bin").read_bytes() == before
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert "model" not in manifest["artifacts"] and not (out / "model.bin").exists()
         assert not list(out.glob("*.tmp")) and not list(out.glob(".*"))
-        assert json.loads((out / "manifest.json").read_text())["status"] == "error"
+
+    @pytest.mark.parametrize("filename", ["plan.json", "risk_log.jsonl", "model.bin", "voter_0.bin", "voters.sha256"])
+    def test_failed_write_is_not_listed(self, synth_dir, tmp_path, monkeypatch, capsys, filename):
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", write_config(small_config(synth_dir, out), tmp_path / "a.json")]) == 0
+        assert (out / filename).exists()
+        monkeypatch.setattr(pucl.pipeline, "atomic_open", failing_write(filename))
+        cfg_path = write_config(small_config(synth_dir, out, seed=12), tmp_path / "b.json")
+        assert main(["pipeline", "--config", cfg_path]) == 2
+        assert f"writing {filename}" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        listed, on_disk = listed_and_on_disk(out)
+        assert filename not in listed and not (out / filename).exists()
+        assert listed == on_disk
+
+    def test_failed_self_train_keeps_the_teacher(self, synth_dir, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "run"
+        cfg_path = write_config(small_config(synth_dir, out), tmp_path / "cfg.json")
+        assert main(["pipeline", "--config", cfg_path]) == 0
+        teacher = (out / "model.bin").read_bytes()
+        monkeypatch.setattr(pucl.pipeline, "atomic_open", failing_write("model.bin"))
+        assert main(["self-train", "--config", cfg_path]) == 2
+        assert "writing model.bin" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert Path(manifest["artifacts"]["model"]) == out / "model.bin"
+        assert (out / "model.bin").read_bytes() == teacher
+
+    def test_killed_runs_temp_files_are_removed(self, synth_dir, tmp_path):
+        out = tmp_path / "run"
+        out.mkdir()
+        planted = [".model.bin.99999.tmp", ".voter_0.bin.99999.tmp", ".manifest.json.99999.tmp"]
+        for name in planted + [".notes"]:
+            (out / name).write_bytes(b"cut off")
+        assert main(["pipeline", "--config", write_config(small_config(synth_dir, out), tmp_path / "a.json")]) == 0
+        assert not any((out / name).exists() for name in planted)
+        assert (out / ".notes").exists()  # not a name that a run writes
 
     def test_cut_voter_rewrite_is_never_reused(self, synth_dir, tmp_path, monkeypatch, capsys):
         out = tmp_path / "run"
@@ -1108,6 +1163,15 @@ class TestStageList:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["stages"] == [s.name for s in STAGES]
         assert sorted(Path(p).name for p in manifest["artifacts"].values()) == written
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_listed_artifact_matches_a_stage_pattern(self, synth_dir, tmp_path, mode):
+        out = tmp_path / "run"
+        cfg_path = write_config(small_config(synth_dir, out, mode=mode), tmp_path / "cfg.json")
+        assert main(["pipeline", "--config", cfg_path]) == 0
+        patterns = [pattern for stage in STAGES for pattern in stage.writes]
+        listed, _ = listed_and_on_disk(out)
+        assert listed and all(any(fnmatch(name, pattern) for pattern in patterns) for name in listed)
 
     def test_trainers_are_looked_up_when_called(self, synth_dir, tmp_path, monkeypatch):
         # a tracer replaces module-level names; the mode table must see it

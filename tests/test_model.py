@@ -104,6 +104,9 @@ class TestForward:
         assert rows.shape == (2, 5)
         assert rows[0, 0] == Vocab.PAD and rows[0, 1] == Vocab.PAD
         assert rows[0, 2] == 4 and rows[1, 1] == 4
+        for dtype in (np.int32, np.intp):  # the gather against fancy indexing
+            _, (_, flat, _, _) = model.forward_rows(rows.astype(dtype))
+            assert np.array_equal(flat, model.embedding[rows].reshape(len(rows), -1))
 
     def test_softmax_extreme_logits(self):
         out = softmax(np.array([[1e3, -1e3, 0.0]]))
