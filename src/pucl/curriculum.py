@@ -23,7 +23,7 @@ import numpy as np
 
 from .corpus import Corpus, Vocab
 from .errors import NumericError
-from .model import TOKEN_BLOCK_ROWS, AdamState, BatchRisk, ModelConfig, TokenClassifier, train_epoch
+from .model import TOKEN_BLOCK_ROWS, AdamState, BatchRisk, ModelConfig, TokenClassifier, reduce_classes, train_epoch
 from .risk import ConfMpuConfig, Priors, conf_mpu_risk, kl_soft_rows, pn_risk
 from .seeding import derive_seed, make_rng
 from .voters import ConfidenceTable, DifficultyTable
@@ -340,7 +340,7 @@ def sharpen(dist: np.ndarray, exponent: float) -> np.ndarray:
     """Raise probabilities to a power and renormalize; exponent 1 is the
     identity, larger exponents concentrate mass on the argmax."""
     powered = np.asarray(dist, dtype=np.float64) ** exponent
-    return np.divide(powered, powered.sum(axis=-1, keepdims=True), out=powered)
+    return np.divide(powered, reduce_classes(np.add, powered)[..., None], out=powered)
 
 
 def self_train(

@@ -11,11 +11,15 @@ are float64, and the embedding gradient sums in float64 and rounds once.
 
 Exactness contract: a training step does the textbook float operations in
 the textbook order over the rows it is given, so a fixed seed gives the
-same bytes however the step is implemented. A step costs about what its
-batch touches: the embedding gradient is compact, one row per vocabulary
-row the batch references (no ``[V, d]`` array is built), and sums each
-row's contributions in token order starting from 0.0. The dense layers
-w1, b1, w2 and b2 are 64-byte aligned views of one flat buffer, and so
+same bytes however the step is implemented. Every reduction over the
+class axis (softmax's max and sum, backward's inner product, the risks'
+row sums) goes through ``reduce_classes``: below 8 classes it runs left to
+right, one column at a time, which is numpy's order there; from 8 classes
+on it is numpy's own reduction, which sums pairwise. A step costs about
+what its batch touches: the embedding gradient is compact, one row per
+vocabulary row the batch references (no ``[V, d]`` array is built), and
+sums each row's contributions in token order starting from 0.0. The dense
+layers w1, b1, w2 and b2 are 64-byte aligned views of one flat buffer, and so
 are their gradient, Adam's moments and its scratch. ``adam_step`` does
 Adam's operations (Kingma & Ba, arXiv:1412.6980) in their usual order:
 once over the whole dense buffer in place, since they are elementwise,
@@ -113,12 +117,26 @@ class Gradients:
     b2: np.ndarray
 
 
+def reduce_classes(op: np.ufunc, values: np.ndarray) -> np.ndarray:
+    """``op`` (``np.add``, ``np.maximum``) over the class axis, the last, of
+    ``values``, into a new array: bitwise ``op.reduce(values, axis=-1)``.
+    Below 8 classes numpy sums left to right, and so does this, one column
+    at a time, at a fraction of numpy's per-call cost on a batch of few
+    classes. From 8 classes on numpy sums pairwise, so it reduces there."""
+    if values.shape[-1] >= 8:
+        return op.reduce(values, axis=-1)
+    out = values[..., 0].copy()
+    for j in range(1, values.shape[-1]):
+        op(out, values[..., j], out=out)
+    return out
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max subtraction, in place on ``logits``, which
     it returns; finite for |logits| up to ~1e3 and beyond."""
-    logits -= logits.max(axis=-1, keepdims=True)
+    logits -= reduce_classes(np.maximum, logits)[..., None]
     np.exp(logits, out=logits)
-    logits /= logits.sum(axis=-1, keepdims=True)
+    logits /= reduce_classes(np.add, logits)[..., None]
     return logits
 
 
@@ -221,12 +239,16 @@ class TokenClassifier:
             raise ValueError(f"dense gradient buffer shape {out.shape} != {self.dense.shape}")
         dense = self.dense_buffer() if out is None else out
         grads = self.dense_views(dense)
-        inner = (dprobs * probs).sum(axis=1, keepdims=True)
-        dlogits = probs * (dprobs - inner)
+        dlogits = dprobs * probs
+        inner = reduce_classes(np.add, dlogits)
+        np.subtract(dprobs, inner[:, None], out=dlogits)
+        dlogits *= probs
         np.matmul(hidden.T, dlogits, out=grads["w2"])
         np.sum(dlogits, axis=0, out=grads["b2"])
-        dhidden = dlogits @ self.w2.T
-        dz1 = dhidden * (1.0 - hidden**2)
+        dz1 = dlogits @ self.w2.T  # the hidden layer's gradient, then through tanh:
+        slope = np.square(hidden)
+        np.subtract(1.0, slope, out=slope)
+        dz1 *= slope
         np.matmul(flat.T, dz1, out=grads["w1"])
         np.sum(dz1, axis=0, out=grads["b1"])
         dflat = dz1 @ self.w1.T

@@ -254,7 +254,7 @@ def _train(run: PipelineResult) -> None:
             run, schedule=cfg.schedule(), seed=derive_seed(cfg.seed, "train"), vocab=run.vocab,
             model_config=run.model_config, log=log, stage_callback=stage_callback,
         )
-    run.write_jsonl("risk_log", "risk_log.jsonl", log)
+        run.write_jsonl("risk_log", "risk_log.jsonl", log)
     if stage_metrics:
         run.write_jsonl("valid_metrics", "valid_metrics.jsonl", stage_metrics)
     if run.model is not None:

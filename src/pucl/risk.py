@@ -32,6 +32,7 @@ from typing import Literal
 import numpy as np
 
 from .corpus import Corpus
+from .model import reduce_classes
 
 PROB_FLOOR = 1e-12
 
@@ -46,28 +47,40 @@ def _check_loss_kind(kind: str) -> None:
         raise ValueError(f"loss kind must be 'ce' or 'mae', got {kind!r}")
 
 
+def _loss_columns(
+    probs: np.ndarray, targets: np.ndarray | int, kind: LossKind
+) -> tuple[np.ndarray, np.ndarray | float, float]:
+    """A loss against class ids ``targets`` (an array, or one id for every
+    row): the per-row values, the gradient in each row's target column,
+    and the gradient in every other column, which is a constant. CE reads
+    only the target column; MAE's value sums every column's term left to
+    right (``reduce_classes``)."""
+    at_target = (slice(None), targets) if isinstance(targets, int) else (np.arange(len(probs)), targets)
+    if kind == "ce":
+        p_t = np.maximum(probs[at_target], PROB_FLOOR)
+        return -np.log(p_t), -1.0 / p_t, 0.0
+    terms = np.abs(probs)  # |onehot - p| off the target column
+    terms[at_target] = np.abs(1.0 - probs[at_target])
+    return reduce_classes(np.add, terms), -1.0, 1.0
+
+
 def ce_rows(probs: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Negative log-likelihood of the target class, rows at a time.
 
     Probabilities are floored at 1e-12 so the value and gradient stay finite.
     """
-    n = probs.shape[0]
-    p_t = np.maximum(probs[np.arange(n), targets], PROB_FLOOR)
-    values = -np.log(p_t)
+    values, target_grad, _ = _loss_columns(probs, targets, "ce")
     grads = np.zeros_like(probs)
-    grads[np.arange(n), targets] = -1.0 / p_t
+    grads[np.arange(len(probs)), targets] = target_grad
     return values, grads
 
 
 def mae_rows(probs: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """L1 distance to the one-hot target: 2 * (1 - p_target) on a valid
     distribution, bounded by [0, 2]."""
-    n = probs.shape[0]
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(n), targets] = 1.0
-    values = np.abs(onehot - probs).sum(axis=1)
+    values, _, _ = _loss_columns(probs, targets, "mae")
     grads = np.ones_like(probs)
-    grads[np.arange(n), targets] = -1.0
+    grads[np.arange(len(probs)), targets] = -1.0
     return values, grads
 
 
@@ -83,7 +96,7 @@ def kl_soft_rows(probs: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np
     t = np.asarray(targets)
     p = np.maximum(probs, PROB_FLOOR)
     logt = np.log(np.maximum(t, PROB_FLOOR))
-    values = (t * (logt - np.log(p))).sum(axis=1)
+    values = reduce_classes(np.add, t * (logt - np.log(p)))
     grads = -t / p
     return values, grads
 
@@ -202,27 +215,33 @@ def conf_mpu_risk(
 
     One ``active`` mask picks the rows with a gradient: positive rows past
     the clamp (per token, or per class with ``aggregate_clamp``) and
-    unlabeled rows at or below the gate.
+    unlabeled rows at or below the gate. A row's gradient is l(f,y)'s
+    plus ``coeff`` times l(f,0)'s, scaled by its class's weight. Both
+    losses' gradients are one constant off their target column, so the
+    gradient is built from three column vectors: column 0, column y and
+    every other column; on unlabeled rows the first two are one.
     """
     labels = np.asarray(labels)
     lam = np.asarray(lam, dtype=np.float64)
-    if probs.shape[0] != len(labels) or len(lam) != len(labels):
+    n = len(labels)
+    if probs.shape[0] != n or len(lam) != n:
         raise ValueError("probs, labels and lam must agree in length")
     k = priors.k
     if probs.shape[1] != k + 1:
         raise ValueError(f"probs have {probs.shape[1]} classes, priors imply {k + 1}")
-    if labels.dtype.kind not in "iu" or np.any((labels < 0) | (labels > k)):
+    if labels.dtype.kind not in "iu" or (n and (labels.min() < 0 or labels.max() > k)):
         raise ValueError(f"distant labels must be class ids in 0..{k}")
-    if not np.all((lam >= 0.0) & (lam <= 1.0)):
+    if n and not (lam.min() >= 0.0 and lam.max() <= 1.0):  # a NaN fails both tests
         raise ValueError("confidence scores must lie in [0, 1]")
 
-    ly_val, ly_grad = loss_rows(probs, labels, cfg.loss)
-    l0_val, l0_grad = loss_rows(probs, np.zeros(len(labels), dtype=np.int64), cfg.loss)
+    ly_val, ly_grad, off_grad = _loss_columns(probs, labels, cfg.loss)
+    l0_val, l0_grad, _ = _loss_columns(probs, 0, cfg.loss)
     positive = labels > 0
     over = lam > cfg.epsilon
-    # coefficient of l(f,0): 1/lam above the threshold, minus the subtracted
-    # term on positive rows; 0 on gated-in unlabeled rows, where l(f,y) = l(f,0)
-    coeff = np.where(over, np.divide(1.0, lam, where=over, out=np.ones_like(lam)), 0.0) - positive
+    # coefficient of l(f,0): 1/lam above the threshold (True / lam), minus the
+    # subtracted term on positive rows; 0 on gated-in unlabeled rows, where
+    # l(f,y) = l(f,0)
+    coeff = over / np.where(over, lam, 1.0) - positive
     inner = ly_val + coeff * l0_val
 
     counts = np.bincount(labels, minlength=k + 1)
@@ -237,13 +256,26 @@ def conf_mpu_risk(
     positive_terms = scale * np.array([inner[rows & active].sum() for rows in of_class])
     unlabeled_term = float(l0_val[active & ~positive].sum() / t_0) if t_0 else 0.0
 
-    # gamma * pi_y / T_y times the inner term's gradient on active positive
-    # rows, l(f,0)'s gradient over t_0 on gated-in unlabeled rows, 0 elsewhere
-    grads = coeff[:, None] * l0_grad
-    grads += ly_grad
-    grads *= np.append(1.0, cfg.gamma * scale)[labels, None]
-    grads /= np.append(float(t_0), np.ones(k))[labels, None]
-    grads[~active] = 0.0
+    # per row, (coeff * l(f,0)'s gradient + l(f,y)'s gradient) times
+    # gamma * pi_y / T_y on positive rows and over t_0 on unlabeled ones,
+    # column by column; 0 on inactive rows
+    columns = np.empty((2 if cfg.loss == "ce" else 3, n))
+    np.multiply(coeff, l0_grad, out=columns[0])
+    columns[0] += np.where(positive, off_grad, ly_grad)
+    np.multiply(coeff, np.where(positive, off_grad, l0_grad), out=columns[1])
+    columns[1] += ly_grad
+    if len(columns) == 3:
+        np.multiply(coeff, off_grad, out=columns[2])
+        columns[2] += off_grad
+    weight, divisor = np.empty(k + 1), np.ones(k + 1)
+    weight[0], weight[1:], divisor[0] = 1.0, cfg.gamma * scale, t_0
+    columns *= weight[labels]
+    columns /= divisor[labels]
+    columns = np.where(active, columns, 0.0)
+    # CE's gradient off columns 0 and y is 0 * coeff + 0.0, scaled: +0.0
+    grads = np.zeros((n, k + 1)) if len(columns) == 2 else np.repeat(columns[2][:, None], k + 1, axis=1)
+    grads[:, 0] = columns[0]
+    grads[np.arange(n), labels] = columns[1]
 
     total = cfg.gamma * float(positive_terms.sum()) + unlabeled_term
     breakdown = RiskBreakdown(

@@ -19,7 +19,7 @@ from typing import IO, Iterator
 import numpy as np
 
 from .corpus import Corpus, Vocab
-from .model import TOKEN_BLOCK_ROWS, AdamState, ModelConfig, TokenClassifier, train_epoch
+from .model import TOKEN_BLOCK_ROWS, AdamState, ModelConfig, TokenClassifier, reduce_classes, train_epoch
 from .risk import PROB_FLOOR, LossKind, pn_risk, sample_negatives
 from .seeding import derive_seed, make_rng
 
@@ -152,7 +152,7 @@ class ConfidenceTable:
         if distributions.shape[0] != corpus.n_tokens:
             raise ValueError("distribution count does not match corpus tokens")
         self.distributions = distributions
-        self.lam = distributions[:, 1:].sum(axis=1)
+        self.lam = reduce_classes(np.add, distributions[:, 1:])
 
 
 class DifficultyTable:
@@ -199,7 +199,8 @@ def difficulty_scores(ensemble: VoterEnsemble, corpus: Corpus) -> DifficultyTabl
         for i in range(v):
             for j in range(i + 1, v):
                 logratio = logs[i] - logs[j]  # KL(i || j) + KL(j || i), halved:
-                total[block] += 0.5 * ((floored[i] * logratio).sum(axis=1) + (floored[j] * -logratio).sum(axis=1))
+                kl_ij = reduce_classes(np.add, floored[i] * logratio)
+                total[block] += 0.5 * (kl_ij + reduce_classes(np.add, floored[j] * -logratio))
     total /= v * (v - 1) / 2
     # floors can leave tiny negatives behind; difficulty is non-negative
     return DifficultyTable(corpus, np.maximum(total, 0.0, out=total), ConfidenceTable(corpus, mean))

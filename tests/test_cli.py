@@ -693,6 +693,19 @@ class TestStagedCommands:
         listed, on_disk = listed_and_on_disk(out_dir)
         assert listed == on_disk and "report.json" in listed
 
+    def test_voter_ensemble_writes_no_risk_log(self, synth_dir, tmp_path):
+        # The mode trains no classifier, yet it wrote and listed an empty
+        # risk_log.jsonl in place of the earlier run's.
+        out_dir = tmp_path / "run"
+        cfg_path = write_config(small_config(synth_dir, out_dir), tmp_path / "cfg.json")
+        assert main(["pipeline", "--config", cfg_path]) == 0
+        assert (out_dir / "risk_log.jsonl").stat().st_size > 0
+        assert main(["pipeline", "--config", cfg_path, "--mode", "voter-ensemble"]) == 0
+        assert not (out_dir / "risk_log.jsonl").exists()
+        assert "risk_log" not in json.loads((out_dir / "manifest.json").read_text())["artifacts"]
+        listed, on_disk = listed_and_on_disk(out_dir)
+        assert listed == on_disk
+
     def test_fewer_voters_leave_no_stale_voter(self, synth_dir, tmp_path):
         out_dir = tmp_path / "run"
         cfg = small_config(synth_dir, out_dir)

@@ -22,6 +22,7 @@ from pucl.model import (
     adam_step,
     load_checkpoint,
     predict,
+    reduce_classes,
     save_checkpoint,
     softmax,
     train_epoch,
@@ -112,6 +113,28 @@ class TestForward:
         out = softmax(np.array([[1e3, -1e3, 0.0]]))
         assert np.all(np.isfinite(out))
         assert out.sum() == pytest.approx(1.0)
+
+
+class TestReduceClasses:
+    """The class-axis reduction of softmax, backward and the risks is
+    numpy's own result, bit for bit: a column loop below 8 classes, and
+    numpy's pairwise sum from 8 on."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("classes", [*range(2, 10), 16, 40])
+    def test_bitwise_numpy(self, dtype, classes):
+        rng = np.random.default_rng(classes)
+        scale = 10.0 ** rng.integers(-8, 9, size=(300, classes))
+        values = (rng.standard_normal((300, classes)) * scale).astype(dtype)
+        for v in (values, values[::2, ::-1]):  # contiguous, and a strided view
+            assert reduce_classes(np.add, v).tobytes() == v.sum(axis=1).tobytes()
+            assert reduce_classes(np.maximum, v).tobytes() == v.max(axis=-1).tobytes()
+        special = values.copy()
+        special[:60] = rng.choice(np.array([np.inf, -np.inf, np.nan, 1.0, -2.0], dtype=dtype), size=(60, classes))
+        special[60] = np.nan
+        special[61] = -np.inf
+        assert reduce_classes(np.maximum, special).tobytes() == special.max(axis=-1).tobytes()
+        assert reduce_classes(np.add, values[:1]).tobytes() == values[:1].sum(axis=1).tobytes()
 
 
 class TestBackward:
@@ -467,6 +490,30 @@ class TestCompactStep:
         # the reused buffer's padding between the views stays zero
         grad = state.dense_grad
         assert np.sum(grad != 0.0) == sum(np.sum(x != 0.0) for x in model.dense_views(grad).values())
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_backward_into_the_optimisers_buffer_equals_a_fresh_buffer(self, dtype):
+        # a fresh-buffer call between two steps into AdamState.dense_grad,
+        # in either order, catches a gradient view of a stale buffer
+        model = small_model(seed=5, embed=4, window=1, hidden=6, classes=4, dtype=dtype)
+        state = AdamState.for_model(model, 1e-2)
+        rng = np.random.default_rng(5)
+        for step in range(2):
+            probs, cache = model.forward_rows(loop_window_rows(rng.integers(0, 8, size=6), model.config.window))
+            dprobs = rng.standard_normal(probs.shape)
+            if step == 0:
+                fresh = model.backward_rows(cache, dprobs)
+                into = model.backward_rows(cache, dprobs, out=state.dense_grad)
+            else:
+                into = model.backward_rows(cache, dprobs, out=state.dense_grad)
+                fresh = model.backward_rows(cache, dprobs)
+            assert into.dense is state.dense_grad and fresh.dense is not state.dense_grad
+            for name in ("embedding_rows", "embedding", "dense", "w1", "b1", "w2", "b2"):
+                assert getattr(into, name).tobytes() == getattr(fresh, name).tobytes(), (step, name)
+            for name in ("w1", "b1", "w2", "b2"):
+                assert np.shares_memory(getattr(into, name), state.dense_grad), (step, name)
+                assert not np.shares_memory(getattr(fresh, name), state.dense_grad), (step, name)
+            adam_step(model, into, state)
 
     def test_float32_training_stays_float32(self):
         # a silent upcast anywhere in the step would leave every other test

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -449,14 +450,16 @@ class TestOnePass:
     def test_two_loss_evaluations_per_batch(self, monkeypatch, k, aggregate_clamp):
         import pucl.risk as risk_mod
 
+        # the kernel evaluates a loss through ``_loss_columns``: count the
+        # rows of each evaluation
         calls = []
-        real = risk_mod.loss_rows
+        real = risk_mod._loss_columns
 
         def counted(*args):
-            calls.append(len(args[1]))
+            calls.append(len(args[0]))
             return real(*args)
 
-        monkeypatch.setattr(risk_mod, "loss_rows", counted)
+        monkeypatch.setattr(risk_mod, "_loss_columns", counted)
         probs, labels, lam, priors = random_batch(np.random.default_rng(k), k, 90)
         labels[: k + 1] = np.arange(k + 1)
         cfg = ConfMpuConfig(loss="ce", aggregate_clamp=aggregate_clamp)
@@ -484,4 +487,24 @@ class TestConfMpuInputs:
             conf_mpu_risk(
                 self.PROBS, np.array([label, 2, 0]), np.array([np.nan, 0.9, 0.1]),
                 self.PRIORS, ConfMpuConfig(),
+            )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "labels, lam, message",
+        [
+            ([1, 3, 0], [0.9, 0.1, 0.9], "distant labels must be class ids in 0..2"),
+            ([1, -1, 0], [0.9, 0.1, 0.9], "distant labels must be class ids in 0..2"),
+            ([0, 2, 1], [np.nan, 0.9, 0.1], "confidence scores must lie in [0, 1]"),
+            ([0, 2, 1], [0.9, 0.1, np.nan], "confidence scores must lie in [0, 1]"),
+            ([0, 2, 1], [np.nan, np.nan, np.nan], "confidence scores must lie in [0, 1]"),
+            ([0, 2, 1], [0.9, -0.1, 0.1], "confidence scores must lie in [0, 1]"),
+            ([0, 2, 1], [0.9, 0.1, 1.5], "confidence scores must lie in [0, 1]"),
+        ],
+        ids=["above-k", "negative", "nan-first", "nan-last", "all-nan", "below-0", "above-1"],
+    )
+    def test_checks_hold_at_either_dtype(self, dtype, labels, lam, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            conf_mpu_risk(
+                self.PROBS.astype(dtype), np.array(labels), np.array(lam), self.PRIORS, ConfMpuConfig()
             )
