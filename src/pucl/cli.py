@@ -4,7 +4,10 @@ Subcommands cover single pipeline stages (annotate, train-voters,
 score-difficulty, build-plan, train, self-train, evaluate, analyze) and
 whole experiments (pipeline, sweep, gen-synthetic). train-voters,
 score-difficulty, build-plan, train, self-train and analyze each run the
-pipeline up to their stage (see ``pipeline.py``). Exit codes: 0 ok, 2
+pipeline up to their stage (see ``pipeline.py``). A command imports only
+the modules it runs: ``annotate`` and ``gen-synthetic`` load no model,
+``evaluate`` no training code, and only the pipeline commands load
+``config`` and ``pipeline``. Exit codes: 0 ok, 2
 input format error (a path that cannot be opened, or a size that needs
 more memory than there is, included), 3 compatibility error, 4 numeric
 failure.
@@ -17,11 +20,11 @@ import json
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .benchmark import BENCHMARK_CONFIG, BenchmarkSpec, make_benchmark
-from .config import MODES, PipelineConfig, load_config
 from .corpus import LabelSet, read_corpus, write_conll
 from .distant import Dictionary, annotate, compile_dictionary, noise_report, read_dictionary_pairs, write_dictionary
 from .errors import (
@@ -31,10 +34,11 @@ from .errors import (
     PuclError,
     UnknownLabelError,
 )
-from .evaluation import evaluate
-from .model import load_model
-from .pipeline import atomic_open, run_pipeline, write_text
 from .seeding import derive_seed
+from .shared import MODES, atomic_open, write_text
+
+if TYPE_CHECKING:
+    from .config import PipelineConfig
 
 
 # --- the pipeline, whole or up to a stage -----------------------------------
@@ -42,6 +46,8 @@ from .seeding import derive_seed
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
     """``pipeline``, or a stage subcommand: the pipeline up to ``args.until``."""
+    from .pipeline import run_pipeline
+
     result = run_pipeline(_load_cfg(args), until=args.until)
     if result.report is not None:
         print(result.report.to_json())
@@ -76,6 +82,9 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from .evaluation import evaluate
+    from .model import load_model
+
     model = load_model(args.model)
     try:
         label_set = LabelSet(model.label_names)
@@ -96,6 +105,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from .pipeline import run_pipeline
+
     cfg = _load_cfg(args)
     if cfg.test is None:
         raise CompatibilityError("sweep needs a test corpus in the config")
@@ -164,6 +175,8 @@ def cmd_gen_synthetic(args: argparse.Namespace) -> int:
 
 
 def _load_cfg(args: argparse.Namespace) -> PipelineConfig:
+    from .config import load_config
+
     if not getattr(args, "config", None):
         raise FormatError("this command needs --config")
     overrides = {name: getattr(args, name, None) for name in ("seed", "threads", "out", "mode")}

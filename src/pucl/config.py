@@ -19,9 +19,8 @@ from .curriculum import SelfTrainConfig, StageSchedule, check_power_law
 from .errors import FormatError
 from .model import ModelConfig
 from .risk import ConfMpuConfig
+from .shared import MODES
 from .voters import VoterConfig
-
-MODES = ("full", "full-st", "no-curriculum", "no-confmpu", "voter-ensemble", "soft-label-curriculum")
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,9 @@ O_NAME = "O"
 #: Hard default for splitting over-long sentences on read.
 DEFAULT_MAX_SENTENCE_LEN = 256
 
+#: Tokens that ``write_conll`` joins into one write.
+WRITE_BLOCK_TOKENS = 4096
+
 
 class LabelSet:
     """Ordered entity-type names. Id 0 is reserved for ``O``/unlabeled."""
@@ -308,32 +311,43 @@ def read_conll(
     gold: list[int] = []
     offsets = [0]
     checked: dict[str, str] = {}  # a surface known to be one run of non-whitespace -> the one object kept
-    n = 0
+    add_surface, add_distant, add_gold, add_offset = surfaces.append, distant.append, gold.append, offsets.append
+    id_of, checked_surface = ids.get, checked.get
+    n = start = 0  # tokens read; the flat index of the current sentence's first token
     for lineno, line in enumerate(stream, 1):
         line = line.rstrip("\n").rstrip("\r")
-        if line == "":
-            if n > offsets[-1]:
-                offsets.append(n)
+        if not line:
+            if n > start:
+                add_offset(n)
+                start = n
             continue
         cols = line.split("\t")
-        if not 2 <= len(cols) <= 3:
+        if len(cols) == 3:
+            surface, d_name, g_name = cols
+            d = id_of(d_name)
+            add_distant(new_label(d_name, lineno) if d is None else d)
+            g = id_of(g_name)
+            add_gold(new_label(g_name, lineno) if g is None else g)
+        elif len(cols) == 2:
+            surface, d_name = cols
+            d = id_of(d_name)
+            add_distant(new_label(d_name, lineno) if d is None else d)
+            add_gold(-1)
+        else:
             raise FormatError(f"line {lineno}: expected 2 or 3 columns, got {len(cols)}")
-        surface, d_name, g_name = cols if len(cols) == 3 else (*cols, None)
-        d = ids.get(d_name)
-        distant.append(new_label(d_name, lineno) if d is None else d)
-        g = -1 if g_name is None else ids.get(g_name)
-        gold.append(new_label(g_name, lineno) if g is None else g)
-        if surface not in checked:
+        kept = checked_surface(surface)
+        if kept is None:
             # The same test as `not s or any(c.isspace() for c in s)`, and faster.
             if surface.split() != [surface]:
                 raise FormatError(f"line {lineno}: bad token surface: {surface!r}")
-            checked[surface] = surface
-        surfaces.append(checked[surface])
+            kept = checked[surface] = surface
+        add_surface(kept)
         n += 1
-        if n - offsets[-1] == max_sentence_len:
-            offsets.append(n)
-    if n > offsets[-1]:
-        offsets.append(n)
+        if n - start == max_sentence_len:
+            add_offset(n)
+            start = n
+    if n > start:
+        add_offset(n)
     if n == 0:
         raise FormatError("empty corpus input")
     if label_set is None:
@@ -356,15 +370,24 @@ def read_corpus(
 def write_conll(corpus: Corpus, stream: IO[str]) -> None:
     """Inverse of read_conll, written from the columns: each sentence is
     terminated by one blank line, so the file ends with exactly one blank
-    line. Gold labels are written as a third column when present."""
+    line. Gold labels are written as a third column when present. The text
+    goes out in one write per ``WRITE_BLOCK_TOKENS`` tokens."""
     names = (O_NAME,) + corpus.label_set.names
     surfaces, distant, gold, offsets = corpus._columns()
-    # Every token's line ends in one of these, indexed by its (distant, gold) pair.
+    # Every token's line ends in one of these, indexed by its (distant, gold)
+    # pair; a sentence's last token takes the second copy, which carries the
+    # blank line.
     endings = [f"\t{d}\t{g}\n" if g else f"\t{d}\n" for d in names for g in ("",) + names]
-    pairs = (distant * (len(names) + 1) + gold + 1).tolist()
-    bounds = offsets.tolist()
-    for a, b in zip(bounds, bounds[1:]):
-        stream.write("".join([s + endings[p] for s, p in zip(surfaces[a:b], pairs[a:b])]) + "\n")
+    endings += [ending + "\n" for ending in endings]
+    codes = distant * (len(names) + 1) + gold + 1
+    codes[offsets[1:] - 1] += len(endings) // 2
+    codes = codes.tolist()
+    for a in range(0, len(codes), WRITE_BLOCK_TOKENS):
+        block = codes[a : a + WRITE_BLOCK_TOKENS]
+        lines = [""] * (2 * len(block))
+        lines[::2] = surfaces[a : a + WRITE_BLOCK_TOKENS]
+        lines[1::2] = map(endings.__getitem__, block)
+        stream.write("".join(lines))
 
 
 def find_spans(labels: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

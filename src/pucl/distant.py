@@ -89,9 +89,9 @@ def write_dictionary(dictionary: Dictionary, stream: IO[str]) -> None:
 class MatcherIndex:
     """First-token lookup over dictionary entries.
 
-    Buckets map a first token to its candidate entries, longest first, so a
-    scan position answers "which entries could start here" without touching
-    the rest of the dictionary.
+    Buckets map a first token to its candidate entries, longest first (then
+    smallest type id), so ``annotate`` answers "which entries could start
+    here" at a position without touching the rest of the dictionary.
     """
 
     def __init__(self, dictionary: Dictionary):
@@ -101,16 +101,6 @@ class MatcherIndex:
         for key in buckets:
             buckets[key].sort(key=lambda e: (-len(e[0]), e[1], e[0]))
         self.buckets = buckets
-
-    def candidates_at(self, folded: Sequence[str], start: int) -> list[tuple[int, int]]:
-        """(length, label) of every entry matching exactly at ``start``,
-        longest first."""
-        out: list[tuple[int, int]] = []
-        for tokens, label in self.buckets.get(folded[start], ()):
-            length = len(tokens)
-            if start + length <= len(folded) and tuple(folded[start : start + length]) == tokens:
-                out.append((length, label))
-        return out
 
 
 def compile_dictionary(dictionary: Dictionary) -> MatcherIndex:
@@ -122,34 +112,43 @@ def annotate(surfaces: Sequence[str], matcher: MatcherIndex) -> list[int]:
     """Label a sentence's token surfaces with the max-coverage
     non-overlapping match set.
 
-    Dynamic program over start positions, right to left: best(i) is the best
-    labeling of tokens[i:]. At equal coverage a match starting at i beats
-    skipping i, and among matches the longest (then smallest type id) wins,
-    which realizes the global leftmost-longest tie rule.
+    Dynamic program over start positions, right to left: ``cover[i]`` is
+    the coverage of the best labeling of tokens[i:], and ``choice[i]`` the
+    entry it starts with at i, or None to skip i. At equal coverage a match
+    starting at i beats skipping i, and among matches the longest (then
+    smallest type id) wins, which realizes the global leftmost-longest tie
+    rule.
     """
     folded = [s.casefold() for s in surfaces]
     n = len(folded)
-    # best[i] = (coverage of tokens[i:], chosen (length, label) at i or None)
-    best: list[tuple[int, tuple[int, int] | None]] = [(0, None)] * (n + 1)
+    buckets = matcher.buckets
+    cover = [0] * (n + 1)
+    choice: list[tuple[tuple[str, ...], int] | None] = [None] * n
     for i in range(n - 1, -1, -1):
-        cov, choice = best[i + 1][0], None
-        for length, label in matcher.candidates_at(folded, i) if folded[i] in matcher.buckets else ():
-            cand_cov = length + best[i + length][0]
-            # candidates_at yields longest-first, ties by smallest label,
-            # so strict improvement keeps the preferred option
-            if cand_cov > cov or (cand_cov == cov and choice is None):
-                cov, choice = cand_cov, (length, label)
-        best[i] = (cov, choice)
+        best = cover[i + 1]
+        for entry in buckets.get(folded[i], ()):
+            # A bucket is longest first, ties by smallest label, so only a
+            # strict improvement replaces the first match taken. The bucket's
+            # key is the first token, so a one-token entry matches as it is.
+            length = len(entry[0])
+            end = i + length
+            if end <= n:
+                cand = length + cover[end]
+                if (cand > best or (cand == best and choice[i] is None)) and (
+                    length == 1 or tuple(folded[i:end]) == entry[0]
+                ):
+                    best, choice[i] = cand, entry
+        cover[i] = best
 
     labels = [0] * n
     i = 0
     while i < n:
-        choice = best[i][1]
-        if choice is None:
+        entry = choice[i]
+        if entry is None:
             i += 1
         else:
-            length, label = choice
-            labels[i : i + length] = [label] * length
+            length = len(entry[0])
+            labels[i : i + length] = [entry[1]] * length
             i += length
     return labels
 

@@ -13,15 +13,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import IO
+from typing import IO, TYPE_CHECKING
 
 import numpy as np
 
 from .corpus import Corpus, find_spans
 from .errors import CompatibilityError
 from .model import TokenClassifier, predict
-from .curriculum import CurriculumPlan
-from .voters import DifficultyTable
+
+if TYPE_CHECKING:
+    from .curriculum import CurriculumPlan
+    from .voters import DifficultyTable
 
 
 @dataclass(frozen=True)

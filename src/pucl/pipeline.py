@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import platform
 import time
 from contextlib import contextmanager
@@ -55,6 +54,7 @@ from .evaluation import (
 from .model import ModelConfig, TokenClassifier, load_model, save_checkpoint
 from .risk import estimate_priors
 from .seeding import derive_seed
+from .shared import atomic_open, write_text
 from .voters import (
     DifficultyTable,
     VoterEnsemble,
@@ -63,27 +63,6 @@ from .voters import (
     dump_scores_tsv,
     train_voters,
 )
-
-
-@contextmanager
-def atomic_open(path: str | Path, mode: str = "w") -> Iterator[IO]:
-    """Open a temporary file beside ``path`` and move it onto ``path`` when
-    the block ends. If the block raises, the temporary file is removed and
-    ``path`` keeps its old bytes."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as f:
-            yield f
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-def write_text(path: str | Path, text: str) -> None:
-    with atomic_open(path) as f:
-        f.write(text)
 
 
 def _sha256(path: Path) -> str:

@@ -13,11 +13,26 @@ from typing import Sequence
 
 import numpy as np
 
-from pucl.corpus import Corpus, LabelSet, Sentence, Token, Vocab
+from pucl.corpus import O_NAME, Corpus, LabelSet, Sentence, Token, Vocab
 from pucl.distant import Dictionary
 from pucl.evaluation import Metrics
 from pucl.model import TokenClassifier
 from pucl.risk import Priors, RiskBreakdown, loss_rows
+
+
+# --- corpus writing: one join and one write per sentence ----------------------
+
+
+def oracle_write_conll(corpus: Corpus, stream) -> None:
+    """The per-sentence writer that ``write_conll``'s block writer must
+    match byte for byte."""
+    names = (O_NAME,) + corpus.label_set.names
+    surfaces, distant, gold, offsets = corpus._columns()
+    endings = [f"\t{d}\t{g}\n" if g else f"\t{d}\n" for d in names for g in ("",) + names]
+    pairs = (distant * (len(names) + 1) + gold + 1).tolist()
+    bounds = offsets.tolist()
+    for a, b in zip(bounds, bounds[1:]):
+        stream.write("".join([s + endings[p] for s, p in zip(surfaces[a:b], pairs[a:b])]) + "\n")
 
 
 # --- dictionary matching: exhaustive non-overlapping subset search ------------
@@ -55,9 +70,17 @@ def oracle_annotate(words, entries, label_set):
     return labels
 
 
-def count_candidates(words, matcher):
+def count_candidates(words, entries, label_set):
+    """How many distinct (start, entry) matches ``words`` holds: the
+    candidates ``oracle_annotate`` enumerates subsets of."""
     folded = [w.casefold() for w in words]
-    return sum(len(matcher.candidates_at(folded, i)) for i in range(len(words)))
+    return len({
+        (start, tuple(toks), label_set.id_of(type_name))
+        for surface, type_name in entries
+        for toks in [surface.casefold().split()]
+        for start in range(len(folded) - len(toks) + 1)
+        if folded[start : start + len(toks)] == toks
+    })
 
 
 # --- confidence-weighted PU estimator: direct transcription --------------------

@@ -452,6 +452,32 @@ class TestEvaluateCommand:
         assert code == 0
         assert len(built) == 1
 
+    @pytest.mark.parametrize("command", ["annotate", "evaluate"])
+    def test_a_command_loads_only_the_modules_it_runs(self, synth_dir, tmp_path, trained, command):
+        # Every command imported the whole package, the training code included.
+        argv = {
+            "annotate": ["--dict", str(synth_dir / "dict.tsv"), "--in", str(synth_dir / "test.tsv"),
+                         "--out", str(tmp_path / "annotated.tsv")],
+            "evaluate": ["--model", str(trained / "model.bin"), "--test", str(synth_dir / "test.tsv"),
+                         "--out", str(tmp_path / "report.json")],
+        }[command]
+        script = (
+            "import sys; from pucl.cli import main; code = main(sys.argv[1:]); "
+            "print(*sorted(name for name in sys.modules if name.startswith('pucl.'))); sys.exit(code)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, command, *argv],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(Path(pucl.pipeline.__file__).parents[1]), "PATH": "/usr/bin:/bin"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert {"pucl.corpus", "pucl.distant"} <= loaded
+        training = {"pucl.pipeline", "pucl.config", "pucl.curriculum", "pucl.voters", "pucl.risk"}
+        unused = training | {"pucl.model"} if command == "annotate" else training
+        assert not loaded & unused
+
     def test_label_mismatch_exit_3(self, tmp_path, trained):
         bad = tmp_path / "bad.tsv"
         bad.write_text("x\tZZZ\tZZZ\n\n", encoding="utf-8")

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pucl.corpus import (
+    WRITE_BLOCK_TOKENS,
     Corpus,
     LabelSet,
     Sentence,
@@ -18,7 +19,7 @@ from pucl.corpus import (
 )
 from pucl.errors import FormatError, UnknownLabelError
 
-from oracles import extract_spans, loop_window_rows
+from oracles import extract_spans, loop_window_rows, oracle_write_conll
 
 
 def parse(text: str, **kwargs) -> Corpus:
@@ -142,6 +143,34 @@ class TestWriteConll:
         out = io.StringIO()
         write_conll(corpus, out)
         assert parse(out.getvalue()) == corpus
+
+    @pytest.mark.parametrize(
+        "n_tokens, last_len",
+        [(1, 1)] + [(WRITE_BLOCK_TOKENS + d, last) for d in (-1, 0, 1) for last in (1, 2)],
+    )
+    def test_blocks_write_the_per_sentence_bytes(self, n_tokens, last_len):
+        # The corpus ends on a sentence of `last_len` tokens, so at one block
+        # +1 tokens a sentence either starts at the block edge or spans it.
+        rng = np.random.default_rng(n_tokens + last_len)
+        ls = LabelSet(["A", "B"])
+        lengths, body = [], n_tokens - last_len
+        while sum(lengths) < body:
+            lengths.append(min(int(rng.integers(1, 5)), body - sum(lengths)))  # one-token sentences included
+        lengths.append(last_len)
+        sentences = [
+            Sentence(tuple(
+                # gold None writes a two-column line
+                Token(f"w{rng.integers(0, 50)}", int(rng.integers(0, 3)), [None, 0, 1, 2][rng.integers(0, 4)])
+                for _ in range(n)
+            ))
+            for n in lengths
+        ]
+        corpus = Corpus(sentences, ls)
+        assert corpus.n_tokens == n_tokens
+        out, expected = io.StringIO(), io.StringIO()
+        write_conll(corpus, out)
+        oracle_write_conll(corpus, expected)
+        assert out.getvalue() == expected.getvalue()
 
 
 SURFACE = st.text(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import extract_spans, oracle_annotate, oracle_generate_synthetic, oracle_inject_noise
+from oracles import count_candidates, extract_spans, oracle_annotate, oracle_generate_synthetic, oracle_inject_noise
 from pucl.corpus import Corpus, LabelSet, Sentence, Token
 from pucl.distant import (
     Dictionary,
@@ -54,9 +54,13 @@ class TestCompile:
             entries.append((surface, "T" if rng.random() < 0.5 else "U"))
         d = Dictionary.build(entries, LS)
         idx = compile_dictionary(d)
+        smallest = {}
         for tokens, label in d.entries:
-            hits = idx.candidates_at(list(tokens), 0)
-            assert (len(tokens), label) in hits
+            smallest[tokens] = min(label, smallest.get(tokens, label))
+        for tokens, label in d.entries:
+            # The entry itself covers the whole sentence, and among full-length
+            # matches the smallest type id wins.
+            assert annotate(list(tokens), idx) == [smallest[tokens]] * len(tokens)
 
 
 class TestAnnotate:
@@ -88,12 +92,9 @@ class TestAnnotate:
                 surface = " ".join(vocab[int(rng.integers(0, len(vocab)))] for _ in range(length))
                 entries.append((surface, "T" if rng.random() < 0.5 else "U"))
             words = [vocab[int(rng.integers(0, len(vocab)))] for _ in range(int(rng.integers(1, 11)))]
-            idx = compile_dictionary(Dictionary.build(entries, LS))
-            n_candidates = sum(
-                len(idx.candidates_at([w.casefold() for w in words], i)) for i in range(len(words))
-            )
-            if n_candidates > 12:
+            if count_candidates(words, entries, LS) > 12:
                 continue
+            idx = compile_dictionary(Dictionary.build(entries, LS))
             checked += 1
             assert annotate(words, idx) == oracle_annotate(words, entries, LS), (
                 words,
@@ -112,10 +113,9 @@ class TestAnnotate:
                 for _ in range(4)
             ]
             words = [vocab[int(rng.integers(0, 6))] for _ in range(8)]
-            idx = compile_dictionary(Dictionary.build(entries, LS))
-            folded = [w.casefold() for w in words]
-            if sum(len(idx.candidates_at(folded, i)) for i in range(len(words))) > 12:
+            if count_candidates(words, entries, LS) > 12:
                 continue
+            idx = compile_dictionary(Dictionary.build(entries, LS))
             ours = sum(1 for lab in annotate(words, idx) if lab != 0)
             oracle = sum(1 for lab in oracle_annotate(words, entries, LS) if lab != 0)
             assert ours == oracle

@@ -1,8 +1,8 @@
 """Every module-level function and class of ``src/pucl`` is used by the
 package itself. A name that only its own tests call is a second path that
 production never runs, so it goes, and its tests move onto the path the
-package does run. ``__init__.py`` re-exports names and does not count as a
-use.
+package does run. ``__init__.py`` holds only the package docstring and
+version, and is not read.
 """
 
 import ast

@@ -6,16 +6,19 @@
 
 For every workload and seed this runs each tree's ``perfbench/run.py
 --trace 0`` once, the trees in turn, with the first tree swapped from seed
-to seed so that neither side always runs first; then one ``--trace 1`` run
-per workload and tree at the first seed. The workloads and the run length
-are BENCHMARK.json's (``workloads``, ``run_seconds``). It reads each
+to seed so that neither side always runs first; then, in the same order,
+one ``--trace 1`` run per workload and tree at each of the first
+``TRACED_SEEDS`` seeds. The workloads and the run length are
+BENCHMARK.json's (``workloads``, ``run_seconds``). It reads each
 invocation's JSON result (its last line of standard output) and the
-harness's ``env`` record, and writes per tree and workload the median and quartiles of every
-end-to-end metric over the seeds, and the traced per-layer metrics. With
-two or more trees it also compares the last tree with the first seed by
-seed: how many pairs it wins on each end-to-end metric (ties count for
-neither), and whether the medians differ by more than the first tree's
-quartile spread.
+harness's ``env`` record, then removes the invocation's work directory,
+which holds every run's outputs (several GB over a collection). It writes
+per tree and workload the median and quartiles of every end-to-end metric
+over the seeds, and each per-layer metric as the median of the traced
+invocations, with their values. With two or more trees it also compares
+the last tree with the first seed by seed: how many pairs it wins on each
+end-to-end metric (ties count for neither), and whether the medians differ
+by more than the first tree's quartile spread.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -35,6 +39,9 @@ STALE = {
     "corpus.encode_calls": "counts encode_corpus cache hits, not encodings",
 }
 MISSING = "the larger paper-bench variant that the north star names does not exist yet (ROADMAP item 4)"
+#: Traced invocations per workload and tree: one traced run reads a per-layer
+#: time up to a quarter off its own median.
+TRACED_SEEDS = 3
 
 
 def tree_record(path: Path) -> dict:
@@ -65,6 +72,7 @@ def run_harness(tree: Path, workload: str, seed: int, seconds: float, trace: int
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     saved = tree / ".perfbench" / "results" / f"{workload}-seed{seed}-trace{trace}.json"
     env = json.loads(saved.read_text(encoding="utf-8"))["env"]
+    shutil.rmtree(tree / ".perfbench" / "work" / f"{workload}-seed{seed}", ignore_errors=True)
     print(f"{tree} {workload} seed {seed} trace {trace}: correct={result['correct']} "
           f"wall_s={result['metrics'].get('wall_s', {}).get('value')}", flush=True)
     return result, env
@@ -80,6 +88,21 @@ def summarise(runs: list[dict]) -> dict:
     metrics = runs[0]["metrics"]
     return {name: {**spread([r["metrics"][name]["value"] for r in runs]), "unit": metrics[name]["unit"]}
             for name in metrics}
+
+
+def median_result(results: list[dict]) -> dict:
+    """One result from several invocations: every metric's median, with
+    the values it is the median of."""
+    units = {name: metric["unit"] for name, metric in results[0]["metrics"].items()}
+    values = {name: [r["metrics"][name]["value"] for r in results] for name in units}
+    return {
+        "correct": all(r["correct"] for r in results),
+        "attempted": sum(r["attempted"] for r in results),
+        "failed": sum(r["failed"] for r in results),
+        "metrics": {
+            name: {"value": statistics.median(v), "values": v, "unit": units[name]} for name, v in values.items()
+        },
+    }
 
 
 def compare(base: list[dict], change: list[dict], better: dict[str, str]) -> dict:
@@ -124,9 +147,12 @@ def main(argv: list[str] | None = None) -> int:
             for label, path in trees[::-1] if i % 2 else trees:
                 result, envs[label] = run_harness(path, workload, seed, seconds, 0)
                 runs[label][workload].append({"seed": seed, **result})
-        for label, path in trees:
-            result, _ = run_harness(path, workload, seeds[0], seconds, 1)
-            traced[label][workload] = {"seed": seeds[0], **result}
+        traced_runs = {label: [] for label, _ in trees}
+        for i, seed in enumerate(seeds[:TRACED_SEEDS]):
+            for label, path in trees[::-1] if i % 2 else trees:
+                traced_runs[label].append(run_harness(path, workload, seed, seconds, 1)[0])
+        for label, results in traced_runs.items():
+            traced[label][workload] = {"seeds": seeds[:TRACED_SEEDS], **median_result(results)}
 
     bench = {
         "about": "perfbench/run.py results gathered by tools/bench_collect.py (see its docstring)",

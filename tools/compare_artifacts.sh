@@ -5,8 +5,9 @@
 #
 # For each seed, each tree runs `gen-synthetic` (default sizes) into a
 # relative directory, so the two config.json files hold the same paths.
-# Both trees then run `pipeline` in all six modes and `evaluate` on the
-# PARENT tree's generated files. The `gen-synthetic --help` text and every
+# Both trees then run `pipeline` in all six modes, `evaluate` and an
+# `annotate` of the test split with its dictionary on the PARENT tree's
+# generated files. The `gen-synthetic --help` text and every
 # command's stdout are compared too. manifest.json (timings) and
 # voters.sha256 (a hash of the package sources) are skipped. Prints each
 # path that differs and exits 1 if any does; the outputs are then kept.
@@ -41,6 +42,8 @@ for side in parent change; do
                 > "stdout-$seed-$mode.txt"
         done
         pucl "$tree" evaluate --model "run-$seed-full/model.bin" --test "data-$seed/test.tsv" > "evaluate-$seed.txt"
+        pucl "$tree" annotate --dict "data-$seed/dict.tsv" --in "data-$seed/test.tsv" --out "annotated-$seed.tsv" \
+            > "annotate-$seed.txt"
     done
 done
 
