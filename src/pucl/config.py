@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Any, get_args, get_type_hints
+from typing import Any, Literal, get_args, get_origin, get_type_hints
 
 from .corpus import DEFAULT_MAX_SENTENCE_LEN
 from .curriculum import SelfTrainConfig, StageSchedule, check_power_law
@@ -93,10 +93,6 @@ class PipelineConfig:
     def schedule(self) -> StageSchedule:
         return self.curriculum.schedule(self.risk)
 
-    def snapshot(self) -> dict:
-        """JSON-ready dict of the fully-defaulted configuration."""
-        return asdict(self)
-
     def with_overrides(self, **kwargs: Any) -> "PipelineConfig":
         return replace(self, **{k: v for k, v in kwargs.items() if v is not None})
 
@@ -108,16 +104,19 @@ def _typed(value: Any, key: str, kind: Any, where: str) -> Any:
     """``value`` if it is a JSON value of ``kind``, else FormatError.
     Nothing is coerced: a JSON boolean is not an integer, and only a float
     field also takes an integer, and never NaN or an infinity (which Python's
-    ``json`` reads). A ``Literal`` of strings is a string, and ``str | None``
-    also takes null."""
+    ``json`` reads). A ``Literal`` of strings is one of its strings, and
+    ``str | None`` also takes null."""
     if value is None and type(None) in get_args(kind):
         return None
+    choices = get_args(kind) if get_origin(kind) is Literal else ()
     kind = str if get_args(kind) else kind  # a Literal of strings, or str | None
     accepted = (int, float) if kind is float else kind
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
         raise FormatError(f"{where} {key!r} must be a JSON {_JSON_NAMES[kind]}, got {value!r}")
     if kind is float and not math.isfinite(value):
         raise FormatError(f"{where} {key!r} must be a finite number, got {value!r}")
+    if choices and value not in choices:
+        raise FormatError(f"{where} {key!r} must be one of {', '.join(map(repr, choices))}, got {value!r}")
     return value
 
 

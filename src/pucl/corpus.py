@@ -74,9 +74,6 @@ class LabelSet:
             raise FormatError(f"label id {label_id} out of range 0..{self.k}")
         return self.names[label_id - 1]
 
-    def __len__(self) -> int:
-        return self.k
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LabelSet) and self.names == other.names
 

@@ -48,9 +48,6 @@ class Dictionary:
                 entries.append(entry)
         return Dictionary(tuple(entries), label_set)
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 def read_dictionary_pairs(
     stream: IO[str] | Iterable[str],
@@ -86,31 +83,23 @@ def write_dictionary(dictionary: Dictionary, stream: IO[str]) -> None:
         stream.write(f"{' '.join(tokens)}\t{dictionary.label_set.name_of(label)}\n")
 
 
-class MatcherIndex:
-    """First-token lookup over dictionary entries.
-
-    Buckets map a first token to its candidate entries, longest first (then
-    smallest type id), so ``annotate`` answers "which entries could start
-    here" at a position without touching the rest of the dictionary.
-    """
-
-    def __init__(self, dictionary: Dictionary):
-        buckets: dict[str, list[tuple[tuple[str, ...], int]]] = {}
-        for tokens, label in dictionary.entries:
-            buckets.setdefault(tokens[0], []).append((tokens, label))
-        for key in buckets:
-            buckets[key].sort(key=lambda e: (-len(e[0]), e[1], e[0]))
-        self.buckets = buckets
+def compile_dictionary(dictionary: Dictionary) -> dict[str, list[tuple[tuple[str, ...], int]]]:
+    """Index a dictionary for ``annotate``: each first token maps to the
+    entries that start with it, longest first (then smallest type id), so
+    ``annotate`` answers "which entries could start here" at a position
+    without touching the rest of the dictionary."""
+    buckets: dict[str, list[tuple[tuple[str, ...], int]]] = {}
+    for tokens, label in dictionary.entries:
+        buckets.setdefault(tokens[0], []).append((tokens, label))
+    for bucket in buckets.values():
+        bucket.sort(key=lambda e: (-len(e[0]), e[1], e[0]))
+    return buckets
 
 
-def compile_dictionary(dictionary: Dictionary) -> MatcherIndex:
-    """Index a dictionary for ``annotate``."""
-    return MatcherIndex(dictionary)
-
-
-def annotate(surfaces: Sequence[str], matcher: MatcherIndex) -> list[int]:
+def annotate(surfaces: Sequence[str], buckets: dict[str, list[tuple[tuple[str, ...], int]]]) -> list[int]:
     """Label a sentence's token surfaces with the max-coverage
-    non-overlapping match set.
+    non-overlapping match set, over the ``compile_dictionary`` index
+    ``buckets``.
 
     Dynamic program over start positions, right to left: ``cover[i]`` is
     the coverage of the best labeling of tokens[i:], and ``choice[i]`` the
@@ -121,7 +110,6 @@ def annotate(surfaces: Sequence[str], matcher: MatcherIndex) -> list[int]:
     """
     folded = [s.casefold() for s in surfaces]
     n = len(folded)
-    buckets = matcher.buckets
     cover = [0] * (n + 1)
     choice: list[tuple[tuple[str, ...], int] | None] = [None] * n
     for i in range(n - 1, -1, -1):

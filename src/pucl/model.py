@@ -65,6 +65,8 @@ SCORE_BLOCK_ROWS = 256
 #: Tokens per block of a pass that keeps only per-token outputs (difficulty,
 #: ``difficulty.tsv``, ``plan.json``); whole scoring blocks, as in ``corpus_probs``.
 TOKEN_BLOCK_ROWS = 4 * SCORE_BLOCK_ROWS
+#: ``adam_step``'s b1, b2 and eps: Kingma & Ba's defaults.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -307,9 +309,6 @@ class AdamState:
     scratch: tuple[np.ndarray, np.ndarray]
     dense_grad: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @staticmethod
     def for_model(model: TokenClassifier, learning_rate: float) -> "AdamState":
@@ -348,7 +347,7 @@ def adam_step(model: TokenClassifier, grads: Gradients, state: AdamState) -> Non
         bad = next(name for name in PARAMETER_NAMES if not np.isfinite(getattr(grads, name)).all())
         raise NumericError(f"non-finite gradient in {bad} at step {state.step + 1}")
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     corr1 = 1.0 - b1**state.step
     corr2 = 1.0 - b2**state.step
     lazy = tuple(a.take(rows, axis=0) for a in (model.embedding, state.embedding_m, state.embedding_v))
@@ -367,7 +366,7 @@ def adam_step(model: TokenClassifier, grads: Gradients, state: AdamState) -> Non
         update *= state.learning_rate
         np.divide(v, corr2, out=denom)
         np.sqrt(denom, out=denom)
-        denom += state.eps
+        denom += ADAM_EPS
         update /= denom
         p -= update
     model.embedding[rows], state.embedding_m[rows], state.embedding_v[rows] = lazy

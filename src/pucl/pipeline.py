@@ -161,7 +161,7 @@ def _voters(run: PipelineResult) -> None:
             run.record(f"voter_{i}", f"voter_{i}.bin")
         run.ensemble = _load_voters(run)
         run.record("voters_fingerprint", stamp.name)
-        if run.ensemble.vocab != run.vocab or run.ensemble.voters[0].label_names != run.train.label_set.names:
+        if run.ensemble.voters[0].vocab != run.vocab or run.ensemble.voters[0].label_names != run.train.label_set.names:
             raise CompatibilityError("saved voters do not fit the training corpus; delete voters.sha256 to retrain")
         return
     stamp.unlink(missing_ok=True)
@@ -184,7 +184,7 @@ def _difficulty(run: PipelineResult) -> None:
     run.difficulty = difficulty_scores(run.ensemble, run.train)
     run.ensemble = None  # the voters' last reader; voter-ensemble's report loads their files
     with run.write("difficulty_tsv", "difficulty.tsv") as f:
-        dump_scores_tsv(run.train, run.difficulty.confidence, run.difficulty, f)
+        dump_scores_tsv(run.train, run.difficulty, f)
 
 
 def _plan(run: PipelineResult) -> None:
@@ -338,7 +338,7 @@ def run_pipeline(cfg: PipelineConfig, until: str | None = None) -> PipelineResul
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.time()
     manifest: dict = {
-        "config": cfg.snapshot(),
+        "config": asdict(cfg),
         "stages": [s.name for s in stages],
         "phases": {},  # stage -> its wall and CPU seconds
         "inputs": {},
@@ -407,6 +407,8 @@ def _read_inputs(cfg: PipelineConfig, until: str | None, out_dir: Path, manifest
             raise CompatibilityError(f"{name} corpus does not fit the training labels: {exc}") from exc
 
     test = read_split(cfg.test, "test")
+    if until is None and test is not None and not test.has_gold():  # the report stage scores it against gold
+        raise CompatibilityError("the report needs gold labels on every token of the test corpus")
     valid = read_split(cfg.valid, "valid")
 
     vocab = build_vocab(train, cfg.model.min_count)

@@ -84,13 +84,6 @@ def mae_rows(probs: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.nda
     return values, grads
 
 
-def loss_rows(
-    probs: np.ndarray, targets: np.ndarray, kind: LossKind
-) -> tuple[np.ndarray, np.ndarray]:
-    _check_loss_kind(kind)
-    return ce_rows(probs, targets) if kind == "ce" else mae_rows(probs, targets)
-
-
 def kl_soft_rows(probs: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """KL(target || predicted) per row, probabilities floored inside logs."""
     t = np.asarray(targets)
@@ -165,7 +158,8 @@ def pn_risk(
     count = len(labels)
     if count == 0:
         raise ValueError("pn_risk needs at least one row")
-    values, grads = loss_rows(probs, np.asarray(labels), loss)
+    _check_loss_kind(loss)
+    values, grads = (ce_rows if loss == "ce" else mae_rows)(probs, np.asarray(labels))
     return float(values.sum() / count), grads / count
 
 
@@ -189,14 +183,12 @@ class ConfMpuConfig:
 
 @dataclass(frozen=True)
 class RiskBreakdown:
-    """total = gamma * sum(positive_terms) + unlabeled_term."""
+    """total = cfg.gamma * sum(positive_terms) + unlabeled_term."""
 
     total: float
     positive_terms: np.ndarray
     unlabeled_term: float
     clamped_count: int
-    empty_classes: tuple[int, ...]
-    gamma: float
 
 
 def conf_mpu_risk(
@@ -210,8 +202,8 @@ def conf_mpu_risk(
 
     ``labels`` are distant labels in 0..k (0 = unlabeled), ``lam`` the
     per-token entity-confidence scores in [0, 1]. Class counts T_i are
-    batch-local. Classes absent from the batch contribute 0 and are reported
-    in ``empty_classes``; an all-clamped batch is legal.
+    batch-local. Classes absent from the batch contribute 0; an all-clamped
+    batch is legal.
 
     One ``active`` mask picks the rows with a gradient: positive rows past
     the clamp (per token, or per class with ``aggregate_clamp``) and
@@ -278,12 +270,4 @@ def conf_mpu_risk(
     grads[np.arange(n), labels] = columns[1]
 
     total = cfg.gamma * float(positive_terms.sum()) + unlabeled_term
-    breakdown = RiskBreakdown(
-        total=total,
-        positive_terms=positive_terms,
-        unlabeled_term=unlabeled_term,
-        clamped_count=int(np.sum(positive & ~active)),
-        empty_classes=tuple(int(i) + 1 for i in np.flatnonzero(counts[1:] == 0)),
-        gamma=cfg.gamma,
-    )
-    return breakdown, grads
+    return RiskBreakdown(total, positive_terms, unlabeled_term, int(np.sum(positive & ~active))), grads

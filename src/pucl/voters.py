@@ -20,7 +20,7 @@ import numpy as np
 
 from .corpus import Corpus, Vocab
 from .model import TOKEN_BLOCK_ROWS, AdamState, ModelConfig, TokenClassifier, reduce_classes, train_epoch
-from .risk import PROB_FLOOR, LossKind, pn_risk, sample_negatives
+from .risk import PROB_FLOOR, LossKind, _check_loss_kind, pn_risk, sample_negatives
 from .seeding import derive_seed, make_rng
 
 
@@ -47,6 +47,7 @@ class VoterConfig:
             raise ValueError("keep_negative_ratio must be in (0, 1]")
         if not 0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be positive and finite")
+        _check_loss_kind(self.loss)
 
 
 @dataclass
@@ -60,14 +61,6 @@ class VoterEnsemble:
         for v in self.voters[1:]:
             if v.vocab != first.vocab or v.label_names != first.label_names:
                 raise ValueError("voters must share vocabulary and label set")
-
-    @property
-    def vocab(self) -> Vocab:
-        return self.voters[0].vocab
-
-    @property
-    def size(self) -> int:
-        return len(self.voters)
 
 
 def _train_one_voter(
@@ -187,9 +180,9 @@ def difficulty_scores(ensemble: VoterEnsemble, corpus: Corpus) -> DifficultyTabl
     ``confidence`` (equal to ``confidence_table``), so a caller that needs
     both scores the corpus once.
     """
-    if ensemble.size < 2:
+    v = len(ensemble.voters)
+    if v < 2:
         raise ValueError("difficulty scores need at least two voters")
-    v = ensemble.size
     mean = np.empty((corpus.n_tokens, corpus.label_set.n_classes))
     total = np.zeros(corpus.n_tokens)
     for block, dists in _voter_blocks(ensemble, corpus):
@@ -206,9 +199,10 @@ def difficulty_scores(ensemble: VoterEnsemble, corpus: Corpus) -> DifficultyTabl
     return DifficultyTable(corpus, np.maximum(total, 0.0, out=total), ConfidenceTable(corpus, mean))
 
 
-def dump_scores_tsv(corpus: Corpus, conf: ConfidenceTable, diff: DifficultyTable, stream: IO[str]) -> None:
+def dump_scores_tsv(corpus: Corpus, diff: DifficultyTable, stream: IO[str]) -> None:
     """One row per token: sentence_idx, token_idx, surface, distant label
-    name, lambda, difficulty; one ``write`` per block of ``TOKEN_BLOCK_ROWS``."""
+    name, lambda (from ``diff.confidence``), difficulty; one ``write`` per
+    block of ``TOKEN_BLOCK_ROWS``."""
     name_of = corpus.label_set.name_of
     offsets, distant = corpus.offsets, corpus.distant_array()
     for lo in range(0, corpus.n_tokens, TOKEN_BLOCK_ROWS):
@@ -218,6 +212,6 @@ def dump_scores_tsv(corpus: Corpus, conf: ConfidenceTable, diff: DifficultyTable
             f"{s_idx}\t{t_idx}\t{surface}\t{name_of(label)}\t{lam:.17g}\t{h:.17g}\n"
             for s_idx, t_idx, surface, label, lam, h in zip(
                 sentence.tolist(), (flat - offsets[sentence]).tolist(), corpus.surfaces[lo : lo + TOKEN_BLOCK_ROWS],
-                distant[flat].tolist(), conf.lam[flat].tolist(), diff.scores[flat].tolist(),
+                distant[flat].tolist(), diff.confidence.lam[flat].tolist(), diff.scores[flat].tolist(),
             )
         ]))

@@ -17,7 +17,7 @@ from pucl.corpus import O_NAME, Corpus, LabelSet, Sentence, Token, Vocab
 from pucl.distant import Dictionary
 from pucl.evaluation import Metrics
 from pucl.model import TokenClassifier
-from pucl.risk import Priors, RiskBreakdown, loss_rows
+from pucl.risk import Priors, RiskBreakdown, ce_rows, mae_rows
 
 
 # --- corpus writing: one join and one write per sentence ----------------------
@@ -129,19 +129,18 @@ def oracle_conf_mpu_risk(probs, labels, lam, priors, cfg):
     evaluate its losses on them, then the gated-in unlabeled rows. The
     one-pass estimator must equal it bitwise."""
     k = priors.k
+    loss_rows = ce_rows if cfg.loss == "ce" else mae_rows
     grads = np.zeros_like(probs)
     positive_terms = np.zeros(k)
     clamped = 0
-    empty = []
     for i in range(1, k + 1):
         idx = np.flatnonzero(labels == i)
         if len(idx) == 0:
-            empty.append(i)
             continue
         t_i = len(idx)
         p = probs[idx]
-        li_val, li_grad = loss_rows(p, np.full(t_i, i), cfg.loss)
-        l0_val, l0_grad = loss_rows(p, np.zeros(t_i, dtype=np.int64), cfg.loss)
+        li_val, li_grad = loss_rows(p, np.full(t_i, i))
+        l0_val, l0_grad = loss_rows(p, np.zeros(t_i, dtype=np.int64))
         lam_i = lam[idx]
         over = lam_i > cfg.epsilon
         coeff = np.where(over, np.divide(1.0, lam_i, where=over, out=np.ones_like(lam_i)), 0.0) - 1.0
@@ -169,14 +168,13 @@ def oracle_conf_mpu_risk(probs, labels, lam, priors, cfg):
         t_0 = len(idx0)
         rows = idx0[lam[idx0] <= cfg.epsilon]
         if len(rows) > 0:
-            l0_val, l0_grad = loss_rows(probs[rows], np.zeros(len(rows), dtype=np.int64), cfg.loss)
+            l0_val, l0_grad = loss_rows(probs[rows], np.zeros(len(rows), dtype=np.int64))
             unlabeled_term = float(l0_val.sum() / t_0)
             grads[rows] += l0_grad / t_0
 
     total = cfg.gamma * float(positive_terms.sum()) + unlabeled_term
     breakdown = RiskBreakdown(
-        total=total, positive_terms=positive_terms, unlabeled_term=unlabeled_term,
-        clamped_count=clamped, empty_classes=tuple(empty), gamma=cfg.gamma,
+        total=total, positive_terms=positive_terms, unlabeled_term=unlabeled_term, clamped_count=clamped,
     )
     return breakdown, grads
 
@@ -431,7 +429,7 @@ def oracle_plan_json(plan, corpus: Corpus) -> str:
 
 def oracle_voter_distributions(ensemble, corpus: Corpus) -> np.ndarray:
     """[V, n_tokens, n_classes] stack of the voters' ``corpus_probs``."""
-    out = np.empty((ensemble.size, corpus.n_tokens, corpus.label_set.n_classes))
+    out = np.empty((len(ensemble.voters), corpus.n_tokens, corpus.label_set.n_classes))
     for v, voter in enumerate(ensemble.voters):
         out[v] = voter.corpus_probs(corpus)
     return out
@@ -444,7 +442,7 @@ def oracle_difficulty_scores(ensemble, corpus: Corpus):
     mean = dists.mean(axis=0)
     floored = np.maximum(dists, 1e-12, out=dists)
     logs = np.log(floored)
-    v = ensemble.size
+    v = len(ensemble.voters)
     total = np.zeros(dists.shape[1])
     for i in range(v):
         for j in range(i + 1, v):

@@ -1280,6 +1280,22 @@ class TestCliSurface:
         cfg["train"] = str(no_gold)
         assert main(["analyze", "--config", write_config(cfg, tmp_path / "cfg.json")]) == 3
 
+    def test_a_test_split_without_gold_exits_3_before_any_stage(self, synth_dir, tmp_path, capsys):
+        lines = (synth_dir / "test.tsv").read_text().splitlines()
+        no_gold = tmp_path / "test.tsv"
+        no_gold.write_text("\n".join("\t".join(line.split("\t")[:2]) for line in lines) + "\n")
+        out_dir = tmp_path / "run"
+        cfg = small_config(synth_dir, out_dir)
+        cfg["test"] = str(no_gold)
+        cfg_path = write_config(cfg, tmp_path / "cfg.json")
+        assert main(["pipeline", "--config", cfg_path]) == 3
+        assert "gold labels" in capsys.readouterr().err
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert (manifest["status"], manifest["phases"]) == ("error", {})
+        assert not list(out_dir.glob("voter_*.bin"))
+        # a stage subcommand does not report, so it takes the split
+        assert main(["train-voters", "--config", cfg_path]) == 0
+
 
 class TestUnopenablePaths:
     """A path that exists but cannot be opened is an input error: exit 2."""

@@ -2,9 +2,10 @@
 
 Every field of ``PipelineConfig`` and of each of its sections is a JSON key.
 A number field refuses booleans, strings and (a float field) NaN and the
-infinities; a bool field refuses 0, 1 and strings. Each refusal is a
-FormatError that names the key and its section. A key set to its field's
-default gives the all-default config. No pipeline runs here.
+infinities; a bool field refuses 0, 1 and strings; a ``Literal`` field
+refuses a string outside its choices. Each refusal is a FormatError that
+names the key and its section. A key set to its field's default gives the
+all-default config. No pipeline runs here.
 """
 
 import dataclasses
@@ -45,6 +46,13 @@ REFUSED = {
     float: [True, False, "0.5", math.nan, math.inf, -math.inf],
     bool: [0, 1, "true"],
 }
+# Strings that a ``Literal`` field refuses: none is one of its choices.
+OUTSIDE_THE_CHOICES = ["hinge", "CE", ""]
+LITERALS = [(section, key, f) for section, key, kind, f in FIELDS if typing.get_origin(kind) is typing.Literal]
+
+
+def _refused(kind):
+    return OUTSIDE_THE_CHOICES if typing.get_origin(kind) is typing.Literal else REFUSED.get(kind, [])
 
 
 def _config(section, key, value):
@@ -58,6 +66,7 @@ def _name(section, key):
 def test_every_kind_of_field_is_covered():
     kinds = [kind for _, _, kind, _ in FIELDS]
     assert all(kinds.count(kind) >= 3 for kind in REFUSED)
+    assert {_name(section, key) for section, key, _ in LITERALS} >= {"voters.loss", "risk.loss"}
 
 
 @pytest.mark.parametrize(
@@ -65,7 +74,7 @@ def test_every_kind_of_field_is_covered():
     [
         pytest.param(section, key, value, id=f"{_name(section, key)}={value!r}")
         for section, key, kind, _ in FIELDS
-        for value in REFUSED.get(kind, [])
+        for value in _refused(kind)
     ],
 )
 def test_a_value_of_the_wrong_kind_is_refused_by_name(section, key, value):
@@ -107,6 +116,19 @@ SECTIONS = typing.get_type_hints(PipelineConfig)
 def test_a_section_refuses_a_non_finite_float_at_construction(section, f, value):
     # Load refuses these before any section is built; a library caller
     # building the section itself gets a ValueError.
+    with pytest.raises(ValueError):
+        SECTIONS[section](**{f.name: value})
+
+
+@pytest.mark.parametrize(
+    "section, f, value",
+    [
+        pytest.param(section, f, value, id=f"{_name(section, key)}={value!r}")
+        for section, key, f in LITERALS
+        for value in OUTSIDE_THE_CHOICES
+    ],
+)
+def test_a_section_refuses_a_string_outside_a_literals_choices_at_construction(section, f, value):
     with pytest.raises(ValueError):
         SECTIONS[section](**{f.name: value})
 

@@ -34,11 +34,11 @@ def sentence(words, distant=None, gold=None):
 class TestCompile:
     def test_index_structure(self):
         idx = compile_dictionary(Dictionary.build([("milk fat", "T")], LS))
-        assert idx.buckets == {"milk": [(("milk", "fat"), 1)]}
+        assert idx == {"milk": [(("milk", "fat"), 1)]}
 
     def test_duplicates_collapse(self):
         d = Dictionary.build([("milk fat", "T"), ("Milk  Fat", "T")], LS)
-        assert len(d) == 1
+        assert len(d.entries) == 1
 
     def test_unknown_type(self):
         with pytest.raises(FormatError):
@@ -388,4 +388,4 @@ class TestWriteDictionary:
         pairs, names = read_dictionary_pairs(io.StringIO(stream.getvalue()))
         assert Dictionary.build(pairs, label_set) == dictionary
         assert names == list(dict.fromkeys(label_set.name_of(label) for _, label in dictionary.entries))
-        assert len(stream.getvalue().splitlines()) == len(dictionary)
+        assert len(stream.getvalue().splitlines()) == len(dictionary.entries)

@@ -101,7 +101,7 @@ def only_pucl_errors(read, data):
 class TestReadersRaiseOnlyPuclErrors:
     def test_originals_are_read(self):
         assert len(read_conll(text_stream(CORPUS))) == 2
-        assert len(read_dictionary(text_stream(DICTIONARY))) == 3
+        assert len(read_dictionary(text_stream(DICTIONARY)).entries) == 3
         assert config_from_dict(json.loads(CONFIG)).voters.count == 2
         assert load_checkpoint(io.BytesIO(CHECKPOINT)).label_names == ("ORG", "PER")
 

@@ -290,15 +290,6 @@ class TestConfMpuProperties:
         l1 = loss_mae(probs[0], 1)[0]
         assert totals[-1] == pytest.approx(0.5 * l1, abs=1e-12)
 
-    def test_empty_class_flagged(self):
-        priors = Priors(np.array([0.1, 0.1]))
-        probs = np.array([[0.5, 0.3, 0.2]])
-        breakdown, _ = conf_mpu_risk(
-            probs, np.array([1]), np.array([0.9]), priors, ConfMpuConfig(loss="mae")
-        )
-        assert breakdown.empty_classes == (2,)
-        assert breakdown.positive_terms[1] == 0.0
-
     def test_all_clamped_batch_is_legal(self):
         priors = Priors(np.array([0.5]))
         probs = np.array([[0.05, 0.95], [0.1, 0.9]])
@@ -349,11 +340,10 @@ class TestConfMpuProperties:
     def test_breakdown_json_record(self):
         priors = Priors(np.array([0.5]))
         probs = np.array([[0.3, 0.7]])
-        breakdown, _ = conf_mpu_risk(
-            probs, np.array([1]), np.array([0.9]), priors, ConfMpuConfig(loss="mae")
-        )
+        cfg = ConfMpuConfig(loss="mae")
+        breakdown, _ = conf_mpu_risk(probs, np.array([1]), np.array([0.9]), priors, cfg)
         assert len(breakdown.positive_terms) == 1
-        assert breakdown.total == breakdown.gamma * breakdown.positive_terms.sum() + breakdown.unlabeled_term
+        assert breakdown.total == cfg.gamma * breakdown.positive_terms.sum() + breakdown.unlabeled_term
 
     def test_aggregate_clamp_variant(self):
         priors = Priors(np.array([0.5]))
@@ -378,8 +368,6 @@ def assert_equals_oracle(probs, labels, lam, priors, cfg):
     assert np.array_equal(got.positive_terms, want.positive_terms)
     assert got.unlabeled_term == want.unlabeled_term
     assert got.clamped_count == want.clamped_count
-    assert got.empty_classes == want.empty_classes
-    assert got.gamma == want.gamma
     return got
 
 
@@ -436,7 +424,7 @@ class TestOnePass:
         if case == "all-gated":
             assert got.unlabeled_term == 0.0
         if case in ("empty-class", "all-unlabeled"):
-            assert 2 in got.empty_classes
+            assert got.positive_terms[1] == 0.0
 
     @pytest.mark.parametrize("loss", ["ce", "mae"])
     @pytest.mark.parametrize("label, lam", [(0, 0.3), (0, 0.7), (1, 0.5), (1, 1.0), (2, 0.9)])

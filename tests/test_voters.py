@@ -173,7 +173,7 @@ def two_pass_tables(ensemble, corpus):
     dists = stack()
     logs = np.log(np.maximum(dists, PROB_FLOOR))
     floored = np.maximum(dists, PROB_FLOOR)
-    n = ensemble.size
+    n = len(ensemble.voters)
     total = np.zeros(dists.shape[1])
     for i in range(n):
         for j in range(i + 1, n):
@@ -270,7 +270,7 @@ class TestBlockedScoring:
         conf = confidence_table(ens, corpus)
         assert np.array_equal(conf.distributions, mean) and np.array_equal(conf.lam, lam)
         out = io.StringIO()
-        dump_scores_tsv(corpus, table.confidence, table, out)
+        dump_scores_tsv(corpus, table, out)
         assert out.getvalue() == oracle_scores_tsv(corpus, lam, scores)
 
     def test_tsv_is_written_one_block_per_write(self):
@@ -281,7 +281,7 @@ class TestBlockedScoring:
             write = list.append
 
         out = Writes()
-        dump_scores_tsv(corpus, table.confidence, table, out)
+        dump_scores_tsv(corpus, table, out)
         assert [chunk.count("\n") for chunk in out] == [TOKEN_BLOCK_ROWS, TOKEN_BLOCK_ROWS, 7]
 
     def test_memory_beyond_the_outputs_does_not_grow_with_the_corpus(self):
@@ -298,7 +298,7 @@ class TestBlockedScoring:
             tracemalloc.start()
             try:
                 table = difficulty_scores(ens, corpus)
-                dump_scores_tsv(corpus, table.confidence, table, Sink())
+                dump_scores_tsv(corpus, table, Sink())
                 current, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -326,7 +326,7 @@ class TestBlockedScoring:
             monkeypatch.setattr(pucl.curriculum, "TOKEN_BLOCK_ROWS", rows)
             table = difficulty_scores(ens, corpus)
             tsv = Writes()
-            dump_scores_tsv(corpus, table.confidence, table, tsv)
+            dump_scores_tsv(corpus, table, tsv)
             assert len(tsv) == -(-corpus.n_tokens // rows)
             plan = build_plan(table, corpus, 0.5, 3)
             outputs.append((table.scores, table.confidence.lam, "".join(tsv), plan.to_json(corpus)))
@@ -355,7 +355,7 @@ class TestEmptyVoterBatch:
         return train_voters(corpus, model_config, self.CFG, seed, vocab=vocab)
 
     def test_batch_without_contributing_tokens_is_skipped(self):
-        assert self.train(0).size == 2
+        assert len(self.train(0).voters) == 2
 
     def test_sampling_stream_is_drawn_as_for_a_full_batch(self, monkeypatch):
         # Every batch draws one uniform per token from its voter's sampling
@@ -623,10 +623,9 @@ class TestDumpTsv:
         corpus = synthetic_corpus(n=5)
         vocab = build_vocab(corpus)
         ens = train_voters(corpus, tiny_model_config(vocab), VoterConfig(count=2, epochs=1), 0, vocab=vocab)
-        conf = confidence_table(ens, corpus)
         diff = difficulty_scores(ens, corpus)
         out = io.StringIO()
-        dump_scores_tsv(corpus, conf, diff, out)
+        dump_scores_tsv(corpus, diff, out)
         lines = out.getvalue().splitlines()
         assert len(lines) == corpus.n_tokens
         first = lines[0].split("\t")
