@@ -215,15 +215,13 @@ def _run_stages(
         active_positive_count = int(np.sum(active_mask & (labels > 0)))
         for _ in range(schedule.stage_epochs):
             epoch_counter += 1
-            order = shuffle_rng.permutation(len(corpus))
-            batch_values, clamped_total = train_epoch(
-                model, adam, corpus, order, schedule.batch_size, batch_risk,
+            risk_total, clamped_total = train_epoch(
+                model, adam, corpus, shuffle_rng, schedule.batch_size, batch_risk,
                 f"stage {stage}, epoch {epoch_counter}", lambda p: p[active_mask[p]],
             )
             if log is not None:
                 log.append({
-                    "stage": stage, "epoch": epoch_counter,
-                    "risk_total": float(np.mean(batch_values)) if batch_values else 0.0,
+                    "stage": stage, "epoch": epoch_counter, "risk_total": risk_total,
                     "clamped_count": clamped_total, "active_positive_count": active_positive_count,
                 })
         if stage_callback is not None:
@@ -368,14 +366,10 @@ def self_train(
         shuffle_rng = make_rng(seed, "selftrain-shuffle", round_idx)
         batch_risk = _mean_risk(kl_soft_rows, targets)
         for epoch in range(cfg.epochs):
-            order = shuffle_rng.permutation(len(corpus))
-            batch_values, _ = train_epoch(
-                student, adam, corpus, order, cfg.batch_size, batch_risk,
+            kl_risk, _ = train_epoch(
+                student, adam, corpus, shuffle_rng, cfg.batch_size, batch_risk,
                 f"self-training round {round_idx + 1}",
             )
             if log is not None:
-                log.append({
-                    "round": round_idx + 1, "epoch": epoch + 1,
-                    "kl_risk": float(np.mean(batch_values)) if batch_values else 0.0,
-                })
+                log.append({"round": round_idx + 1, "epoch": epoch + 1, "kl_risk": kl_risk})
     return student

@@ -27,12 +27,13 @@ and lazily on the embedding: only the rows the batch references step
 (lazy Adam, a different optimiser from dense Adam, not a rounding of
 it). Each gradient bin sums in token order and Adam's operations are
 elementwise, so the step's bytes do not depend on either layout. Every
-trainer steps through one
-minibatch loop, ``train_epoch``, which selects a batch's rows before the
-forward pass. A voter draws its negative sample there and computes only
-the rows the sample keeps. Its step is the full-batch step with
-zero-gradient rows for the dropped tokens up to round-off, not bytewise:
-the matmuls sum over fewer rows, and a one-row batch goes through gemv.
+trainer steps through one minibatch loop, ``train_epoch``, which draws the
+epoch's order, selects a batch's rows before the forward pass and returns
+the epoch's log record. A voter draws its negative sample there and
+computes only the rows the sample keeps. Its step is the full-batch step
+with zero-gradient rows for the dropped tokens up to round-off, not
+bytewise: the matmuls sum over fewer rows, and a one-row batch goes
+through gemv.
 Every model reads a corpus through one encoded form, ``Corpus.windows``
 (via ``TokenClassifier.encode_corpus``), and takes its batches as slices
 of it. Every pass that scores a corpus (``TokenClassifier.corpus_probs``,
@@ -380,14 +381,14 @@ def train_epoch(
     model: TokenClassifier,
     adam: AdamState,
     corpus: Corpus,
-    order: np.ndarray,
+    shuffle_rng: np.random.Generator,
     batch_size: int,
     batch_risk: BatchRisk,
     where: str,
     select: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> tuple[list[float], int]:
-    """One epoch over the sentences in ``order``, ``batch_size`` sentences
-    per batch: the minibatch loop of every trainer.
+) -> tuple[float, int]:
+    """One epoch over one ``shuffle_rng.permutation`` of the corpus's
+    sentences, ``batch_size`` per batch: the minibatch loop of every trainer.
 
     ``select`` maps a batch's flat token positions to the ones it trains
     on, before the forward pass: staged training's active tokens, voter
@@ -395,10 +396,11 @@ def train_epoch(
     whatever random stream ``select`` draws from does not depend on the
     skip. A non-finite risk raises NumericError with ``where`` (the voter,
     the stage and epoch, or the self-training round) in its message.
-    Returns the risks of the batches stepped on and their total clamped
-    count.
+    Returns the epoch's log record: the mean risk of the batches stepped
+    on, 0.0 if there were none, and their total clamped count.
     """
     rows = model.encode_corpus(corpus)
+    order = shuffle_rng.permutation(len(corpus))
     # The epoch's token positions, and where each sentence of it ends.
     epoch_positions = corpus.token_positions(order)
     ends = [0, *np.cumsum(np.diff(corpus.offsets)[order]).tolist()]
@@ -417,7 +419,7 @@ def train_epoch(
         values.append(value)
         clamped_total += clamped
         adam_step(model, model.backward_rows(cache, dprobs, out=adam.dense_grad), adam)
-    return values, clamped_total
+    return float(np.mean(values)) if values else 0.0, clamped_total
 
 
 def predict(model: TokenClassifier, corpus: Corpus) -> np.ndarray:

@@ -1,6 +1,6 @@
 """End-to-end orchestration: one ordered list of stages (``STAGES``), with
 every artifact written under the output directory and a run manifest
-recorded on both success and failure.
+recorded as ``running`` once the inputs are read, then on success or failure.
 
 ``pucl pipeline`` runs every stage and reuses nothing. A stage subcommand
 runs its stage and the stages it needs, and reuses the voters only when
@@ -351,9 +351,13 @@ def run_pipeline(cfg: PipelineConfig, until: str | None = None) -> PipelineResul
         "status": "running",
     }
 
+    def write_manifest() -> None:
+        write_text(out_dir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+
     run = None
     try:
         run = _read_inputs(cfg, until, out_dir, manifest)
+        write_manifest()  # until the run ends, a kill leaves this `running` one, not the previous run's
         for stage in stages:
             wall, cpu = time.perf_counter(), time.process_time()
             stage.run(run)
@@ -370,7 +374,7 @@ def run_pipeline(cfg: PipelineConfig, until: str | None = None) -> PipelineResul
         if run is not None:  # a run that failed to read its inputs removes nothing
             _remove_unlisted_artifacts(out_dir, manifest)
         manifest["wall_clock_seconds"] = time.time() - started
-        write_text(out_dir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        write_manifest()
 
 
 def _read_inputs(cfg: PipelineConfig, until: str | None, out_dir: Path, manifest: dict) -> PipelineResult:

@@ -86,10 +86,7 @@ def _train_one_voter(
         return *pn_risk(probs, labels[positions], cfg.loss), 0
 
     for _ in range(cfg.epochs):
-        order = shuffle_rng.permutation(len(corpus))
-        train_epoch(
-            model, adam, corpus, order, cfg.batch_size, batch_risk, f"voter {voter_idx}", sample
-        )
+        train_epoch(model, adam, corpus, shuffle_rng, cfg.batch_size, batch_risk, f"voter {voter_idx}", sample)
     return model
 
 

@@ -4,9 +4,11 @@ import io
 import json
 import math
 import shutil
+import signal
 import struct
 import subprocess
 import sys
+import time
 import weakref
 from contextlib import contextmanager
 from dataclasses import asdict, fields
@@ -1125,6 +1127,53 @@ class TestAtomicWrites:
         assert main(["pipeline", "--config", write_config(small_config(synth_dir, out), tmp_path / "a.json")]) == 0
         assert not any((out / name).exists() for name in planted)
         assert (out / ".notes").exists()  # not a name that a run writes
+
+    def test_a_killed_run_leaves_its_own_running_manifest(self, synth_dir, tmp_path):
+        # The manifest was written only when a run ended, so a run killed
+        # between two stage writes left the previous run's `ok` manifest,
+        # which listed voter_0 while voter_0.bin held the killed run's bytes.
+        out = tmp_path / "run"
+        cfg_a = write_config(small_config(synth_dir, out, "full-st"), tmp_path / "a.json")
+        assert main(["pipeline", "--config", cfg_a]) == 0
+        first_voter = out / "voter_0.bin"
+        inode = first_voter.stat().st_ino
+        # The child hangs in its second checkpoint write, so the kill
+        # always lands after voter_0.bin is replaced and before voter_1.bin.
+        script = (
+            "import sys, time\n"
+            "import pucl.pipeline\n"
+            "from pucl.cli import main\n"
+            "save, saved = pucl.pipeline.save_checkpoint, []\n"
+            "def save_then_hang(model, stream):\n"
+            "    if saved:\n"
+            "        time.sleep(120)\n"
+            "    saved.append(stream)\n"
+            "    save(model, stream)\n"
+            "pucl.pipeline.save_checkpoint = save_then_hang\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        cfg_b = write_config(small_config(synth_dir, out, "full-st", seed=7), tmp_path / "b.json")
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, "pipeline", "--config", cfg_b],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            env={"PYTHONPATH": str(Path(pucl.pipeline.__file__).parents[1]), "PATH": "/usr/bin:/bin"},
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while first_voter.stat().st_ino == inode:
+                assert proc.poll() is None, proc.stderr.read()
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+        finally:
+            proc.kill()
+            returncode = proc.wait(timeout=30)
+            proc.stderr.close()
+        assert returncode == -signal.SIGKILL
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "running"
+        assert manifest["config"]["seed"] == 7
+        assert manifest["artifacts"] == {}
 
     def test_cut_voter_rewrite_is_never_reused(self, synth_dir, tmp_path, monkeypatch, capsys):
         out = tmp_path / "run"

@@ -1,3 +1,4 @@
+import copy
 import json
 from dataclasses import replace
 
@@ -425,14 +426,20 @@ class TestSharedTrainingLoop:
         loop_steps = []
         adam_steps = []
         selects = []
+        streams = []  # each generator an epoch drew from, with its state at its first epoch
         real_epoch = model_mod.train_epoch
         real_step = model_mod.adam_step
 
-        def spy_epoch(model, adam, *args, **kwargs):
+        def spy_epoch(model, adam, corpus, shuffle_rng, *args, **kwargs):
+            if all(rng is not shuffle_rng for rng, _ in streams):
+                streams.append((shuffle_rng, shuffle_rng.bit_generator.state))
+            drawn_once = copy.deepcopy(shuffle_rng)
+            drawn_once.permutation(len(corpus))
             before = adam.step
-            out = real_epoch(model, adam, *args, **kwargs)
+            out = real_epoch(model, adam, corpus, shuffle_rng, *args, **kwargs)
+            assert shuffle_rng.bit_generator.state == drawn_once.bit_generator.state
             loop_steps.append(adam.step - before)
-            selects.append(kwargs.get("select", args[5] if len(args) > 5 else None))
+            selects.append(kwargs.get("select", args[3] if len(args) > 3 else None))
             return out
 
         def counted_step(*args):
@@ -448,6 +455,13 @@ class TestSharedTrainingLoop:
         # tokens; self-training (after one staged epoch) trains on every token.
         has_select = [select is not None for select in selects]
         assert all(has_select[:-1]) and has_select[-1] == (trainer != "self_train")
+        # One order per epoch, from the trainer's own named stream: one
+        # voter-shuffle generator per voter, so that they share each order.
+        names = {
+            "train_voters": [("voter-shuffle",)] * 2,
+            "self_train": [("train-shuffle",), ("selftrain-shuffle", 0)],
+        }.get(trainer, [("train-shuffle",)])
+        assert [state for _, state in streams] == [make_rng(0, *name).bit_generator.state for name in names]
 
     @pytest.mark.parametrize(
         "trainer, module, name, where",

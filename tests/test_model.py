@@ -468,12 +468,12 @@ class TestCompactStep:
             return float((probs * weight).sum()), np.broadcast_to(weight, probs.shape).copy(), 0
 
         state, ref_state = AdamState.for_model(model, 1e-3), AdamState.for_model(reference, 1e-3)
-        order = np.arange(len(corpus))
-        train_epoch(model, state, corpus, order, 1, risk, "first epoch")
+        shuffle_rng = np.random.default_rng(4)
+        train_epoch(model, state, corpus, shuffle_rng, 1, risk, "first epoch")
         model.encode_corpus(corpus)  # cached by the first epoch; built outside the trace
         tracemalloc.start()
         try:
-            train_epoch(model, state, corpus, order, 1, risk, "second epoch")
+            train_epoch(model, state, corpus, shuffle_rng, 1, risk, "second epoch")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -481,8 +481,9 @@ class TestCompactStep:
         assert peak < model.dense.nbytes / 2, peak
         # the same bytes as a fresh gradient buffer every step
         rows = reference.encode_corpus(corpus)
+        replay = np.random.default_rng(4)
         for _ in range(2):
-            for sent in order:
+            for sent in replay.permutation(len(corpus)):
                 probs, cache = reference.forward_rows(rows[corpus.offsets[sent] : corpus.offsets[sent + 1]])
                 adam_step(reference, reference.backward_rows(cache, risk(probs, None)[1]), ref_state)
         for (name, p), (_, q) in zip(model.parameters(), reference.parameters()):
@@ -533,12 +534,38 @@ class TestCompactStep:
 
         state = AdamState.for_model(model, 1e-2)
         before = model.copy()
-        train_epoch(model, state, corpus, np.arange(len(corpus)), 2, risk, "float32 epoch")
+        train_epoch(model, state, corpus, np.random.default_rng(4), 2, risk, "float32 epoch")
         assert state.step == 2
         arrays = [p for _, p in model.parameters()] + [model.dense, state.embedding_m, state.embedding_v,
                                                        state.dense_m, state.dense_v, *state.scratch, state.dense_grad]
         assert all(a.dtype == np.float32 for a in arrays)
         assert not np.array_equal(model.dense, before.dense)
+
+    def test_an_epoch_that_select_empties_steps_nothing_and_draws_one_order(self):
+        model = small_model(seed=6, vocab_words=6)
+        corpus = Corpus(
+            [Sentence(tuple(Token(f"w{i}", 0, 0) for i in ids)) for ids in ([1, 2, 3], [4, 5], [0, 2], [3])],
+            LabelSet(["T1", "T2"]),
+        )
+        seen = []
+
+        def risk(probs, positions):
+            seen.append(positions.copy())
+            return 0.5, np.zeros_like(probs), 1
+
+        state, before = AdamState.for_model(model, 1e-2), model.copy()
+        shuffle_rng, replay = np.random.default_rng(6), np.random.default_rng(6)
+        assert train_epoch(model, state, corpus, shuffle_rng, 1, risk, "empty epoch", lambda p: p[:0]) == (0.0, 0)
+        assert seen == [] and state.step == 0
+        for (name, p), (_, q) in zip(model.parameters(), before.parameters()):
+            assert np.array_equal(p, q), name
+        # one permutation drawn, so the next epoch's order is the one it
+        # would have been after an epoch that stepped
+        replay.permutation(len(corpus))
+        assert shuffle_rng.bit_generator.state == replay.bit_generator.state
+        assert train_epoch(model, state, corpus, shuffle_rng, len(corpus), risk, "next epoch") == (0.5, 1)
+        assert len(seen) == 1 and state.step == 1
+        assert np.array_equal(seen[0], corpus.token_positions(replay.permutation(len(corpus))))
 
     def test_gradient_buffer_of_another_shape_rejected(self):
         model = small_model()
